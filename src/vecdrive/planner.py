@@ -15,6 +15,15 @@ per-stage projections; values are the raw key rows projected. Masked
 exactly zero gradient, and a stage whose keys are all masked returns the
 zero vector.
 
+All parameters live in one contiguous float64 vector, laid out in
+param_layout() order; ``model.params`` maps each name to a reshaped view
+into it, and gradients are views into a vector of the same length. A
+scenario's inputs are packed into arrays once (``_pack``), and one inner
+step (``_step``) runs forward, loss and backward on a packed sample.
+``forward``, ``backward`` and ``train`` all go through it; a training
+step is: fill the gradient vector with zeros, run the step, then one
+``theta -= lr * grad``.
+
 Everything is float64 and single-threaded; forward, backward and training
 are bit-deterministic. Gradients are hand-written reverse mode, checked
 against central finite differences in the test suite.
@@ -26,7 +35,9 @@ in their active range at street-scale coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -57,6 +68,16 @@ _COMMAND_INDEX = {
     MetaAction.TURN_RIGHT: 2,
 }
 
+_MLPS = ("agent_enc", "map_enc", "pe1", "pe2", "plan_head")
+_STAGES = ("attn1", "attn2")
+# Per-layer getters: an MLP's (w1, b1, w2, b2), a stage's (wq, wk, wv, wo).
+_LAYER_GETTERS = {
+    **{prefix: operator.itemgetter(*(f"{prefix}.{w}" for w in ("w1", "b1", "w2", "b2")))
+       for prefix in _MLPS},
+    **{stage: operator.itemgetter(*(f"{stage}.{w}" for w in ("wq", "wk", "wv", "wo")))
+       for stage in _STAGES},
+}
+
 
 class PlannerError(Exception):
     pass
@@ -81,6 +102,9 @@ class PlannerConfig:
     p_m: int = POLYLINE_POINTS
 
     def validate(self) -> None:
+        for name, value in self.to_dict().items():
+            if type(value) is not int:
+                raise PlannerError(f"{name} must be an integer, got {value!r}")
         for name in ("d_model", "n_heads", "hidden"):
             if getattr(self, name) <= 0:
                 raise PlannerError(f"{name} must be positive")
@@ -118,7 +142,7 @@ def param_layout(config: PlannerConfig) -> list[tuple[str, tuple[int, ...]]]:
             (f"{prefix}.w2", (d, h)),
             (f"{prefix}.b2", (d,)),
         ]
-    for stage in ("attn1", "attn2"):
+    for stage in _STAGES:
         layout += [(f"{stage}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")]
     layout += [
         ("plan_head.w1", (h, head_in)),
@@ -127,6 +151,36 @@ def param_layout(config: PlannerConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("plan_head.b2", (T_F * 2,)),
     ]
     return layout
+
+
+def _views(config: PlannerConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> reshaped view into ``flat``, in param_layout() order."""
+    views = {}
+    offset = 0
+    for name, shape in param_layout(config):
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _flatten(config: PlannerConfig,
+             params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy ``params`` into a new flat vector; returns it and its views."""
+    flat = np.concatenate([np.ravel(params[name]) for name, _ in param_layout(config)])
+    return flat, _views(config, flat)
+
+
+def _bind(arrays: dict[str, np.ndarray]) -> dict:
+    """Per-layer tuples of parameter (or gradient) arrays.
+
+    MLPs map to (w1, b1, w2, b2), attention stages to (wq, wk, wv, wo);
+    ``ego_query`` stays a single array. Binding once keeps name lookups
+    out of the per-sample step.
+    """
+    bound = {layer: get(arrays) for layer, get in _LAYER_GETTERS.items()}
+    bound["ego_query"] = arrays["ego_query"]
+    return bound
 
 
 @dataclass
@@ -149,9 +203,6 @@ class PlannerModel:
             if not np.all(np.isfinite(arr)):
                 raise PlannerError(f"{name}: non-finite values")
 
-    def copy(self) -> "PlannerModel":
-        return PlannerModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
 
 def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
     """Uniform(+-sqrt(1/fan_in)) weights, zero biases, fixed draw order.
@@ -163,23 +214,22 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
     """
     config.validate()
     rng = SplitMix64(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_layout(config):
+    layout = param_layout(config)
+    params = _views(config, np.zeros(sum(math.prod(shape) for _, shape in layout)))
+    for name, shape in layout:
         if name.endswith(".b1") or name.endswith(".b2"):
-            params[name] = np.zeros(shape)
             continue
         fan_in = shape[-1] if len(shape) > 1 else config.d_model
         bound = math.sqrt(1.0 / fan_in)
-        size = int(np.prod(shape))
-        flat = np.array([rng.uniform(-bound, bound) for _ in range(size)])
-        params[name] = flat.reshape(shape)
+        params[name][...] = rng.uniform_array(math.prod(shape), -bound, bound).reshape(shape)
     model = PlannerModel(config, params)
     model.validate()
     return model
 
 
 def zero_gradients(config: PlannerConfig) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape) for name, shape in param_layout(config)}
+    """Zero gradients for every parameter, as views into one flat vector."""
+    return _views(config, np.zeros(sum(math.prod(shape) for _, shape in param_layout(config))))
 
 
 # --- feature extraction ---------------------------------------------------------
@@ -217,26 +267,32 @@ def command_one_hot(command: MetaAction) -> np.ndarray:
 
 # --- MLP ------------------------------------------------------------------------
 
-def _mlp_forward(params, prefix: str, x: np.ndarray):
+def _mlp_forward(weights, x: np.ndarray):
     """y = w2 @ tanh(w1 @ x + b1) + b2, rows of x independent."""
-    h = np.tanh(x @ params[f"{prefix}.w1"].T + params[f"{prefix}.b1"])
-    y = h @ params[f"{prefix}.w2"].T + params[f"{prefix}.b2"]
+    w1, b1, w2, b2 = weights
+    h = np.tanh(x @ w1.T + b1)
+    y = h @ w2.T + b2
     return y, (x, h)
 
 
-def _mlp_backward(params, grads, prefix: str, grad_y: np.ndarray, cache) -> np.ndarray:
+def _mlp_backward(weights, grads, grad_y: np.ndarray, cache) -> np.ndarray:
+    """Adds the weight gradients into ``grads``; returns the pre-tanh gradient.
+
+    The input gradient is ``gz @ w1``, left to the one caller that needs it.
+    """
     x, h = cache
-    grads[f"{prefix}.w2"] += grad_y.T @ h
-    grads[f"{prefix}.b2"] += grad_y.sum(axis=0)
-    gz = (grad_y @ params[f"{prefix}.w2"]) * (1.0 - h * h)
-    grads[f"{prefix}.w1"] += gz.T @ x
-    grads[f"{prefix}.b1"] += gz.sum(axis=0)
-    return gz @ params[f"{prefix}.w1"]
+    gw1, gb1, gw2, gb2 = grads
+    gw2 += grad_y.T @ h
+    gb2 += grad_y.sum(axis=0)
+    gz = (grad_y @ weights[2]) * (1.0 - h * h)
+    gw1 += gz.T @ x
+    gb1 += gz.sum(axis=0)
+    return gz
 
 
 # --- attention --------------------------------------------------------------------
 
-def _attention_forward(params, config, stage: str, q_in, k_src, q_pos, k_pos):
+def _attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
     """Single-query multi-head attention over valid keys only.
 
     Returns (output vector, cache); with zero keys the output is exactly
@@ -246,13 +302,14 @@ def _attention_forward(params, config, stage: str, q_in, k_src, q_pos, k_pos):
     d = config.d_model
     if n == 0:
         return np.zeros(d), None
+    wq, wk, wv, wo = weights
     n_heads = config.n_heads
     dh = d // n_heads
     q = q_in + q_pos
     keys = k_src + k_pos
-    qp = params[f"{stage}.wq"] @ q
-    kp = keys @ params[f"{stage}.wk"].T
-    vp = k_src @ params[f"{stage}.wv"].T
+    qp = wq @ q
+    kp = keys @ wk.T
+    vp = k_src @ wv.T
     qh = qp.reshape(n_heads, dh)
     kh = kp.reshape(n, n_heads, dh)
     vh = vp.reshape(n, n_heads, dh)
@@ -262,32 +319,38 @@ def _attention_forward(params, config, stage: str, q_in, k_src, q_pos, k_pos):
     weights = expd / expd.sum(axis=1, keepdims=True)          # (n_heads, n)
     heads_out = np.einsum("hn,nhd->hd", weights, vh)
     cat = heads_out.reshape(d)
-    out = params[f"{stage}.wo"] @ cat
+    out = wo @ cat
     cache = (q, keys, k_src, qp, kp, vp, weights, cat)
     return out, cache
 
 
-def _attention_backward(params, grads, config, stage: str, grad_out, cache):
-    """Returns (grad_q_in, grad_q_pos, grad_k_src, grad_k_pos)."""
+def _attention_backward(weights, grads, config, grad_out, cache):
+    """Returns (grad_q_in, grad_q_pos, grad_k_src, grad_k_pos).
+
+    grad_q_in and grad_q_pos are the same array: the query is q_in + q_pos.
+    """
     d = config.d_model
     if cache is None:
-        return np.zeros(d), np.zeros(d), None, None
-    q, keys, k_src, qp, kp, vp, weights, cat = cache
+        zero = np.zeros(d)
+        return zero, zero, None, None
+    wq, wk, wv, wo = weights
+    gwq, gwk, gwv, gwo = grads
+    q, keys, k_src, qp, kp, vp, attn, cat = cache
     n = k_src.shape[0]
     n_heads = config.n_heads
     dh = d // n_heads
 
-    grads[f"{stage}.wo"] += np.outer(grad_out, cat)
-    g_cat = params[f"{stage}.wo"].T @ grad_out
+    gwo += grad_out[:, None] * cat[None, :]
+    g_cat = wo.T @ grad_out
     g_heads = g_cat.reshape(n_heads, dh)
 
     vh = vp.reshape(n, n_heads, dh)
     g_weights = np.einsum("hd,nhd->hn", g_heads, vh)
-    g_vh = np.einsum("hn,hd->nhd", weights, g_heads)
+    g_vh = np.einsum("hn,hd->nhd", attn, g_heads)
 
     # Softmax backward per head.
-    dot = (weights * g_weights).sum(axis=1, keepdims=True)
-    g_logits = weights * (g_weights - dot)
+    dot = (attn * g_weights).sum(axis=1, keepdims=True)
+    g_logits = attn * (g_weights - dot)
 
     kh = kp.reshape(n, n_heads, dh)
     qh = qp.reshape(n_heads, dh)
@@ -299,24 +362,24 @@ def _attention_backward(params, grads, config, stage: str, grad_out, cache):
     g_kp = g_kh.reshape(n, d)
     g_vp = g_vh.reshape(n, d)
 
-    grads[f"{stage}.wq"] += np.outer(g_qp, q)
-    g_q = params[f"{stage}.wq"].T @ g_qp
-    grads[f"{stage}.wk"] += g_kp.T @ keys
-    g_keys = g_kp @ params[f"{stage}.wk"]
-    grads[f"{stage}.wv"] += g_vp.T @ k_src
-    g_k_src = g_vp @ params[f"{stage}.wv"] + g_keys
-    return g_q, g_q.copy(), g_k_src, g_keys
+    gwq += g_qp[:, None] * q[None, :]
+    g_q = wq.T @ g_qp
+    gwk += g_kp.T @ keys
+    g_keys = g_kp @ wk
+    gwv += g_vp.T @ k_src
+    g_k_src = g_vp @ wv + g_keys
+    return g_q, g_q, g_k_src, g_keys
 
 
 def cross_attention(model: PlannerModel, stage: str, q_in: np.ndarray,
                     k_src: np.ndarray, q_pos_emb: np.ndarray,
                     k_pos_embs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Public attention entry over padded key arrays with a validity mask."""
-    if stage not in ("attn1", "attn2"):
+    if stage not in _STAGES:
         raise PlannerError(f"unknown attention stage {stage!r}")
     mask = np.asarray(mask, dtype=bool)
     out, _ = _attention_forward(
-        model.params, model.config, stage,
+        _bind(model.params)[stage], model.config,
         np.asarray(q_in, dtype=float),
         np.asarray(k_src, dtype=float)[mask],
         np.asarray(q_pos_emb, dtype=float),
@@ -338,6 +401,7 @@ class SceneEncoding:
 def encode_scene(model: PlannerModel, scenario: Scenario) -> SceneEncoding:
     """Agent/map query rows with validity masks; absent slots are zero."""
     d = model.config.d_model
+    bound = _bind(model.params)
     q_a = np.zeros((A_MAX, d))
     q_m = np.zeros((M_MAX, d))
     agent_mask = np.zeros(A_MAX, dtype=bool)
@@ -345,10 +409,10 @@ def encode_scene(model: PlannerModel, scenario: Scenario) -> SceneEncoding:
     n_a = len(scenario.agents)
     n_m = len(scenario.map)
     if n_a:
-        q_a[:n_a], _ = _mlp_forward(model.params, "agent_enc", agent_features(scenario))
+        q_a[:n_a], _ = _mlp_forward(bound["agent_enc"], agent_features(scenario))
         agent_mask[:n_a] = True
     if n_m:
-        q_m[:n_m], _ = _mlp_forward(model.params, "map_enc", map_features(scenario))
+        q_m[:n_m], _ = _mlp_forward(bound["map_enc"], map_features(scenario))
         map_mask[:n_m] = True
     return SceneEncoding(q_a=q_a, q_m=q_m, agent_mask=agent_mask, map_mask=map_mask)
 
@@ -366,44 +430,101 @@ def _positions_for_pe(scenario: Scenario):
     return ego_pos, agent_pos, map_pos
 
 
-def _run_forward(model: PlannerModel, scenario: Scenario, command: MetaAction):
-    p = model.params
+def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None) -> tuple:
+    """One sample's model inputs as arrays, built once and reused.
+
+    (agent features, map features, pe1 input rows [ego; agents], pe2
+    input rows [ego; map], ego state + one-hot command, gt waypoints or
+    None, n_agents, n_polylines).
+    """
     ego_pos, agent_pos, map_pos = _positions_for_pe(scenario)
+    gt_arr = None
+    if gt is not None:
+        gt_arr = np.array([[x, y] for x, y in gt]).reshape(-1, 2)
+        if gt_arr.shape[0] != T_F:
+            raise ValueError(f"trajectories must have {T_F} waypoints")
+    return (
+        agent_features(scenario),
+        map_features(scenario),
+        np.concatenate([ego_pos, agent_pos], axis=0),
+        np.concatenate([ego_pos, map_pos], axis=0),
+        np.concatenate([ego_state_vector(scenario), command_one_hot(command)]),
+        gt_arr,
+        len(scenario.agents),
+        len(scenario.map),
+    )
 
-    a_feat = agent_features(scenario)
-    q_a, agent_cache = _mlp_forward(p, "agent_enc", a_feat)
-    m_feat = map_features(scenario)
-    q_m, map_cache = _mlp_forward(p, "map_enc", m_feat)
 
-    pe1_in = np.concatenate([ego_pos, agent_pos], axis=0)
-    pe1_out, pe1_cache = _mlp_forward(p, "pe1", pe1_in)
-    pe2_in = np.concatenate([ego_pos, map_pos], axis=0)
-    pe2_out, pe2_cache = _mlp_forward(p, "pe2", pe2_in)
+def _run_forward(bound: dict, config: PlannerConfig, packed: tuple):
+    """Predicted (T_F, 2) waypoints and the per-layer caches for backward."""
+    a_feat, m_feat, pe1_in, pe2_in, tail = packed[:5]
+    q_a, agent_cache = _mlp_forward(bound["agent_enc"], a_feat)
+    q_m, map_cache = _mlp_forward(bound["map_enc"], m_feat)
+    pe1_out, pe1_cache = _mlp_forward(bound["pe1"], pe1_in)
+    pe2_out, pe2_cache = _mlp_forward(bound["pe2"], pe2_in)
 
     q1, attn1_cache = _attention_forward(
-        p, model.config, "attn1", p["ego_query"], q_a, pe1_out[0], pe1_out[1:])
+        bound["attn1"], config, bound["ego_query"], q_a, pe1_out[0], pe1_out[1:])
     q2, attn2_cache = _attention_forward(
-        p, model.config, "attn2", q1, q_m, pe2_out[0], pe2_out[1:])
+        bound["attn2"], config, q1, q_m, pe2_out[0], pe2_out[1:])
 
-    s_ego = ego_state_vector(scenario)
-    head_in = np.concatenate([q1, q2, s_ego, command_one_hot(command)])[None, :]
-    head_out, head_cache = _mlp_forward(p, "plan_head", head_in)
+    head_in = np.concatenate([q1, q2, tail])[None, :]
+    head_out, head_cache = _mlp_forward(bound["plan_head"], head_in)
     pred = head_out.reshape(T_F, 2)
+    return pred, (agent_cache, map_cache, pe1_cache, pe2_cache,
+                  attn1_cache, attn2_cache, head_cache)
 
-    cache = {
-        "agent": agent_cache, "map": map_cache,
-        "pe1": pe1_cache, "pe2": pe2_cache,
-        "attn1": attn1_cache, "attn2": attn2_cache,
-        "head": head_cache, "pred": pred,
-        "n_a": len(scenario.agents), "n_m": len(scenario.map),
-    }
-    return pred, cache
+
+def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> float:
+    """Loss of one packed sample; its gradients are added into ``grads``.
+
+    ``grads`` is a ``_bind`` of gradient arrays, expected to hold zeros.
+    """
+    d = config.d_model
+    pred, caches = _run_forward(bound, config, packed)
+    agent_cache, map_cache, pe1_cache, pe2_cache, attn1_cache, attn2_cache, head_cache = caches
+    gt, n_a, n_m = packed[5:]
+
+    diff = pred - gt
+    total = 0.0
+    for dx, dy in diff.tolist():      # summed as imitation_loss sums
+        total += dx * dx + dy * dy
+    loss = total / T_F
+
+    g_out = (2.0 / T_F) * diff.reshape(1, T_F * 2)
+    gz = _mlp_backward(bound["plan_head"], grads["plan_head"], g_out, head_cache)
+    g_head_in = (gz @ bound["plan_head"][0])[0]
+
+    g_q1 = g_head_in[:d]
+    g_q2 = g_head_in[d:2 * d]
+
+    g_q1_from_attn2, g_qpos2, g_qm, g_kpos2 = _attention_backward(
+        bound["attn2"], grads["attn2"], config, g_q2, attn2_cache)
+    g_q1 += g_q1_from_attn2
+
+    g_ego_query, g_qpos1, g_qa, g_kpos1 = _attention_backward(
+        bound["attn1"], grads["attn1"], config, g_q1, attn1_cache)
+    grads["ego_query"] += g_ego_query
+
+    if n_a:
+        _mlp_backward(bound["agent_enc"], grads["agent_enc"], g_qa, agent_cache)
+        g_pe1 = np.concatenate([g_qpos1[None, :], g_kpos1])
+    else:
+        g_pe1 = g_qpos1[None, :]
+    _mlp_backward(bound["pe1"], grads["pe1"], g_pe1, pe1_cache)
+    if n_m:
+        _mlp_backward(bound["map_enc"], grads["map_enc"], g_qm, map_cache)
+        g_pe2 = np.concatenate([g_qpos2[None, :], g_kpos2])
+    else:
+        g_pe2 = g_qpos2[None, :]
+    _mlp_backward(bound["pe2"], grads["pe2"], g_pe2, pe2_cache)
+    return loss
 
 
 def forward(model: PlannerModel, scenario: Scenario, command: MetaAction) -> Trajectory:
     """Predict the T_F-step ego trajectory for a scenario and command."""
-    pred, _ = _run_forward(model, scenario, command)
-    return Trajectory(tuple((float(x), float(y)) for x, y in pred))
+    pred, _ = _run_forward(_bind(model.params), model.config, _pack(scenario, command))
+    return Trajectory(tuple(map(tuple, pred.tolist())))
 
 
 def attention_weights(model: PlannerModel, scenario: Scenario,
@@ -413,10 +534,9 @@ def attention_weights(model: PlannerModel, scenario: Scenario,
     Arrays have shape (n_heads, n_valid_keys); empty key sets yield
     zero-column arrays.
     """
-    _, cache = _run_forward(model, scenario, command)
+    _, caches = _run_forward(_bind(model.params), model.config, _pack(scenario, command))
     out = {}
-    for key, name in (("attn1", "agents"), ("attn2", "map")):
-        stage_cache = cache[key]
+    for stage_cache, name in ((caches[4], "agents"), (caches[5], "map")):
         if stage_cache is None:
             out[name] = np.zeros((model.config.n_heads, 0))
         else:
@@ -437,44 +557,13 @@ def imitation_loss(pred: Trajectory, gt: Trajectory) -> float:
 
 def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
              gt: Trajectory) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact reverse-mode gradients for every model parameter."""
-    p = model.params
-    config = model.config
-    d = config.d_model
-    pred, cache = _run_forward(model, scenario, command)
+    """Loss and exact reverse-mode gradients for every model parameter.
 
-    gt_arr = np.array([[x, y] for x, y in gt])
-    diff = pred - gt_arr
-    loss = imitation_loss(Trajectory(tuple((float(x), float(y)) for x, y in pred)), gt)
-
-    grads = zero_gradients(config)
-    g_out = (2.0 / T_F) * diff.reshape(1, T_F * 2)
-    g_head_in = _mlp_backward(p, grads, "plan_head", g_out, cache["head"])[0]
-
-    g_q1 = g_head_in[:d].copy()
-    g_q2 = g_head_in[d:2 * d]
-
-    g_q1_from_attn2, g_qpos2, g_qm, g_kpos2 = _attention_backward(
-        p, grads, config, "attn2", g_q2, cache["attn2"])
-    g_q1 += g_q1_from_attn2
-
-    g_ego_query, g_qpos1, g_qa, g_kpos1 = _attention_backward(
-        p, grads, config, "attn1", g_q1, cache["attn1"])
-    grads["ego_query"] += g_ego_query
-
-    n_a, n_m = cache["n_a"], cache["n_m"]
-    if n_a:
-        _mlp_backward(p, grads, "agent_enc", g_qa, cache["agent"])
-        g_pe1 = np.vstack([g_qpos1[None, :], g_kpos1])
-    else:
-        g_pe1 = g_qpos1[None, :]
-    _mlp_backward(p, grads, "pe1", g_pe1, cache["pe1"])
-    if n_m:
-        _mlp_backward(p, grads, "map_enc", g_qm, cache["map"])
-        g_pe2 = np.vstack([g_qpos2[None, :], g_kpos2])
-    else:
-        g_pe2 = g_qpos2[None, :]
-    _mlp_backward(p, grads, "pe2", g_pe2, cache["pe2"])
+    The gradients are views into one new flat vector per call.
+    """
+    grads = zero_gradients(model.config)
+    loss = _step(_bind(model.params), _bind(grads), model.config,
+                 _pack(scenario, command, gt))
     return loss, grads
 
 
@@ -490,8 +579,14 @@ def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
     """
     if not scenarios:
         raise PlannerError("cannot train on an empty scenario list")
-    trained = model.copy()
-    commands = [oracle.decide(s, Format.SHORT).action for s in scenarios]
+    model.validate()
+    config = model.config
+    theta, params = _flatten(config, model.params)
+    trained = PlannerModel(config, params)
+    grad = np.zeros_like(theta)
+    bound, bound_grads = _bind(params), _bind(_views(config, grad))
+    packed = [_pack(s, oracle.decide(s, Format.SHORT).action, s.gt_future)
+              for s in scenarios]
     rng = SplitMix64(seed)
     curve: list[float] = []
     order = list(range(len(scenarios)))
@@ -499,15 +594,14 @@ def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
         rng.shuffle(order)
         total = 0.0
         for i in order:
-            loss, grads = backward(trained, scenarios[i], commands[i],
-                                   scenarios[i].gt_future)
+            grad.fill(0.0)
+            loss = _step(bound, bound_grads, config, packed[i])
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, scenario {scenarios[i].id!r}; "
                     f"the learning rate {lr} is likely too high"
                 )
-            for name, grad in grads.items():
-                trained.params[name] -= lr * grad
+            theta -= lr * grad
             total += loss
         curve.append(total / len(scenarios))
     return trained, curve
@@ -516,7 +610,12 @@ def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
 # --- checkpoints -------------------------------------------------------------------
 
 def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
-    """Single JSON object, sorted parameter names, canonical floats."""
+    """Single JSON object, sorted parameter names, canonical floats.
+
+    The file is replaced atomically: the text goes to a temporary file in
+    the same directory, which is then renamed over ``path``, so a failure
+    leaves any previous checkpoint intact.
+    """
     model.validate()
     obj = {
         "version": 1,
@@ -529,9 +628,34 @@ def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
             for name in sorted(model.params)
         },
     }
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps(obj))
-        fh.write("\n")
+    text = jsonio.dumps(obj) + "\n"
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _number_vector(value) -> np.ndarray | None:
+    """``value`` as a float64 vector if it is a flat list of numbers, else None.
+
+    numpy's inferred dtype rejects strings, nulls, nested lists and
+    integers past int64 without a Python loop over the values.
+    """
+    if not isinstance(value, list):
+        return None
+    try:
+        arr = np.array(value)
+    except ValueError:          # ragged nested lists
+        return None
+    if arr.dtype.kind not in "fi" or arr.ndim != 1:
+        return None
+    return arr.astype(float, copy=False)
 
 
 def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
@@ -544,7 +668,8 @@ def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
         raise CheckpointError(f"{path}: unsupported checkpoint version")
     try:
         config = PlannerConfig(**obj["config"])
-    except (KeyError, TypeError) as e:
+        config.validate()
+    except (KeyError, TypeError, PlannerError) as e:
         raise CheckpointError(f"{path}: bad config: {e}") from None
     expected = dict(param_layout(config))
     raw = obj.get("params")
@@ -555,16 +680,21 @@ def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
         extra = sorted(set(raw) - set(expected))
         raise CheckpointError(f"{path}: parameter names mismatch: "
                               f"missing={missing} extra={extra}")
-    params = {}
+    chunks = []
     for name, shape in expected.items():
         entry = raw[name]
-        if tuple(entry.get("shape", ())) != shape:
-            raise CheckpointError(f"{path}: {name}: shape {entry.get('shape')} != {list(shape)}")
-        data = np.array(entry["data"], dtype=float)
-        if data.size != int(np.prod(shape)):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: {name}: entry is not an object")
+        shape_val = entry.get("shape")
+        if not isinstance(shape_val, list) or tuple(shape_val) != shape:
+            raise CheckpointError(f"{path}: {name}: shape {shape_val!r} != {list(shape)}")
+        data = _number_vector(entry.get("data"))
+        if data is None:
+            raise CheckpointError(f"{path}: {name}: data is not a list of numbers")
+        if data.size != math.prod(shape):
             raise CheckpointError(f"{path}: {name}: data length {data.size}")
-        params[name] = data.reshape(shape)
-    model = PlannerModel(config, params)
+        chunks.append(data)
+    model = PlannerModel(config, _views(config, np.concatenate(chunks)))
     try:
         model.validate()
     except PlannerError as e:

@@ -7,6 +7,8 @@ checkpoints are bit-reproducible across runs and across platforms.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -47,6 +49,23 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
+
+    def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """The next ``n`` values of ``uniform(lo, hi)`` in one numpy pass.
+
+        Bit-identical to ``n`` calls of ``uniform`` and leaves the stream
+        in the same state; uint64 arithmetic wraps mod 2^64 as the scalar
+        path's masking does.
+        """
+        with np.errstate(over="ignore"):
+            z = (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+                 + np.uint64(self._state))
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        floats = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        return lo + (hi - lo) * floats
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection, no modulo bias."""

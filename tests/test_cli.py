@@ -211,6 +211,18 @@ def test_eval_plan_requires_checkpoint_for_model(workdir, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_eval_plan_malformed_checkpoint_exit_2(workdir, capsys):
+    out = gen(workdir, n=6)
+    ckpt = out / "checkpoint.json"
+    obj = {"version": 1, "config": PlannerConfig().to_dict(),
+           "params": {name: 5 for name in init_model(PlannerConfig(), 1).params}}
+    ckpt.write_text(json.dumps(obj))
+    code = run(["eval-plan", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 2
+    assert "not an object" in capsys.readouterr().err
+
+
 def test_eval_plan_deterministic(workdir):
     out = gen(workdir, n=10)
     assert run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),

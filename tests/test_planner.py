@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from vecdrive import planner
 from vecdrive.planner import (
     INPUT_SCALE,
     CheckpointError,
     PlannerConfig,
     PlannerError,
+    PlannerModel,
     attention_weights,
     backward,
     command_one_hot,
@@ -21,7 +24,7 @@ from vecdrive.planner import (
     train,
     TrainingDiverged,
 )
-from vecdrive.oracle import RuleOracle
+from vecdrive.oracle import Format, RuleOracle
 from vecdrive.rng import SplitMix64
 from vecdrive.scene import MetaAction, Trajectory
 
@@ -313,6 +316,20 @@ def test_backward_empty_scene_agent_params_zero_grad():
             assert np.all(grads[name] == 0.0), name
 
 
+def test_backward_calls_return_independent_gradients():
+    model = init_model(TINY, seed=9)
+    s = grad_scenario()
+    _, first = backward(model, s, MetaAction.TURN_LEFT, s.gt_future)
+    snapshot = {name: g.copy() for name, g in first.items()}
+    _, second = backward(model, s, MetaAction.TURN_LEFT, s.gt_future)
+    for name in first:
+        assert not any(np.shares_memory(first[name], g) for g in second.values()), name
+    for g in second.values():
+        g += 1.0
+    for name in first:
+        assert np.array_equal(first[name], snapshot[name]), name
+
+
 def test_backward_loss_equals_forward_loss():
     model = init_model(TINY, seed=9)
     s = grad_scenario()
@@ -332,6 +349,40 @@ def train_set(n=4):
             speed=2.0 + i,
         ))
     return scenarios
+
+
+def reference_train(model, scenarios, oracle, epochs, lr, seed):
+    """Per-sample SGD through the public backward() and a per-parameter update."""
+    trained = PlannerModel(model.config, {k: v.copy() for k, v in model.params.items()})
+    commands = [oracle.decide(s, Format.SHORT).action for s in scenarios]
+    rng = SplitMix64(seed)
+    order = list(range(len(scenarios)))
+    curve = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for i in order:
+            loss, grads = backward(trained, scenarios[i], commands[i], scenarios[i].gt_future)
+            for name, grad in grads.items():
+                trained.params[name] -= lr * grad
+            total += loss
+        curve.append(total / len(scenarios))
+    return trained, curve
+
+
+def test_train_bit_identical_to_reference_loop():
+    model = init_model(PlannerConfig(d_model=8, n_heads=2, hidden=16), 3)
+    scenarios = train_set(3) + [
+        make_scenario(scenario_id="no_agents", agents=(), speed=3.0),
+        make_scenario(scenario_id="no_map", agents=(make_agent(1),), polylines=(),
+                      route_intent=MetaAction.TURN_RIGHT),
+    ]
+    trained, curve = train(model, scenarios, RuleOracle(), epochs=3, lr=1e-2, seed=5)
+    ref, ref_curve = reference_train(model, scenarios, RuleOracle(), epochs=3, lr=1e-2, seed=5)
+    assert curve == ref_curve
+    for name in ref.params:
+        assert np.array_equal(trained.params[name], ref.params[name]), name
+    assert not np.array_equal(trained.params["agent_enc.w1"], model.params["agent_enc.w1"])
 
 
 def test_train_lr_zero_no_change():
@@ -373,6 +424,13 @@ def test_train_divergence_raises():
         with pytest.raises(TrainingDiverged) as err:
             train(model, train_set(), RuleOracle(), epochs=200, lr=1e6, seed=5)
     assert "learning rate" in str(err.value)
+
+
+def test_train_rejects_misshapen_parameter():
+    model = init_model(TINY, 3)
+    model.params["agent_enc.w1"] = model.params["agent_enc.w1"].T.copy()
+    with pytest.raises(PlannerError):
+        train(model, train_set(), RuleOracle(), epochs=1, lr=1e-2, seed=5)
 
 
 def test_train_empty_rejected():
@@ -421,3 +479,46 @@ def test_checkpoint_rejects_bad_shape(tmp_path):
     p.write_text(__import__("json").dumps(obj))
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
+
+
+def _set(obj, keys, value):
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
+
+
+@pytest.mark.parametrize("keys, value, named", [
+    (("params", "ego_query"), 5, "ego_query"),
+    (("params", "ego_query", "data"), ["a", "b"], "ego_query"),
+    (("params", "ego_query", "shape"), 2, "ego_query"),
+    (("params", "ego_query", "data", 0), 10**400, "ego_query"),
+    (("params", "ego_query", "data"), [[0.5], [0.5, 0.5]], "ego_query"),
+    (("config", "n_heads"), "1", "n_heads"),
+], ids=["entry_not_object", "data_not_numeric", "shape_not_list", "data_out_of_range",
+        "data_ragged", "config_not_integer"])
+def test_checkpoint_rejects_malformed_field(tmp_path, keys, value, named):
+    p = tmp_path / "model.json"
+    save_checkpoint(init_model(TINY, 23), p)
+    obj = json.loads(p.read_text())
+    _set(obj, keys, value)
+    p.write_text(json.dumps(obj))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(p)
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("module, name", [("jsonio", "dumps"), ("os", "replace")])
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch, module, name):
+    p = tmp_path / "model.json"
+    save_checkpoint(init_model(TINY, 23), p)
+    before = p.read_bytes()
+
+    def fail(*args):
+        raise RuntimeError(f"{module}.{name} failed")
+
+    monkeypatch.setattr(getattr(planner, module), name, fail)
+    with pytest.raises(RuntimeError):
+        save_checkpoint(init_model(TINY, 24), p)
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.json"]

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from vecdrive.rng import SplitMix64, mix64
 
 MASK = (1 << 64) - 1
@@ -39,6 +42,17 @@ def test_uniform_range():
     for _ in range(500):
         v = rng.uniform(-2.5, 4.0)
         assert -2.5 <= v < 4.0
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, -1])
+def test_uniform_array_matches_scalar_draws(seed):
+    vec, scalar = SplitMix64(seed), SplitMix64(seed)
+    for n, lo, hi in ((0, 0.0, 1.0), (1, -0.5, 0.5), (257, -0.125, 3.0), (40, -2.5, 4.0)):
+        got = vec.uniform_array(n, lo, hi)
+        expected = np.array([scalar.uniform(lo, hi) for _ in range(n)], dtype=float)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, expected)
+    assert vec.next_u64() == scalar.next_u64()
 
 
 def test_randint_unbiased_range():
