@@ -50,7 +50,6 @@ from .oracle import (
 )
 from .planmetrics import (
     EGO_EXTENT,
-    PlanEvalRow,
     collision_horizons,
     evaluate_explanations,
     l2_horizons,
@@ -69,7 +68,6 @@ from .planner import (
 )
 from .report import (
     plan_row_from_dict,
-    plan_row_to_dict,
     render_actions_table,
     render_confusion,
     render_latency_table,
@@ -99,6 +97,28 @@ log = logging.getLogger("vecdrive")
 
 class ConfigError(Exception):
     pass
+
+
+#: Exception types -> exit code; the first row that matches wins, so
+#: TrainingDiverged comes before its base class PlannerError.
+_EXIT_CODES = (
+    ((TrainingDiverged,), EXIT_DIVERGENCE),
+    ((ConfigError, ValidationError, ValueError, PlannerError), EXIT_CONFIG),
+    ((ScenarioLoadError, OSError), EXIT_IO),
+    ((OracleError,), EXIT_ORACLE),
+)
+
+#: Result stem -> renderer of the ``rows`` object of ``<stem>.json``. The
+#: commands print their tables through it and ``report`` re-renders them.
+_TABLES = {
+    "eval_plan": lambda rows: render_plan_table(
+        {name: plan_row_from_dict(r) for name, r in rows.items()}),
+    "eval_text": lambda rows: render_text_table(
+        {name: text_row_from_dict(r) for name, r in rows.items()}),
+    "eval_actions": lambda rows: render_actions_table(
+        {name: r["accuracy"] for name, r in rows.items()}),
+    "bench": render_latency_table,
+}
 
 
 def _setup_logging() -> None:
@@ -147,12 +167,6 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
             raise ConfigError(f"missing required option {flag}")
 
 
-def _defaults(args: argparse.Namespace, **values) -> None:
-    for name, value in values.items():
-        if getattr(args, name, None) is None:
-            setattr(args, name, value)
-
-
 def _out_dir(args: argparse.Namespace) -> str:
     out = args.out
     try:
@@ -162,9 +176,23 @@ def _out_dir(args: argparse.Namespace) -> str:
     return out
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _eval_scenarios(args: argparse.Namespace, *extra_required: str) -> list:
+    """Check ``--scenarios``, the extra flags and ``--out``; load a non-empty set."""
+    _require(args, ["scenarios", *extra_required, "out"])
+    scenarios = load_scenarios(args.scenarios)
+    if not scenarios:
+        raise ConfigError(f"{args.scenarios} holds no scenarios")
+    return scenarios
+
+
+def _publish(args: argparse.Namespace, stem: str, rows: dict, extra: str = "") -> int:
+    """Write ``<stem>.json`` and ``<stem>.txt`` under ``--out`` and print the table."""
+    table = _TABLES[stem](rows) + extra
+    out = _out_dir(args)
+    jsonio.write_atomic(os.path.join(out, f"{stem}.json"), jsonio.dumps({"rows": rows}) + "\n")
+    jsonio.write_atomic(os.path.join(out, f"{stem}.txt"), table)
+    print(table, end="")
+    return EXIT_OK
 
 
 @contextlib.contextmanager
@@ -179,29 +207,19 @@ def _oracle(args: argparse.Namespace):
 
 
 def _gen_spec(args: argparse.Namespace) -> GenSpec:
-    try:
-        suite = Suite.parse(args.suite)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     spec = GenSpec(
-        n_scenarios=int(args.n), seed=int(args.seed), suite=suite,
+        n_scenarios=int(args.n), seed=int(args.seed), suite=Suite.parse(args.suite),
         agent_density=float(args.density),
         speed_range=(float(args.speed_min), float(args.speed_max)),
     )
-    try:
-        spec.validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    spec.validate()
     return spec
 
 
 def _planner_config(args: argparse.Namespace) -> PlannerConfig:
     config = PlannerConfig(d_model=int(args.d_model), n_heads=int(args.n_heads),
                            hidden=int(args.hidden))
-    try:
-        config.validate()
-    except PlannerError as e:
-        raise ConfigError(str(e)) from None
+    config.validate()
     return config
 
 
@@ -221,8 +239,6 @@ def _decision_text(decision, format: Format) -> str:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_simgen(args: argparse.Namespace) -> int:
-    _defaults(args, n=100, seed=0, suite="MIXED", density=0.5,
-              speed_min=2.0, speed_max=6.0)
     _require(args, ["out"])
     spec = _gen_spec(args)
     out = _out_dir(args)
@@ -252,7 +268,7 @@ def cmd_qagen(args: argparse.Namespace) -> int:
             if item.gt_action is not None:
                 actions[item.gt_action] += 1
             lines.append(jsonio.dumps(qa_item_to_dict(item)))
-    _write(args.out, "".join(line + "\n" for line in lines))
+    jsonio.write_atomic(args.out, "".join(line + "\n" for line in lines))
     total = sum(counts.values())
     print(f"wrote {total} QA items to {args.out}")
     for task in QATask:
@@ -263,8 +279,6 @@ def cmd_qagen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _defaults(args, epochs=50, lr=1e-2, seed=7, d_model=32, n_heads=2,
-              hidden=64, oracle="rule", timeout=10.0)
     _require(args, ["scenarios", "out"])
     config = _planner_config(args)
     scenarios = load_scenarios(args.scenarios)
@@ -280,24 +294,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(trained, checkpoint_path)
     curve_lines = ["epoch,mean_loss"]
     curve_lines += [f"{i},{jsonio.format_float(loss)}" for i, loss in enumerate(curve)]
-    _write(os.path.join(out, "loss_curve.csv"), "\n".join(curve_lines) + "\n")
+    jsonio.write_atomic(os.path.join(out, "loss_curve.csv"), "\n".join(curve_lines) + "\n")
     print(f"wrote {checkpoint_path}")
     print(f"final mean loss {curve[-1]:.6f} (initial {curve[0]:.6f})")
     return EXIT_OK
 
 
 def cmd_eval_plan(args: argparse.Namespace) -> int:
-    _defaults(args, oracle="rule", predict="model", timeout=10.0)
-    _require(args, ["scenarios", "out"])
     if args.predict not in ("model", "gt"):
         raise ConfigError(f"--predict must be model|gt, got {args.predict!r}")
-    model = None
-    if args.predict == "model":
-        _require(args, ["checkpoint"])
-        model = load_checkpoint(args.checkpoint)
-    scenarios = load_scenarios(args.scenarios)
-    if not scenarios:
-        raise ConfigError(f"{args.scenarios} holds no scenarios")
+    use_model = args.predict == "model"
+    scenarios = _eval_scenarios(args, *(["checkpoint"] if use_model else []))
+    model = load_checkpoint(args.checkpoint) if use_model else None
     rows_l2 = {"planner": [], "const-velocity": []}
     rows_col = {"planner": [], "const-velocity": []}
     with _oracle(args) as oracle:
@@ -314,53 +322,35 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
                 collision_horizons(pred, EGO_EXTENT, scenario.agents))
             rows_col["const-velocity"].append(
                 collision_horizons(baseline, EGO_EXTENT, scenario.agents))
-    table_rows = {}
-    for name in ("planner", "const-velocity"):
-        row = PlanEvalRow(l2=mean_rows(rows_l2[name]), collision=mean_rows(rows_col[name]))
-        row.validate()
-        table_rows[name] = row
-    out = _out_dir(args)
-    payload = {"rows": {name: plan_row_to_dict(r) for name, r in table_rows.items()}}
-    _write(os.path.join(out, "eval_plan.json"), jsonio.dumps(payload) + "\n")
-    table = render_plan_table(table_rows)
-    _write(os.path.join(out, "eval_plan.txt"), table)
-    print(table, end="")
-    return EXIT_OK
+    return _publish(args, "eval_plan", {
+        name: {"l2": mean_rows(rows_l2[name]), "collision": mean_rows(rows_col[name])}
+        for name in ("planner", "const-velocity")
+    })
 
 
 def cmd_eval_text(args: argparse.Namespace) -> int:
-    _defaults(args, oracle="rule", format="long", timeout=10.0)
-    _require(args, ["scenarios", "out"])
     fmt = Format.parse(args.format)
-    scenarios = load_scenarios(args.scenarios)
-    if not scenarios:
-        raise ConfigError(f"{args.scenarios} holds no scenarios")
+    scenarios = _eval_scenarios(args)
     candidates, references = [], []
     with _oracle(args) as oracle:
         for scenario in scenarios:
             candidates.append(_decision_text(oracle.decide(scenario, fmt), fmt))
             references.append(_decision_text(rule_oracle_decide(scenario, fmt), fmt))
     row = evaluate_explanations(candidates, references)
-    out = _out_dir(args)
-    name = args.oracle
-    payload = {"rows": {name: text_row_to_dict(row)}}
-    _write(os.path.join(out, "eval_text.json"), jsonio.dumps(payload) + "\n")
-    table = render_text_table({name: row})
-    _write(os.path.join(out, "eval_text.txt"), table)
-    print(table, end="")
-    return EXIT_OK
+    return _publish(args, "eval_text", {args.oracle: text_row_to_dict(row)})
 
 
 def cmd_eval_actions(args: argparse.Namespace) -> int:
-    _defaults(args, oracle="rule", timeout=10.0)
-    _require(args, ["scenarios", "qa", "out"])
-    scenarios = load_scenarios(args.scenarios)
+    scenarios = _eval_scenarios(args, "qa")
     labels = {}
     with open(args.qa, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            item = qa_item_from_dict(jsonio.loads(line))
+            try:
+                item = qa_item_from_dict(jsonio.loads(line))
+            except (ValueError, ValidationError) as e:
+                raise ConfigError(f"{args.qa}:{lineno}: {e}") from None
             if item.task is QATask.PLANNING:
                 labels[item.scenario_id] = item.gt_action
     missing = [s.id for s in scenarios if s.id not in labels]
@@ -379,22 +369,12 @@ def cmd_eval_actions(args: argparse.Namespace) -> int:
             expected.append(label)
             confusion[label.value][decision.value] += 1
     accuracy = planning_accuracy(decided, expected)
-    out = _out_dir(args)
-    name = args.oracle
-    payload = {"rows": {name: {"accuracy": accuracy, "confusion": confusion}}}
-    _write(os.path.join(out, "eval_actions.json"), jsonio.dumps(payload) + "\n")
-    table = render_actions_table({name: accuracy}) + render_confusion(confusion)
-    _write(os.path.join(out, "eval_actions.txt"), table)
-    print(table, end="")
-    return EXIT_OK
+    rows = {args.oracle: {"accuracy": accuracy, "confusion": confusion}}
+    return _publish(args, "eval_actions", rows, extra=render_confusion(confusion))
 
 
 def cmd_bench_oracle(args: argparse.Namespace) -> int:
-    _defaults(args, oracle="rule", timeout=10.0, warmup=3)
-    _require(args, ["scenarios", "out"])
-    scenarios = load_scenarios(args.scenarios)
-    if not scenarios:
-        raise ConfigError(f"{args.scenarios} holds no scenarios")
+    scenarios = _eval_scenarios(args)
     rows = {}
     with _oracle(args) as oracle:
         for label, fmt in (("Long", Format.LONG), ("Short", Format.SHORT)):
@@ -406,36 +386,26 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
                 oracle.decide(scenario, fmt)
                 samples.append(time.perf_counter() - start)
             rows[label] = latency_stats(samples)
-    out = _out_dir(args)
-    payload = {"rows": rows}
-    _write(os.path.join(out, "bench.json"), jsonio.dumps(payload) + "\n")
-    table = render_latency_table(rows)
-    _write(os.path.join(out, "bench.txt"), table)
-    print(table, end="")
-    return EXIT_OK
+    return _publish(args, "bench", rows)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     _require(args, ["dir"])
     found = False
-    sections = (
-        ("eval_plan.json", lambda obj: render_plan_table(
-            {name: plan_row_from_dict(r) for name, r in obj["rows"].items()})),
-        ("eval_text.json", lambda obj: render_text_table(
-            {name: text_row_from_dict(r) for name, r in obj["rows"].items()})),
-        ("eval_actions.json", lambda obj: render_actions_table(
-            {name: r["accuracy"] for name, r in obj["rows"].items()})),
-        ("bench.json", lambda obj: render_latency_table(obj["rows"])),
-    )
-    for filename, renderer in sections:
-        path = os.path.join(args.dir, filename)
+    for stem, render in _TABLES.items():
+        path = os.path.join(args.dir, f"{stem}.json")
         if not os.path.exists(path):
             continue
         found = True
         with open(path, "r", encoding="utf-8") as fh:
-            obj = jsonio.loads(fh.read())
-        print(f"== {filename} ==")
-        print(renderer(obj), end="")
+            text = fh.read()
+        try:
+            table = render(jsonio.loads(text)["rows"])
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise ConfigError(f"{path}: malformed result file "
+                              f"({type(e).__name__}: {e})") from None
+        print(f"== {stem}.json ==")
+        print(table, end="")
     if not found:
         raise ConfigError(f"no report artifacts found in {args.dir}")
     return EXIT_OK
@@ -451,13 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, **defaults):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command_defaults=defaults)
         p.add_argument("--config", help="JSON file supplying defaults for any flag")
         return p
 
-    p = add("simgen", cmd_simgen, "generate scenario datasets")
+    def add_oracle(p, help_text):
+        p.add_argument("--oracle", help=help_text)
+        p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
+
+    p = add("simgen", cmd_simgen, "generate scenario datasets", n=100, seed=0,
+            suite="MIXED", density=0.5, speed_min=2.0, speed_max=6.0)
     p.add_argument("--out", help="output directory")
     p.add_argument("--n", type=int, help="number of scenarios (default 100)")
     p.add_argument("--seed", type=int, help="generator seed (default 0)")
@@ -472,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", help="scenario JSONL input")
     p.add_argument("--out", help="QA JSONL output path")
 
-    p = add("train", cmd_train, "train the planner with a frozen oracle")
+    p = add("train", cmd_train, "train the planner with a frozen oracle", epochs=50,
+            lr=1e-2, seed=7, d_model=32, n_heads=2, hidden=64, oracle="rule", timeout=10.0)
     p.add_argument("--scenarios", help="training scenario JSONL")
     p.add_argument("--out", help="output directory for checkpoint.json / loss_curve.csv")
     p.add_argument("--epochs", type=int, help="training epochs (default 50)")
@@ -481,35 +457,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-model", type=int, dest="d_model", help="model width (default 32)")
     p.add_argument("--n-heads", type=int, dest="n_heads", help="attention heads (default 2)")
     p.add_argument("--hidden", type=int, help="MLP hidden width (default 64)")
-    p.add_argument("--oracle", help="rule | exec:CMD | tcp:HOST:PORT (default rule)")
-    p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
+    add_oracle(p, "rule | exec:CMD | tcp:HOST:PORT (default rule)")
 
-    p = add("eval-plan", cmd_eval_plan, "displacement and collision table")
+    p = add("eval-plan", cmd_eval_plan, "displacement and collision table",
+            oracle="rule", predict="model", timeout=10.0)
     p.add_argument("--scenarios", help="evaluation scenario JSONL")
     p.add_argument("--checkpoint", help="planner checkpoint (for --predict model)")
     p.add_argument("--predict", help="model | gt (default model)")
-    p.add_argument("--oracle", help="oracle endpoint supplying commands")
-    p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
+    add_oracle(p, "oracle endpoint supplying commands")
     p.add_argument("--out", help="output directory")
 
-    p = add("eval-text", cmd_eval_text, "explanation-quality table")
+    p = add("eval-text", cmd_eval_text, "explanation-quality table",
+            oracle="rule", format="long", timeout=10.0)
     p.add_argument("--scenarios", help="evaluation scenario JSONL")
-    p.add_argument("--oracle", help="oracle under test (default rule)")
+    add_oracle(p, "oracle under test (default rule)")
     p.add_argument("--format", help="short | long (default long)")
-    p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
     p.add_argument("--out", help="output directory")
 
-    p = add("eval-actions", cmd_eval_actions, "planning accuracy vs stored labels")
+    p = add("eval-actions", cmd_eval_actions, "planning accuracy vs stored labels",
+            oracle="rule", timeout=10.0)
     p.add_argument("--scenarios", help="evaluation scenario JSONL")
     p.add_argument("--qa", help="QA JSONL holding planning labels")
-    p.add_argument("--oracle", help="oracle under test (default rule)")
-    p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
+    add_oracle(p, "oracle under test (default rule)")
     p.add_argument("--out", help="output directory")
 
-    p = add("bench-oracle", cmd_bench_oracle, "oracle latency per rationale format")
+    p = add("bench-oracle", cmd_bench_oracle, "oracle latency per rationale format",
+            oracle="rule", timeout=10.0, warmup=3)
     p.add_argument("--scenarios", help="evaluation scenario JSONL")
-    p.add_argument("--oracle", help="oracle to benchmark (default rule)")
-    p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
+    add_oracle(p, "oracle to benchmark (default rule)")
     p.add_argument("--warmup", type=int, help="warm-up calls excluded (default 3)")
     p.add_argument("--out", help="output directory")
 
@@ -525,28 +500,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         _apply_config_file(args)
+        for name, value in args.command_defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValidationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScenarioLoadError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except OracleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ORACLE
-    except PlannerError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as e:
+        for types, code in _EXIT_CODES:
+            if isinstance(e, types):
+                print(f"error: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

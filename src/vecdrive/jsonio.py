@@ -3,15 +3,18 @@
 Python's ``json.dumps`` uses shortest-repr floats, which is stable within
 one interpreter but not a portable contract. Every file this package
 writes (scenario JSONL, checkpoints, reports) goes through ``dumps`` here
-so two runs produce byte-identical output. Dict key order is the
+so two runs produce byte-identical output, and reaches disk through
+``write_atomic``. Dict key order is the
 insertion order of the dict being serialized; builders construct dicts
 in the documented schema order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from typing import Any
 
 
@@ -65,3 +68,22 @@ def _emit(value: Any, out: list[str]) -> None:
 
 def loads(text: str) -> Any:
     return json.loads(text)
+
+
+def write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically.
+
+    The text goes to a temporary file in the same directory, which is
+    then renamed over ``path``, so a failure leaves any previous file
+    intact and no partial one.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

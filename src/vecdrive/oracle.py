@@ -386,7 +386,15 @@ def qa_item_to_dict(item: QAItem) -> dict:
     return out
 
 
-def qa_item_from_dict(obj: dict) -> QAItem:
+def qa_item_from_dict(obj: object) -> QAItem:
+    if not isinstance(obj, dict):
+        raise ValueError(f"QA item must be an object, got {type(obj).__name__}")
+    for key in ("task", "question", "answer", "scenario_id", "gt_action"):
+        value = obj.get(key)
+        if value is None and key != "gt_action":
+            raise ValueError(f"QA item lacks {key!r}")
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"QA item {key!r} must be a string, got {type(value).__name__}")
     gt = obj.get("gt_action")
     item = QAItem(
         task=QATask(obj["task"]),

@@ -35,7 +35,6 @@ in their active range at street-scale coordinates.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 import os
@@ -579,6 +578,10 @@ def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
     """
     if not scenarios:
         raise PlannerError("cannot train on an empty scenario list")
+    if epochs < 1:
+        raise PlannerError(f"epochs must be at least 1, got {epochs}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise PlannerError(f"learning rate must be finite and non-negative, got {lr}")
     model.validate()
     config = model.config
     theta, params = _flatten(config, model.params)
@@ -612,9 +615,8 @@ def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
 def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
     """Single JSON object, sorted parameter names, canonical floats.
 
-    The file is replaced atomically: the text goes to a temporary file in
-    the same directory, which is then renamed over ``path``, so a failure
-    leaves any previous checkpoint intact.
+    The file is replaced atomically (``jsonio.write_atomic``), so a
+    failure leaves any previous checkpoint intact.
     """
     model.validate()
     obj = {
@@ -628,17 +630,7 @@ def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
             for name in sorted(model.params)
         },
     }
-    text = jsonio.dumps(obj) + "\n"
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    jsonio.write_atomic(path, jsonio.dumps(obj) + "\n")
 
 
 def _number_vector(value) -> np.ndarray | None:

@@ -76,10 +76,6 @@ def render_latency_table(rows: dict[str, dict[str, float]]) -> str:
     return _format_table(header, body)
 
 
-def plan_row_to_dict(row: PlanEvalRow) -> dict:
-    return {"l2": dict(row.l2), "collision": dict(row.collision)}
-
-
 def plan_row_from_dict(obj: dict) -> PlanEvalRow:
     row = PlanEvalRow(l2=dict(obj["l2"]), collision=dict(obj["collision"]))
     row.validate()

@@ -444,7 +444,8 @@ def save_scenarios(scenarios: Iterable[Scenario], path: str | os.PathLike) -> No
     """Write scenarios as canonical JSONL.
 
     Everything is validated (including cross-scenario id uniqueness)
-    before any byte is written, so a failed save leaves no partial file.
+    before any byte is written, and the file is replaced atomically, so a
+    failed save leaves no partial file.
     """
     scenarios = list(scenarios)
     seen_ids: set[str] = set()
@@ -453,8 +454,5 @@ def save_scenarios(scenarios: Iterable[Scenario], path: str | os.PathLike) -> No
         if s.id in seen_ids:
             raise ValidationError("id", f"duplicate scenario id {s.id!r}")
         seen_ids.add(s.id)
-    lines = [jsonio.dumps(scenario_to_dict(s)) for s in scenarios]
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    jsonio.write_atomic(path, "".join(jsonio.dumps(scenario_to_dict(s)) + "\n"
+                                      for s in scenarios))

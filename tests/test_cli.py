@@ -1,15 +1,25 @@
 import json
+import os
+import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from vecdrive import jsonio
-from vecdrive.cli import main
-from vecdrive.planner import load_checkpoint, init_model, PlannerConfig
+import vecdrive
+from vecdrive import cli, jsonio
+from vecdrive.cli import ConfigError, build_parser, main
+from vecdrive.external import OracleTimeout
+from vecdrive.planner import (
+    CheckpointError,
+    PlannerConfig,
+    TrainingDiverged,
+    init_model,
+    load_checkpoint,
+)
 from vecdrive.planmetrics import TextEvalRow
 from vecdrive.report import render_text_table
-from vecdrive.scene import load_scenarios
+from vecdrive.scene import ScenarioLoadError, ValidationError, load_scenarios
 
 
 def run(args):
@@ -428,3 +438,174 @@ def test_vlad_log_env_controls_stderr(workdir, monkeypatch, capsys):
     code = run(["simgen", "--out", str(workdir / "x"), "--n", "2", "--seed", "1"])
     assert code == 2
     assert "VLAD_LOG" in capsys.readouterr().err
+
+
+# --- the shared skeleton: exit codes, malformed inputs, report --------------------
+
+BAD_TRAIN_ARGS = [["--epochs", "0"], ["--lr", "nan"], ["--lr", "inf"], ["--lr", "-1"]]
+
+BAD_QA_LINES = [
+    '["PLANNING"]',
+    '{"task": "PLANNING"}',
+    '{"task": "PLANNING", "question": 1, "answer": "a", "scenario_id": "s"}',
+]
+
+PLAN_ROW = {"l2": {"1s": 1.0, "2s": 2.0, "3s": 3.0, "avg": 2.0}}
+BAD_RESULT_FILES = [
+    ("eval_plan", {}),
+    ("eval_text", {"rows": ["rule"]}),
+    ("eval_plan", {"rows": {"planner": PLAN_ROW}}),
+]
+
+
+def write_bad_result(directory, stem, obj):
+    directory.mkdir(exist_ok=True)
+    path = directory / f"{stem}.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("extra", BAD_TRAIN_ARGS)
+def test_train_bad_epochs_or_lr_exit_2_before_writing(workdir, capsys, extra):
+    out = gen(workdir, n=6)
+    code = run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                "--out", str(out), *extra])
+    assert code == 2
+    assert ("epochs" if extra[0] == "--epochs" else "learning rate") in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("line", BAD_QA_LINES)
+def test_eval_actions_malformed_qa_line_exit_2(workdir, capsys, line):
+    out = gen(workdir, n=6)
+    qa = workdir / "bad_qa.jsonl"
+    qa.write_text("\n" + line + "\n")
+    code = run(["eval-actions", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--qa", str(qa), "--out", str(out)])
+    assert code == 2
+    assert f"{qa}:2: " in capsys.readouterr().err
+
+
+def test_eval_actions_empty_scenarios_exit_2(workdir, capsys):
+    empty = workdir / "empty.jsonl"
+    empty.write_text("")
+    code = run(["eval-actions", "--scenarios", str(empty), "--qa", str(empty),
+                "--out", str(workdir)])
+    assert code == 2
+    assert "holds no scenarios" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem, obj", BAD_RESULT_FILES)
+def test_report_malformed_result_file_exit_2(workdir, capsys, stem, obj):
+    path = write_bad_result(workdir / "bad", stem, obj)
+    assert run(["report", "--dir", str(workdir / "bad")]) == 2
+    assert f"error: {path}: malformed result file" in capsys.readouterr().err
+
+
+def test_defects_exit_cleanly_without_traceback(workdir):
+    out = gen(workdir, n=6)
+    cases = [["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+              "--out", str(out), *extra] for extra in BAD_TRAIN_ARGS]
+    for i, line in enumerate(BAD_QA_LINES):
+        qa = workdir / f"qa{i}.jsonl"
+        qa.write_text(line + "\n")
+        cases.append(["eval-actions", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                      "--qa", str(qa), "--out", str(out)])
+    for i, (stem, obj) in enumerate(BAD_RESULT_FILES):
+        write_bad_result(workdir / f"report{i}", stem, obj)
+        cases.append(["report", "--dir", str(workdir / f"report{i}")])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "vecdrive", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (2, 3), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError("bad flag"), 2),
+    (ValidationError("agents[0]", "bad value"), 2),
+    (CheckpointError("bad checkpoint"), 2),
+    (ScenarioLoadError("s.jsonl", 3, "ego", "bad line"), 3),
+    (OSError("disk full"), 3),
+    (TrainingDiverged("non-finite loss"), 4),
+    (OracleTimeout("exec:slow", 0.5), 5),
+])
+def test_exit_code_table(workdir, monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert run(["report", "--dir", str(workdir)]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_unmapped_exception_propagates(workdir, monkeypatch):
+    def fail(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    with pytest.raises(RuntimeError):
+        run(["report", "--dir", str(workdir)])
+
+
+def test_report_prints_each_command_table(workdir, capsys):
+    out = gen(workdir, n=12)
+    scenarios = str(out / "scenarios_eval.jsonl")
+    qa = str(out / "qa.jsonl")
+    assert run(["qagen", "--scenarios", scenarios, "--out", qa]) == 0
+    commands = {
+        "eval_plan": ["eval-plan", "--predict", "gt"],
+        "eval_text": ["eval-text"],
+        "eval_actions": ["eval-actions", "--qa", qa],
+        "bench": ["bench-oracle"],
+    }
+    expected = ""
+    for stem, argv in commands.items():
+        capsys.readouterr()
+        assert run([*argv, "--scenarios", scenarios, "--out", str(out)]) == 0
+        table = (out / f"{stem}.txt").read_text()
+        assert capsys.readouterr().out == table
+        if stem == "eval_actions":
+            table = table[:table.index("Label \\ Decided")]
+        expected += f"== {stem}.json ==\n" + table
+    assert run(["report", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_failed_result_write_keeps_previous_file(workdir, monkeypatch):
+    out = gen(workdir, n=10)
+    argv = ["eval-plan", "--predict", "gt", "--out", str(out), "--scenarios"]
+    assert run([*argv, str(out / "scenarios_eval.jsonl")]) == 0
+    before = read(out / "eval_plan.json")
+
+    def fail(*args):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert run([*argv, str(out / "scenarios.jsonl")]) == 3
+    monkeypatch.undo()
+    assert read(out / "eval_plan.json") == before
+    assert not [f.name for f in out.iterdir() if f.name.endswith(".tmp")]
+
+
+def test_subcommand_options_unchanged():
+    common = ["--config", "-h", "--help"]
+    expected = {
+        "simgen": ["--out", "--n", "--seed", "--suite", "--density", "--speed-min",
+                   "--speed-max", "--train-frac"],
+        "qagen": ["--scenarios", "--out"],
+        "train": ["--scenarios", "--out", "--epochs", "--lr", "--seed", "--d-model",
+                  "--n-heads", "--hidden", "--oracle", "--timeout"],
+        "eval-plan": ["--scenarios", "--checkpoint", "--predict", "--oracle", "--timeout",
+                      "--out"],
+        "eval-text": ["--scenarios", "--oracle", "--format", "--timeout", "--out"],
+        "eval-actions": ["--scenarios", "--qa", "--oracle", "--timeout", "--out"],
+        "bench-oracle": ["--scenarios", "--oracle", "--timeout", "--warmup", "--out"],
+        "report": ["--dir"],
+    }
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(expected)
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options == set(expected[name] + common), name

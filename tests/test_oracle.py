@@ -250,6 +250,19 @@ def test_qa_round_trip():
         assert qa_item_from_dict(qa_item_to_dict(item)) == item
 
 
+@pytest.mark.parametrize("obj, named", [
+    (["PLANNING"], "object"),
+    ({"task": "PLANNING"}, "question"),
+    ({"task": "PLANNING", "question": "q", "answer": 5, "scenario_id": "s",
+      "gt_action": "GO_STRAIGHT"}, "answer"),
+    ({"task": "PLANNING", "question": "q", "answer": "a", "scenario_id": "s",
+      "gt_action": ["GO_STRAIGHT"]}, "gt_action"),
+])
+def test_qa_item_from_dict_rejects_malformed(obj, named):
+    with pytest.raises(ValueError, match=named):
+        qa_item_from_dict(obj)
+
+
 def test_compass_quantization():
     assert compass_direction(1.0, 0.0) == "east"
     assert compass_direction(1.0, 1.0) == "north-east"

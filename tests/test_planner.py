@@ -394,6 +394,18 @@ def test_train_lr_zero_no_change():
     assert curve[0] == pytest.approx(curve[1]) == pytest.approx(curve[2])
 
 
+@pytest.mark.parametrize("epochs, lr", [(0, 0.01), (-1, 0.01), (1, math.nan),
+                                        (1, math.inf), (1, -1.0)])
+def test_train_rejects_bad_epochs_and_lr_before_any_decide(epochs, lr):
+    class NoCalls:
+        def decide(self, scenario, format):
+            raise AssertionError("oracle called")
+
+    with pytest.raises(PlannerError) as err:
+        train(init_model(TINY, 3), train_set(), NoCalls(), epochs=epochs, lr=lr, seed=5)
+    assert not isinstance(err.value, TrainingDiverged)
+
+
 def test_train_overfits_single_scenario():
     model = init_model(PlannerConfig(d_model=8, n_heads=2, hidden=16), 3)
     scenarios = train_set(1)

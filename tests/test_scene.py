@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +164,22 @@ def test_save_rejects_invalid_before_writing(tmp_path):
     with pytest.raises(ValidationError):
         save_scenarios([make_scenario("ok"), bad], p)
     assert not p.exists()
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "out.jsonl"
+    save_scenarios([make_scenario("a")], p)
+    before = p.read_bytes()
+
+    def fail(*args):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_scenarios([make_scenario("b"), make_scenario("c")], p)
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 def test_load_error_names_field_and_line(tmp_path):
