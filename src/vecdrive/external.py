@@ -1,16 +1,18 @@
-"""Adapter for out-of-process maneuver oracles.
-
-Wire protocol (newline-delimited JSON, one in-flight request per
-connection):
+"""Out-of-process maneuver oracles: both ends of the wire protocol
+(newline-delimited JSON, one in-flight request per connection):
 
     request : {"v":1, "format":"short"|"long", "scenario":{...}}
     response: {"v":1, "action":"GO_STRAIGHT"|"TURN_LEFT"|"TURN_RIGHT",
                "rationale":"...", "hazard_ids":[...]}
+    error   : {"v":1, "error":"<message>"}   (the request was not valid)
 
-Two transports: a spawned subprocess speaking the protocol on
-stdin/stdout (``exec:CMD``), or a TCP stream (``tcp:HOST:PORT``). The
-subprocess stays alive across requests, so per-request overhead is one
-line write and one line read.
+One line channel serves a subprocess kept alive on stdin/stdout
+(``exec:CMD``) and a TCP stream (``tcp:HOST:PORT``). A timeout or a broken
+stream (end of stream, failed write, exited subprocess) closes it, so no
+late reply answers a later request: each later ``decide`` raises
+``OracleProtocolError`` naming that failure. A reply line that fails
+validation, an error object included, leaves it usable. Errors that close
+an ``exec:`` channel end with the last 2 KB the subprocess wrote to stderr.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ from __future__ import annotations
 import os
 import select
 import shlex
-import socket
-import subprocess
 import time
 
 from . import jsonio
-from .oracle import Format, MetaDecision
-from .scene import MetaAction, Scenario, scenario_to_dict
+from .oracle import Format, MetaDecision, Oracle
+from .scene import MetaAction, Scenario, ValidationError, scenario_from_dict, scenario_to_dict
 
 DEFAULT_TIMEOUT = 10.0
+STDERR_TAIL_BYTES = 2048
 
 
 class OracleError(Exception):
@@ -67,6 +68,8 @@ def _parse_response(raw: str, scenario: Scenario, format: Format,
         raise OracleProtocolError(endpoint, "response is not an object", raw)
     if obj.get("v") != 1:
         raise OracleProtocolError(endpoint, f"unsupported version {obj.get('v')!r}", raw)
+    if "error" in obj:
+        raise OracleProtocolError(endpoint, f"oracle error: {obj['error']}", raw)
     label = obj.get("action")
     try:
         action = MetaAction(label)
@@ -80,12 +83,7 @@ def _parse_response(raw: str, scenario: Scenario, format: Format,
         isinstance(i, int) and not isinstance(i, bool) for i in hazard_ids
     ):
         raise OracleProtocolError(endpoint, "hazard_ids must be a list of integers", raw)
-    decision = MetaDecision(
-        action=action,
-        rationale_short=rationale,
-        rationale_long=rationale,
-        hazard_ids=tuple(sorted(hazard_ids)),
-    )
+    decision = MetaDecision(action, rationale, rationale, tuple(sorted(hazard_ids)))
     try:
         decision.validate(scenario)
     except ValueError as e:
@@ -93,55 +91,113 @@ def _parse_response(raw: str, scenario: Scenario, format: Format,
     return decision
 
 
-class ExecOracle:
-    """Oracle behind a spawned subprocess speaking the stdio line protocol."""
+def _reply(line: str, oracle: Oracle) -> str:
+    """Server side: the reply line to one request line, an error object if it is not valid."""
+    try:
+        obj = jsonio.loads(line)
+        if not isinstance(obj, dict) or not isinstance(obj.get("scenario"), dict):
+            raise ValueError("request is not an object with a scenario object")
+        format = Format.parse(str(obj.get("format", "short")))
+        scenario = scenario_from_dict(obj["scenario"])
+    except (ValueError, ValidationError) as e:
+        return jsonio.dumps({"v": 1, "error": f"invalid request: {e}"}) + "\n"
+    decision = oracle.decide(scenario, format)
+    rationale = decision.rationale_long if format is Format.LONG else decision.rationale_short
+    return jsonio.dumps({"v": 1, "action": decision.action.value, "rationale": rationale,
+                         "hazard_ids": list(decision.hazard_ids)}) + "\n"
 
-    def __init__(self, command: str | list[str], timeout: float = DEFAULT_TIMEOUT):
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
-        self.endpoint = "exec:" + " ".join(self.command)
-        self.timeout = timeout
-        try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-        except OSError as e:
-            raise OracleError(f"cannot spawn {self.endpoint}: {e}") from None
+
+class _LineOracle:
+    """Client end of the protocol over a readable and a writable fd."""
+
+    def __init__(self, endpoint: str, timeout: float, read_fd: int, write_fd: int):
+        self.endpoint, self.timeout = endpoint, timeout
+        self._read_fd, self._write_fd = read_fd, write_fd
         self._buffer = b""
+        self._failure: str | None = None
+
+    def _check_alive(self) -> None:
+        """Raise OracleError when the far end is known to be gone."""
+
+    def _stderr_tail(self) -> str:
+        return ""
 
     def _read_line(self, deadline: float) -> str:
-        fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if remaining <= 0 or not select.select([self._read_fd], [], [], remaining)[0]:
                 raise OracleTimeout(self.endpoint, self.timeout)
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                raise OracleTimeout(self.endpoint, self.timeout)
-            chunk = os.read(fd, 65536)
+            chunk = os.read(self._read_fd, 65536)
             if not chunk:
-                raise OracleProtocolError(self.endpoint, "subprocess closed its stdout")
+                raise OracleProtocolError(self.endpoint, "the oracle closed the stream")
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode("utf-8", errors="replace")
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
-        if self._proc.poll() is not None:
-            raise OracleProtocolError(
-                self.endpoint, f"subprocess exited with code {self._proc.returncode}"
-            )
+        if self._failure is not None:
+            raise OracleProtocolError(self.endpoint, f"stream is closed ({self._failure})")
         deadline = time.monotonic() + self.timeout
         try:
-            self._proc.stdin.write(_encode_request(scenario, format))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as e:
-            raise OracleProtocolError(self.endpoint, f"write failed: {e}") from None
-        raw = self._read_line(deadline)
-        return _parse_response(raw, scenario, format, self.endpoint)
+            self._check_alive()
+            request = memoryview(_encode_request(scenario, format))
+            while request:
+                request = request[os.write(self._write_fd, request):]
+            raw = self._read_line(deadline)
+        except OSError as e:
+            error = OracleProtocolError(self.endpoint, f"stream failed: {e}")
+        except OracleError as e:
+            error = e
+        else:
+            return _parse_response(raw, scenario, format, self.endpoint)
+        error.args = (f"{error}{self._stderr_tail()}",)
+        self._failure = str(error)
+        self.close()
+        raise error
 
     def close(self) -> None:
+        if self._failure is None:
+            self._failure = "closed by the client"
+        self._close_stream()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class ExecOracle(_LineOracle):
+    """Oracle behind a spawned subprocess speaking the stdio line protocol."""
+
+    def __init__(self, command: str | list[str], timeout: float = DEFAULT_TIMEOUT):
+        import subprocess   # here, not at the top: the server side starts faster without it
+        import tempfile
+        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        endpoint = "exec:" + " ".join(self.command)
+        self._stderr = tempfile.TemporaryFile()   # unlike an unread pipe, never fills
+        try:
+            self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, stderr=self._stderr)
+        except OSError as e:
+            self._stderr.close()
+            raise OracleError(f"cannot spawn {endpoint}: {e}") from None
+        super().__init__(endpoint, timeout, self._proc.stdout.fileno(),
+                         self._proc.stdin.fileno())
+
+    def _check_alive(self) -> None:
+        if self._proc.poll() is not None:
+            raise OracleProtocolError(
+                self.endpoint, f"subprocess exited with code {self._proc.returncode}")
+
+    def _stderr_tail(self) -> str:
+        fd = self._stderr.fileno()
+        start = max(0, os.fstat(fd).st_size - STDERR_TAIL_BYTES)
+        tail = os.pread(fd, STDERR_TAIL_BYTES, start).decode("utf-8", errors="replace").strip()
+        return f"; stderr: {tail}" if tail else ""
+
+    def _close_stream(self) -> None:
+        import subprocess
         if self._proc.poll() is None:
             self._proc.terminate()
             try:
@@ -149,62 +205,25 @@ class ExecOracle:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        for stream in (self._proc.stdin, self._proc.stdout):
-            if stream:
-                stream.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        for stream in (self._proc.stdin, self._proc.stdout, self._stderr):
+            stream.close()
 
 
-class TcpOracle:
+class TcpOracle(_LineOracle):
     """Oracle behind a TCP stream speaking the same line protocol."""
 
     def __init__(self, host: str, port: int, timeout: float = DEFAULT_TIMEOUT):
-        self.endpoint = f"tcp:{host}:{port}"
-        self.timeout = timeout
+        import socket
+        endpoint = f"tcp:{host}:{port}"
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as e:
-            raise OracleError(f"cannot connect to {self.endpoint}: {e}") from None
-        self._buffer = b""
+            raise OracleError(f"cannot connect to {endpoint}: {e}") from None
+        self._sock.setblocking(True)   # reads are bounded by select, as on a pipe
+        super().__init__(endpoint, timeout, self._sock.fileno(), self._sock.fileno())
 
-    def _read_line(self, deadline: float) -> str:
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise OracleTimeout(self.endpoint, self.timeout)
-            self._sock.settimeout(remaining)
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                raise OracleTimeout(self.endpoint, self.timeout) from None
-            if not chunk:
-                raise OracleProtocolError(self.endpoint, "connection closed")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode("utf-8", errors="replace")
-
-    def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
-        deadline = time.monotonic() + self.timeout
-        try:
-            self._sock.sendall(_encode_request(scenario, format))
-        except OSError as e:
-            raise OracleProtocolError(self.endpoint, f"send failed: {e}") from None
-        raw = self._read_line(deadline)
-        return _parse_response(raw, scenario, format, self.endpoint)
-
-    def close(self) -> None:
+    def _close_stream(self) -> None:
         self._sock.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def open_oracle(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
@@ -219,13 +238,8 @@ def open_oracle(endpoint: str, timeout: float = DEFAULT_TIMEOUT):
     if endpoint.startswith("exec:"):
         return ExecOracle(endpoint[len("exec:"):], timeout=timeout)
     if endpoint.startswith("tcp:"):
-        rest = endpoint[len("tcp:"):]
-        host, sep, port = rest.rpartition(":")
-        if not sep or not host:
+        host, _, port = endpoint[len("tcp:"):].rpartition(":")
+        if not host or not port.isdigit() or int(port) > 65535:
             raise ValueError(f"malformed tcp endpoint {endpoint!r}")
-        try:
-            port_num = int(port)
-        except ValueError:
-            raise ValueError(f"malformed tcp port in {endpoint!r}") from None
-        return TcpOracle(host, port_num, timeout=timeout)
+        return TcpOracle(host, int(port), timeout=timeout)
     raise ValueError(f"unknown oracle endpoint {endpoint!r}")

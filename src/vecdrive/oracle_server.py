@@ -1,19 +1,18 @@
 """Reference external-oracle server: the rule oracle behind the stdio
-line protocol.
+line protocol that ``vecdrive.external`` defines.
 
-Run as ``python -m vecdrive.oracle_server``; each stdin line must be a
-protocol request, each stdout line is the matching response. Useful as a
-loopback fixture for the adapter and as a template for wiring a real
-model into the protocol.
+Run as ``python -m vecdrive.oracle_server``: each stdin request line gets
+one stdout line, the response or an error object for an invalid request,
+and the server serves on. Useful as a loopback fixture for the adapter
+and as a template for wiring a real model into the protocol.
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import jsonio
-from .oracle import Format, RuleOracle
-from .scene import scenario_from_dict
+from .external import _reply
+from .oracle import RuleOracle
 
 
 def serve(stdin=None, stdout=None) -> None:
@@ -21,22 +20,9 @@ def serve(stdin=None, stdout=None) -> None:
     stdout = stdout if stdout is not None else sys.stdout
     oracle = RuleOracle()
     for line in stdin:
-        if not line.strip():
-            continue
-        request = jsonio.loads(line)
-        scenario = scenario_from_dict(request["scenario"])
-        format = Format.parse(request.get("format", "short"))
-        decision = oracle.decide(scenario, format)
-        rationale = (decision.rationale_long if format is Format.LONG
-                     else decision.rationale_short)
-        response = {
-            "v": 1,
-            "action": decision.action.value,
-            "rationale": rationale,
-            "hazard_ids": list(decision.hazard_ids),
-        }
-        stdout.write(jsonio.dumps(response) + "\n")
-        stdout.flush()
+        if line.strip():
+            stdout.write(_reply(line, oracle))
+            stdout.flush()
 
 
 if __name__ == "__main__":

@@ -316,7 +316,10 @@ def _get(obj: dict, key: str, path: str) -> Any:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(path, "number too large for a float") from None
 
 
 def _as_points(value: Any, path: str) -> tuple[Point, ...]:

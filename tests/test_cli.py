@@ -357,6 +357,16 @@ def test_eval_actions_oracle_failure_exit_5(workdir):
     assert code == 5
 
 
+def test_oracle_stderr_tail_in_exit_5_message(workdir, capsys):
+    out = gen(workdir, n=6)
+    mock = workdir / "crash.py"
+    mock.write_text('import sys\nsys.stderr.write("boom: weights missing\\n")\nsys.exit(1)\n')
+    code = run(["eval-text", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--oracle", f"exec:{sys.executable} {mock}", "--out", str(out)])
+    assert code == 5
+    assert "boom: weights missing" in capsys.readouterr().err
+
+
 # --- bench-oracle ----------------------------------------------------------------
 
 def test_bench_rule_oracle_fast_and_shaped(workdir):
@@ -514,6 +524,11 @@ def test_defects_exit_cleanly_without_traceback(workdir):
     for i, (stem, obj) in enumerate(BAD_RESULT_FILES):
         write_bad_result(workdir / f"report{i}", stem, obj)
         cases.append(["report", "--dir", str(workdir / f"report{i}")])
+    huge = jsonio.loads((out / "scenarios.jsonl").read_text().splitlines()[0])
+    huge["ego"]["speed"] = 10 ** 400
+    (workdir / "huge.jsonl").write_text(jsonio.dumps(huge) + "\n")
+    cases.append(["qagen", "--scenarios", str(workdir / "huge.jsonl"),
+                  "--out", str(workdir / "qa.jsonl")])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
     for argv in cases:
         proc = subprocess.run([sys.executable, "-m", "vecdrive", *argv], env=env,

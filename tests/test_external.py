@@ -1,21 +1,26 @@
+import io
+import shlex
 import socket
+import subprocess
 import sys
 import threading
 import textwrap
+import time
 
 import pytest
 
-from vecdrive import jsonio
+from vecdrive import jsonio, oracle_server
 from vecdrive.external import (
     ExecOracle,
     OracleError,
     OracleProtocolError,
     OracleTimeout,
     TcpOracle,
+    _parse_response,
     open_oracle,
 )
 from vecdrive.oracle import Format, RuleOracle
-from vecdrive.scene import MetaAction
+from vecdrive.scene import MetaAction, scenario_to_dict
 
 from conftest import make_agent, make_scenario
 
@@ -190,5 +195,165 @@ def test_open_oracle_endpoint_parsing():
         open_oracle("carrier-pigeon:coop")
     with pytest.raises(ValueError):
         open_oracle("tcp:no-port")
+    with pytest.raises(ValueError):
+        open_oracle("tcp:127.0.0.1:99999")   # would wrap to port 34463
     with pytest.raises(OracleError):
         open_oracle("exec:/nonexistent/binary-xyz")
+
+
+# --- one behaviour set over both transports ---------------------------------------
+
+LATE_FIRST_REPLY_MOCK = """\
+    import json, sys, time
+    for n, line in enumerate(sys.stdin, start=1):
+        req = json.loads(line)
+        if n == 1:
+            time.sleep(0.6)
+        action = "TURN_LEFT" if n == 1 else req["scenario"]["route_intent"]
+        sys.stdout.write(json.dumps({"v": 1, "action": action,
+                                     "rationale": f"reply {n}", "hazard_ids": []}) + "\\n")
+        sys.stdout.flush()
+"""
+
+ERROR_THEN_ECHO_MOCK = """\
+    import json, sys
+    for n, line in enumerate(sys.stdin, start=1):
+        req = json.loads(line)
+        resp = {"v": 1, "action": req["scenario"]["route_intent"],
+                "rationale": "echo", "hazard_ids": []}
+        if n == 1:
+            resp = {"v": 1, "error": "scenario too crowded"}
+        sys.stdout.write(json.dumps(resp) + "\\n")
+        sys.stdout.flush()
+"""
+
+HANG_UP_MOCK = """\
+    import sys
+    sys.stdin.readline()
+"""
+
+CRASH_MOCK = """\
+    import sys
+    sys.stderr.write("loading model\\nboom: weights missing\\n")
+    sys.exit(1)
+"""
+
+
+@pytest.fixture(params=["exec", "tcp"])
+def connect(request, tmp_path):
+    """Open an oracle on a mock script, as its subprocess or over TCP.
+
+    For TCP the accepted socket is the mock's stdin and stdout, so the
+    same script serves both transports.
+    """
+    children = []
+
+    def connect(body, timeout=5.0):
+        cmd = write_mock(tmp_path, "mock.py", body)
+        if request.param == "exec":
+            return ExecOracle(cmd, timeout=timeout)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            oracle = TcpOracle("127.0.0.1", server.getsockname()[1], timeout=timeout)
+            conn, _ = server.accept()
+        with conn:
+            children.append(subprocess.Popen(shlex.split(cmd), stdin=conn, stdout=conn))
+        return oracle
+
+    yield connect
+    for child in children:
+        child.kill()
+        child.wait(timeout=5.0)
+
+
+def test_transport_round_trip(connect):
+    with connect(ECHO_INTENT_MOCK) as oracle:
+        for intent in (MetaAction.TURN_LEFT, MetaAction.GO_STRAIGHT, MetaAction.TURN_RIGHT):
+            d = oracle.decide(make_scenario(route_intent=intent))
+            assert d.action is intent
+            assert d.rationale_short == "echoing the navigation intent"
+
+
+def test_transport_timeout(connect):
+    with connect(SLEEPY_MOCK, timeout=0.2) as oracle:
+        with pytest.raises(OracleTimeout):
+            oracle.decide(make_scenario())
+
+
+def test_transport_late_reply_never_answers_a_later_request(connect):
+    with connect(LATE_FIRST_REPLY_MOCK, timeout=0.2) as oracle:
+        with pytest.raises(OracleTimeout):
+            oracle.decide(make_scenario(route_intent=MetaAction.TURN_LEFT))
+        time.sleep(0.8)   # an open stream would now hold the late "reply 1"
+        with pytest.raises(OracleProtocolError, match="did not answer within"):
+            oracle.decide(make_scenario(route_intent=MetaAction.TURN_RIGHT))
+        with pytest.raises(OracleProtocolError, match="did not answer within"):
+            oracle.decide(make_scenario(route_intent=MetaAction.TURN_RIGHT))
+
+
+def test_transport_stream_closed_by_oracle(connect):
+    with connect(HANG_UP_MOCK) as oracle:
+        with pytest.raises(OracleProtocolError) as first:
+            oracle.decide(make_scenario())
+        with pytest.raises(OracleProtocolError, match="stream is closed") as later:
+            oracle.decide(make_scenario())
+    assert str(first.value) in str(later.value)
+
+
+def test_transport_error_object_raises_and_stream_stays_usable(connect):
+    with connect(ERROR_THEN_ECHO_MOCK) as oracle:
+        with pytest.raises(OracleProtocolError, match="oracle error: scenario too crowded") as err:
+            oracle.decide(make_scenario())
+        assert jsonio.loads(err.value.payload) == {"v": 1, "error": "scenario too crowded"}
+        d = oracle.decide(make_scenario(route_intent=MetaAction.TURN_RIGHT))
+    assert d.action is MetaAction.TURN_RIGHT
+
+
+def test_exec_error_carries_stderr_tail(tmp_path):
+    cmd = write_mock(tmp_path, "crash.py", CRASH_MOCK)
+    with ExecOracle(cmd, timeout=5.0) as oracle:
+        with pytest.raises(OracleProtocolError, match="boom: weights missing"):
+            oracle.decide(make_scenario())
+
+
+# --- server side -------------------------------------------------------------------
+
+def request_line(scenario_obj, format="long"):
+    return jsonio.dumps({"v": 1, "format": format, "scenario": scenario_obj})
+
+
+def assert_rule_oracle_reply(line, s):
+    d = _parse_response(line, s, Format.LONG, "exec:server")
+    expected = RuleOracle().decide(s, Format.LONG)
+    assert (d.action, d.rationale_long, d.hazard_ids) == (
+        expected.action, expected.rationale_long, expected.hazard_ids)
+
+
+def test_packaged_server_answers_garbage_and_serves_on():
+    s = make_scenario(agents=(make_agent(),), route_intent=MetaAction.TURN_LEFT)
+    proc = subprocess.run([sys.executable, "-m", "vecdrive.oracle_server"],
+                          input="garbage\n" + request_line(scenario_to_dict(s)) + "\n",
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    error, reply = proc.stdout.splitlines()
+    assert set(jsonio.loads(error)) == {"v", "error"}
+    assert_rule_oracle_reply(reply, s)
+
+
+def test_server_replies_error_object_per_bad_request():
+    s = make_scenario(agents=(make_agent(),))
+    negative, huge = scenario_to_dict(s), scenario_to_dict(s)
+    negative["ego"]["speed"] = -1.0
+    huge["ego"]["speed"] = 10 ** 400
+    bad = ["garbage", "[1]", '{"v": 1}', '{"v": 1, "scenario": 5}',
+           request_line(negative), request_line(huge),
+           request_line(scenario_to_dict(s), format="medium"),
+           request_line(scenario_to_dict(s), format=5)]
+    out = io.StringIO()
+    oracle_server.serve(io.StringIO("\n".join(bad + [request_line(scenario_to_dict(s))]) + "\n"),
+                        stdout=out)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(bad) + 1
+    for line in lines[:-1]:
+        assert list(jsonio.loads(line)) == ["v", "error"]
+    assert "ego.speed" in lines[5]
+    assert_rule_oracle_reply(lines[-1], s)

@@ -205,6 +205,16 @@ def test_load_error_line_number_counts_from_one(tmp_path):
     assert "speed" in err.value.field
 
 
+def test_load_rejects_integer_too_large_for_a_float(tmp_path):
+    obj = scenario_to_dict(make_scenario("huge"))
+    obj["ego"]["speed"] = 10 ** 400
+    p = tmp_path / "huge.jsonl"
+    p.write_text(jsonio.dumps(obj) + "\n")
+    with pytest.raises(ScenarioLoadError) as err:
+        load_scenarios(p)
+    assert (err.value.line, err.value.field) == (1, "ego.speed")
+
+
 def test_load_rejects_duplicate_ids(tmp_path):
     line = jsonio.dumps(scenario_to_dict(make_scenario("dup")))
     p = tmp_path / "dup.jsonl"
