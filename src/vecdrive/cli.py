@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import math
 import os
@@ -130,20 +129,34 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+#: Flag ``type`` (None for a string) -> the JSON values a config file may
+#: give that flag, and their description; a bool is never a number.
+_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                 None: (str, "a string")}
+
+
+def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse ``type`` of each flag of one subcommand, --help aside."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {a.dest: a.type for a in sub.choices[command]._actions
+            if a.option_strings and a.default != argparse.SUPPRESS}
+
+
+def _apply_config_file(args: argparse.Namespace, flag_types: dict) -> None:
     """Fill None-valued flags from the --config JSON object.
 
     A key named after the subcommand may hold a section of
     command-specific values; it is applied before the top-level keys, so
     one config file can drive the whole pipeline. Explicit flags always
-    win.
+    win. A value must have the JSON type its flag parses to (``null``
+    leaves the flag unset); float flags take ints.
     """
     path = getattr(args, "config", None)
     if not path:
         return
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = jsonio.loads(fh.read())
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except ValueError as e:
@@ -156,8 +169,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     for source in (section, obj):
         for key, value in source.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, value)
+            if attr not in flag_types or getattr(args, attr) is not None or value is None:
+                continue
+            accepted, kind = _CONFIG_TYPES[flag_types[attr]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"config {path}: {key!r} must be {kind}, "
+                                  f"got {type(value).__name__}")
+            if flag_types[attr] is float:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"config {path}: {key!r} is outside the float "
+                                      "range") from None
+            setattr(args, attr, value)
 
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:
@@ -343,11 +367,12 @@ def cmd_eval_text(args: argparse.Namespace) -> int:
 def cmd_eval_actions(args: argparse.Namespace) -> int:
     scenarios = _eval_scenarios(args, "qa")
     labels = {}
-    with open(args.qa, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
+    with open(args.qa, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:    # decoded per line, so bytes that are not UTF-8 get a line number
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 item = qa_item_from_dict(jsonio.loads(line))
             except (ValueError, ValidationError) as e:
                 raise ConfigError(f"{args.qa}:{lineno}: {e}") from None
@@ -397,11 +422,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not os.path.exists(path):
             continue
         found = True
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            table = render(jsonio.loads(text)["rows"])
-        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            table = render(jsonio.loads(data.decode("utf-8"))["rows"])
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as e:
             raise ConfigError(f"{path}: malformed result file "
                               f"({type(e).__name__}: {e})") from None
         print(f"== {stem}.json ==")
@@ -499,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _setup_logging()
-        _apply_config_file(args)
+        _apply_config_file(args, _flag_types(parser, args.command))
         for name, value in args.command_defaults.items():
             if getattr(args, name) is None:
                 setattr(args, name, value)

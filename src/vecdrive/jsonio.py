@@ -67,7 +67,12 @@ def _emit(value: Any, out: list[str]) -> None:
 
 
 def loads(text: str) -> Any:
-    return json.loads(text)
+    """``json.loads``; nesting too deep to parse is a ``ValueError`` like any
+    other malformed input, so every reader's decode-error handling covers it."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:

@@ -10,10 +10,11 @@ one-hot command into T_F future waypoints:
     out = plan_head([q1, q2, s_ego, one-hot command])  ->  T_F x 2
 
 Attention adds MLP positional embeddings to queries and keys before the
-per-stage projections; values are the raw key rows projected. Masked
-(padded) slots never enter the computation, so their parameters receive
-exactly zero gradient, and a stage whose keys are all masked returns the
-zero vector.
+per-stage projections; values are the raw key rows projected. Each stage
+attends over exactly the scenario's agents (or polylines): absent ones
+never enter the computation, and a stage with no keys returns the zero
+vector, so an empty scene gives its encoder and attention parameters
+exactly zero gradient.
 
 All parameters live in one contiguous float64 vector, laid out in
 param_layout() order; ``model.params`` maps each name to a reshaped view
@@ -95,10 +96,6 @@ class PlannerConfig:
     d_model: int = 32
     n_heads: int = 2
     hidden: int = 64
-    t_f: int = T_F
-    a_max: int = A_MAX
-    m_max: int = M_MAX
-    p_m: int = POLYLINE_POINTS
 
     def validate(self) -> None:
         for name, value in self.to_dict().items():
@@ -111,16 +108,14 @@ class PlannerConfig:
             raise PlannerError(
                 f"n_heads={self.n_heads} must divide d_model={self.d_model}"
             )
-        fixed = {"t_f": T_F, "a_max": A_MAX, "m_max": M_MAX, "p_m": POLYLINE_POINTS}
-        for name, expected in fixed.items():
-            if getattr(self, name) != expected:
-                raise PlannerError(f"{name} must equal {expected}")
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model, "n_heads": self.n_heads, "hidden": self.hidden,
-            "t_f": self.t_f, "a_max": self.a_max, "m_max": self.m_max, "p_m": self.p_m,
-        }
+        return {"d_model": self.d_model, "n_heads": self.n_heads, "hidden": self.hidden}
+
+
+#: Scene schema limits that checkpoints record after the model fields; not
+#: options. A checkpoint may omit them; another value means another schema.
+_SCHEMA_CONFIG = {"t_f": T_F, "a_max": A_MAX, "m_max": M_MAX, "p_m": POLYLINE_POINTS}
 
 
 def param_layout(config: PlannerConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -226,11 +221,6 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
     return model
 
 
-def zero_gradients(config: PlannerConfig) -> dict[str, np.ndarray]:
-    """Zero gradients for every parameter, as views into one flat vector."""
-    return _views(config, np.zeros(sum(math.prod(shape) for _, shape in param_layout(config))))
-
-
 # --- feature extraction ---------------------------------------------------------
 
 def agent_features(scenario: Scenario) -> np.ndarray:
@@ -295,7 +285,8 @@ def _attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
     """Single-query multi-head attention over valid keys only.
 
     Returns (output vector, cache); with zero keys the output is exactly
-    zero and the cache is None (skip-attention convention).
+    zero and the cache is None (skip-attention convention). The exit also
+    saves time: a quarter of MIXED training samples have no agents.
     """
     n = k_src.shape[0]
     d = config.d_model
@@ -327,11 +318,13 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     """Returns (grad_q_in, grad_q_pos, grad_k_src, grad_k_pos).
 
     grad_q_in and grad_q_pos are the same array: the query is q_in + q_pos.
+    With no keys (cache None) the key gradients have zero rows, so callers
+    run the encoder backward without checking the key count.
     """
     d = config.d_model
     if cache is None:
         zero = np.zeros(d)
-        return zero, zero, None, None
+        return zero, zero, np.zeros((0, d)), np.zeros((0, d))
     wq, wk, wv, wo = weights
     gwq, gwk, gwv, gwo = grads
     q, keys, k_src, qp, kp, vp, attn, cat = cache
@@ -370,55 +363,15 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     return g_q, g_q, g_k_src, g_keys
 
 
-def cross_attention(model: PlannerModel, stage: str, q_in: np.ndarray,
-                    k_src: np.ndarray, q_pos_emb: np.ndarray,
-                    k_pos_embs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Public attention entry over padded key arrays with a validity mask."""
-    if stage not in _STAGES:
-        raise PlannerError(f"unknown attention stage {stage!r}")
-    mask = np.asarray(mask, dtype=bool)
-    out, _ = _attention_forward(
-        _bind(model.params)[stage], model.config,
-        np.asarray(q_in, dtype=float),
-        np.asarray(k_src, dtype=float)[mask],
-        np.asarray(q_pos_emb, dtype=float),
-        np.asarray(k_pos_embs, dtype=float)[mask],
-    )
-    return out
-
-
-# --- scene encoding ----------------------------------------------------------------
-
-@dataclass
-class SceneEncoding:
-    q_a: np.ndarray          # (A_MAX, d_model), zero rows past the valid count
-    q_m: np.ndarray          # (M_MAX, d_model)
-    agent_mask: np.ndarray   # (A_MAX,) bool
-    map_mask: np.ndarray     # (M_MAX,) bool
-
-
-def encode_scene(model: PlannerModel, scenario: Scenario) -> SceneEncoding:
-    """Agent/map query rows with validity masks; absent slots are zero."""
-    d = model.config.d_model
-    bound = _bind(model.params)
-    q_a = np.zeros((A_MAX, d))
-    q_m = np.zeros((M_MAX, d))
-    agent_mask = np.zeros(A_MAX, dtype=bool)
-    map_mask = np.zeros(M_MAX, dtype=bool)
-    n_a = len(scenario.agents)
-    n_m = len(scenario.map)
-    if n_a:
-        q_a[:n_a], _ = _mlp_forward(bound["agent_enc"], agent_features(scenario))
-        agent_mask[:n_a] = True
-    if n_m:
-        q_m[:n_m], _ = _mlp_forward(bound["map_enc"], map_features(scenario))
-        map_mask[:n_m] = True
-    return SceneEncoding(q_a=q_a, q_m=q_m, agent_mask=agent_mask, map_mask=map_mask)
-
-
 # --- forward / backward --------------------------------------------------------------
 
-def _positions_for_pe(scenario: Scenario):
+def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None) -> tuple:
+    """One sample's model inputs as arrays, built once and reused.
+
+    (agent features, map features, pe1 input rows [ego; agents], pe2
+    input rows [ego; map], ego state + one-hot command, gt waypoints or
+    None).
+    """
     ego_pos = np.array([scenario.ego.position]) * INPUT_SCALE            # (1, 2)
     agent_pos = np.array(
         [a.position for a in scenario.agents]
@@ -426,17 +379,6 @@ def _positions_for_pe(scenario: Scenario):
     map_pos = np.array(
         [line.points[0] for line in scenario.map]
     ).reshape(len(scenario.map), 2) * INPUT_SCALE
-    return ego_pos, agent_pos, map_pos
-
-
-def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None) -> tuple:
-    """One sample's model inputs as arrays, built once and reused.
-
-    (agent features, map features, pe1 input rows [ego; agents], pe2
-    input rows [ego; map], ego state + one-hot command, gt waypoints or
-    None, n_agents, n_polylines).
-    """
-    ego_pos, agent_pos, map_pos = _positions_for_pe(scenario)
     gt_arr = None
     if gt is not None:
         gt_arr = np.array([[x, y] for x, y in gt]).reshape(-1, 2)
@@ -449,14 +391,12 @@ def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None)
         np.concatenate([ego_pos, map_pos], axis=0),
         np.concatenate([ego_state_vector(scenario), command_one_hot(command)]),
         gt_arr,
-        len(scenario.agents),
-        len(scenario.map),
     )
 
 
 def _run_forward(bound: dict, config: PlannerConfig, packed: tuple):
     """Predicted (T_F, 2) waypoints and the per-layer caches for backward."""
-    a_feat, m_feat, pe1_in, pe2_in, tail = packed[:5]
+    a_feat, m_feat, pe1_in, pe2_in, tail, _ = packed
     q_a, agent_cache = _mlp_forward(bound["agent_enc"], a_feat)
     q_m, map_cache = _mlp_forward(bound["map_enc"], m_feat)
     pe1_out, pe1_cache = _mlp_forward(bound["pe1"], pe1_in)
@@ -482,7 +422,7 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
     d = config.d_model
     pred, caches = _run_forward(bound, config, packed)
     agent_cache, map_cache, pe1_cache, pe2_cache, attn1_cache, attn2_cache, head_cache = caches
-    gt, n_a, n_m = packed[5:]
+    gt = packed[5]
 
     diff = pred - gt
     total = 0.0
@@ -505,18 +445,12 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
         bound["attn1"], grads["attn1"], config, g_q1, attn1_cache)
     grads["ego_query"] += g_ego_query
 
-    if n_a:
-        _mlp_backward(bound["agent_enc"], grads["agent_enc"], g_qa, agent_cache)
-        g_pe1 = np.concatenate([g_qpos1[None, :], g_kpos1])
-    else:
-        g_pe1 = g_qpos1[None, :]
-    _mlp_backward(bound["pe1"], grads["pe1"], g_pe1, pe1_cache)
-    if n_m:
-        _mlp_backward(bound["map_enc"], grads["map_enc"], g_qm, map_cache)
-        g_pe2 = np.concatenate([g_qpos2[None, :], g_kpos2])
-    else:
-        g_pe2 = g_qpos2[None, :]
-    _mlp_backward(bound["pe2"], grads["pe2"], g_pe2, pe2_cache)
+    _mlp_backward(bound["agent_enc"], grads["agent_enc"], g_qa, agent_cache)
+    _mlp_backward(bound["pe1"], grads["pe1"],
+                  np.concatenate([g_qpos1[None, :], g_kpos1]), pe1_cache)
+    _mlp_backward(bound["map_enc"], grads["map_enc"], g_qm, map_cache)
+    _mlp_backward(bound["pe2"], grads["pe2"],
+                  np.concatenate([g_qpos2[None, :], g_kpos2]), pe2_cache)
     return loss
 
 
@@ -560,9 +494,9 @@ def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
 
     The gradients are views into one new flat vector per call.
     """
-    grads = zero_gradients(model.config)
-    loss = _step(_bind(model.params), _bind(grads), model.config,
-                 _pack(scenario, command, gt))
+    config = model.config
+    grads = _views(config, np.zeros(sum(math.prod(shape) for _, shape in param_layout(config))))
+    loss = _step(_bind(model.params), _bind(grads), config, _pack(scenario, command, gt))
     return loss, grads
 
 
@@ -621,7 +555,7 @@ def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
     model.validate()
     obj = {
         "version": 1,
-        "config": model.config.to_dict(),
+        "config": {**model.config.to_dict(), **_SCHEMA_CONFIG},
         "params": {
             name: {
                 "shape": list(model.params[name].shape),
@@ -658,10 +592,17 @@ def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
             raise CheckpointError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported checkpoint version")
+    fields = obj.get("config")
+    if not isinstance(fields, dict):
+        raise CheckpointError(f"{path}: bad config: not an object")
+    for name, expected in _SCHEMA_CONFIG.items():
+        value = fields.get(name, expected)
+        if type(value) is not int or value != expected:
+            raise CheckpointError(f"{path}: bad config: {name} must be {expected}, got {value!r}")
     try:
-        config = PlannerConfig(**obj["config"])
+        config = PlannerConfig(**{k: v for k, v in fields.items() if k not in _SCHEMA_CONFIG})
         config.validate()
-    except (KeyError, TypeError, PlannerError) as e:
+    except (TypeError, PlannerError) as e:
         raise CheckpointError(f"{path}: bad config: {e}") from None
     expected = dict(param_layout(config))
     raw = obj.get("params")

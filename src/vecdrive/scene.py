@@ -21,12 +21,12 @@ from typing import Any, Iterable, Sequence
 
 from . import jsonio
 
-# Fixed shape budget: the planner is a fixed-size compute graph and pads
-# absent slots behind a validity mask.
+# Schema limits: every scenario holds at most A_MAX agents and M_MAX
+# polylines; the planner attends over exactly the ones present.
 T_F = 6                 # future waypoints, 0.5 s apart (3 s at 2 Hz)
 STEP_SECONDS = 0.5
-A_MAX = 8               # agent slots
-M_MAX = 8               # map polyline slots
+A_MAX = 8               # agents per scenario, at most
+M_MAX = 8               # map polylines per scenario, at most
 POLYLINE_POINTS = 4     # points per map polyline
 
 TWO_PI = 2.0 * math.pi
@@ -424,11 +424,12 @@ def load_scenarios(path: str | os.PathLike) -> list[Scenario]:
     path = os.fspath(path)
     scenarios: list[Scenario] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:    # decoded per line, so bytes that are not UTF-8 get a line number
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = jsonio.loads(line)
             except ValueError as e:
                 raise ScenarioLoadError(path, lineno, "", f"invalid JSON: {e}") from None

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from vecdrive import jsonio
+from vecdrive import jsonio, planner
 from vecdrive.cli import main as cli_main
 from vecdrive.external import ExecOracle, OracleTimeout
 from vecdrive.oracle import (
@@ -37,7 +37,6 @@ from vecdrive.planner import (
     PlannerConfig,
     attention_weights,
     backward,
-    cross_attention,
     forward,
     init_model,
     train,
@@ -137,10 +136,10 @@ def test_a2_attention_invariants():
             other = np.array(list(forward(model, permuted_scene,
                                           s.route_intent).waypoints))
             assert np.max(np.abs(base - other)) <= 1e-9
-        # All-masked attention returns exactly zero.
-        out = cross_attention(
-            model, "attn1", np.ones(32), np.ones((4, 32)),
-            np.ones(32), np.ones((4, 32)), np.zeros(4, dtype=bool))
+        # Attention with no valid key returns exactly zero.
+        out, _ = planner._attention_forward(
+            planner._bind(model.params)["attn1"], model.config, np.ones(32),
+            np.ones((0, 32)), np.ones(32), np.ones((0, 32)))
         assert np.array_equal(out, np.zeros(32))
 
 

@@ -465,6 +465,8 @@ BAD_RESULT_FILES = [
     ("eval_plan", {}),
     ("eval_text", {"rows": ["rule"]}),
     ("eval_plan", {"rows": {"planner": PLAN_ROW}}),
+    ("eval_plan", {"rows": {"planner": {"l2": dict(PLAN_ROW["l2"], avg=10 ** 400),
+                                        "collision": PLAN_ROW["l2"]}}}),
 ]
 
 
@@ -535,6 +537,99 @@ def test_defects_exit_cleanly_without_traceback(workdir):
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode in (2, 3), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("case, code, named", [
+    ("scenarios", 3, "deep.json:1: "),
+    ("checkpoint", 2, "deep.json: "),
+    ("qa", 2, "deep.json:1: "),
+    ("report", 2, "eval_plan.json: malformed result file"),
+    ("config", 2, "config "),
+    ("oracle reply", 5, "nested too deeply"),
+])
+def test_deeply_nested_json_is_a_decode_error(workdir, capsys, case, code, named):
+    out = gen(workdir, n=6)
+    deep = workdir / "deep.json"
+    deep.write_text(DEEP + "\n")
+    (workdir / "report").mkdir()
+    (workdir / "report" / "eval_plan.json").write_text(DEEP)
+    mock = workdir / "deep_oracle.py"
+    mock.write_text("import sys\nfor line in sys.stdin:\n"
+                    "    sys.stdout.write('[' * 100000 + ']' * 100000 + '\\n')\n"
+                    "    sys.stdout.flush()\n")
+    eval_set = str(out / "scenarios_eval.jsonl")
+    argv = {
+        "scenarios": ["qagen", "--scenarios", str(deep), "--out", str(workdir / "qa.jsonl")],
+        "checkpoint": ["eval-plan", "--scenarios", eval_set, "--checkpoint", str(deep),
+                       "--out", str(out)],
+        "qa": ["eval-actions", "--scenarios", eval_set, "--qa", str(deep), "--out", str(out)],
+        "report": ["report", "--dir", str(workdir / "report")],
+        "config": ["simgen", "--config", str(deep), "--out", str(out)],
+        "oracle reply": ["eval-text", "--scenarios", eval_set, "--out", str(out),
+                         "--oracle", f"exec:{sys.executable} {mock}"],
+    }[case]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert named in err and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("case, code, named", [
+    ("scenarios", 3, "bad.jsonl:2: "),
+    ("qa", 2, "bad.jsonl:2: "),
+    ("report", 2, "eval_plan.json: malformed result file"),
+])
+def test_non_utf8_input_names_its_file(workdir, capsys, case, code, named):
+    out = gen(workdir, n=6)
+    bad = workdir / "bad.jsonl"
+    bad.write_bytes(b"\n\xff\xfe{}\n")
+    (workdir / "report").mkdir()
+    (workdir / "report" / "eval_plan.json").write_bytes(b'{"rows": "\xff"}')
+    argv = {
+        "scenarios": ["qagen", "--scenarios", str(bad), "--out", str(workdir / "qa.jsonl")],
+        "qa": ["eval-actions", "--scenarios", str(out / "scenarios_eval.jsonl"),
+               "--qa", str(bad), "--out", str(out)],
+        "report": ["report", "--dir", str(workdir / "report")],
+    }[case]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert named in err and "utf-8" in err
+
+
+def every_flag():
+    """(subcommand, dest, argparse type) for each flag a config file may set."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return [(name, a.dest, a.type) for name, parser in sub.choices.items()
+            for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+
+
+WRONG_CONFIG_VALUES = {
+    int: [[1], True, 5.9, "5", {"a": 1}],
+    float: [[1], True, "1.0", {"a": 1}, 10 ** 400],
+    None: [5, [1], True, 1.5, {"a": 1}],
+}
+
+
+@pytest.mark.parametrize("command, dest, flag_type", every_flag(),
+                         ids=[f"{c}-{d}" for c, d, _ in every_flag()])
+def test_config_value_must_have_its_flag_type(workdir, capsys, command, dest, flag_type):
+    config = workdir / "cfg.json"
+    for value in WRONG_CONFIG_VALUES[flag_type]:
+        config.write_text(jsonio.dumps({dest: value}))
+        assert run([command, "--config", str(config)]) == 2, (dest, value)
+        assert f"config {config}: {dest!r}" in capsys.readouterr().err, (dest, value)
+
+
+def test_config_null_is_unset_and_float_flags_take_ints(workdir):
+    config = workdir / "cfg.json"
+    config.write_text(json.dumps({"n": 4, "seed": None, "suite": "CRUISE", "density": 1}))
+    assert run(["simgen", "--config", str(config), "--out", str(workdir / "cfg")]) == 0
+    assert run(["simgen", "--n", "4", "--seed", "0", "--suite", "CRUISE", "--density", "1.0",
+                "--out", str(workdir / "flags")]) == 0
+    assert (read(workdir / "cfg" / "scenarios.jsonl")
+            == read(workdir / "flags" / "scenarios.jsonl"))
 
 
 @pytest.mark.parametrize("error, code", [

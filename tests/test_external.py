@@ -347,7 +347,8 @@ def test_server_replies_error_object_per_bad_request():
     bad = ["garbage", "[1]", '{"v": 1}', '{"v": 1, "scenario": 5}',
            request_line(negative), request_line(huge),
            request_line(scenario_to_dict(s), format="medium"),
-           request_line(scenario_to_dict(s), format=5)]
+           request_line(scenario_to_dict(s), format=5),
+           "[" * 100_000 + "]" * 100_000]
     out = io.StringIO()
     oracle_server.serve(io.StringIO("\n".join(bad + [request_line(scenario_to_dict(s))]) + "\n"),
                         stdout=out)

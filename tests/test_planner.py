@@ -5,28 +5,29 @@ import numpy as np
 import pytest
 
 from vecdrive import planner
+from vecdrive.cli import main as cli_main
 from vecdrive.planner import (
     INPUT_SCALE,
     CheckpointError,
     PlannerConfig,
     PlannerError,
     PlannerModel,
+    agent_features,
     attention_weights,
     backward,
     command_one_hot,
-    cross_attention,
-    encode_scene,
     forward,
     imitation_loss,
     init_model,
     load_checkpoint,
+    map_features,
     save_checkpoint,
     train,
     TrainingDiverged,
 )
 from vecdrive.oracle import Format, RuleOracle
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import MetaAction, Trajectory
+from vecdrive.scene import MetaAction, Trajectory, save_scenarios
 
 from conftest import make_agent, make_polyline, make_scenario
 from helpers_grad import fd_gradients, max_relative_error
@@ -45,13 +46,42 @@ def rand_model(config=TINY, seed=3):
     return init_model(config, seed)
 
 
+def encode(model, scenario):
+    """Agent and map encoder rows, as the forward pass computes them."""
+    bound = planner._bind(model.params)
+    q_a, _ = planner._mlp_forward(bound["agent_enc"], agent_features(scenario))
+    q_m, _ = planner._mlp_forward(bound["map_enc"], map_features(scenario))
+    return q_a, q_m
+
+
+def attend(model, stage, q_in, k_src, q_pos, k_pos):
+    """One attention stage of the forward pass over the given key rows."""
+    out, _ = planner._attention_forward(planner._bind(model.params)[stage], model.config,
+                                        q_in, k_src, q_pos, k_pos)
+    return out
+
+
 # --- config / init -----------------------------------------------------------
 
-def test_config_validation():
+def test_config_validation(tmp_path, capsys):
     with pytest.raises(PlannerError):
         PlannerConfig(d_model=5, n_heads=2).validate()
-    with pytest.raises(PlannerError):
-        PlannerConfig(t_f=7).validate()
+    # The schema limits are not config fields: a checkpoint may omit them,
+    # and one that states another value for one is rejected with exit 2.
+    checkpoint = tmp_path / "model.json"
+    save_checkpoint(init_model(TINY, 1), checkpoint)
+    obj = json.loads(checkpoint.read_text())
+    assert list(obj["config"]) == ["d_model", "n_heads", "hidden", "t_f", "a_max", "m_max", "p_m"]
+    for key in ("t_f", "a_max", "m_max", "p_m"):
+        del obj["config"][key]
+    checkpoint.write_text(json.dumps(obj))
+    assert load_checkpoint(checkpoint).config == TINY
+    obj["config"]["t_f"] = 7
+    checkpoint.write_text(json.dumps(obj))
+    save_scenarios([make_scenario()], tmp_path / "s.jsonl")
+    assert cli_main(["eval-plan", "--scenarios", str(tmp_path / "s.jsonl"),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path)]) == 2
+    assert "t_f" in capsys.readouterr().err
     with pytest.raises(PlannerError):
         PlannerConfig(hidden=0).validate()
     PlannerConfig().validate()
@@ -100,24 +130,24 @@ def test_param_layout_closed_set():
         model.validate()
 
 
-# --- encode_scene --------------------------------------------------------------
+# --- scene encoding --------------------------------------------------------------
 
 def test_encode_empty_scene():
     model = rand_model()
-    enc = encode_scene(model, make_scenario(agents=(), polylines=()))
-    assert not enc.agent_mask.any()
-    assert not enc.map_mask.any()
-    assert np.all(enc.q_a == 0.0)
-    assert np.all(enc.q_m == 0.0)
+    s = make_scenario(agents=(), polylines=())
+    q_a, q_m = encode(model, s)
+    assert q_a.shape == (0, 2) and q_m.shape == (0, 2)
+    weights = attention_weights(model, s, MetaAction.GO_STRAIGHT)
+    assert weights["agents"].shape == (1, 0) and weights["map"].shape == (1, 0)
 
 
 def test_encode_identical_agents_identical_rows():
     model = rand_model()
     a = make_agent(agent_id=1, position=(5.0, 2.0))
     b = make_agent(agent_id=2, position=(5.0, 2.0))
-    enc = encode_scene(model, make_scenario(agents=(a, b)))
-    assert np.array_equal(enc.q_a[0], enc.q_a[1])
-    assert enc.agent_mask[:2].all() and not enc.agent_mask[2:].any()
+    q_a, _ = encode(model, make_scenario(agents=(a, b)))
+    assert np.array_equal(q_a[0], q_a[1])
+    assert q_a.shape == (2, 2)
 
 
 def test_encode_hand_computed_row():
@@ -130,36 +160,30 @@ def test_encode_hand_computed_row():
     model.params["agent_enc.b2"][:] = [0.01, 0.02]
     agent = make_agent(agent_id=1, position=(4.0, -2.0), heading=0.5, speed=3.0,
                        extent=(4.2, 1.8))
-    enc = encode_scene(model, make_scenario(agents=(agent,)))
+    q_a, _ = encode(model, make_scenario(agents=(agent,)))
     f = [4.0 * INPUT_SCALE, -2.0 * INPUT_SCALE, math.cos(0.5), math.sin(0.5),
          3.0 * INPUT_SCALE, 4.2 * INPUT_SCALE, 1.8 * INPUT_SCALE]
     h0 = math.tanh(0.1 * f[0] + 0.2 * f[2] + 0.05)
     h1 = math.tanh(0.3 * f[1] + 0.1 * f[4] - 0.02)
     expected = (1.0 * h0 - 0.5 * h1 + 0.01, 0.25 * h0 + 0.75 * h1 + 0.02)
-    assert enc.q_a[0] == pytest.approx(expected, abs=1e-15)
+    assert q_a[0] == pytest.approx(expected, abs=1e-15)
 
 
-# --- cross_attention -------------------------------------------------------------
+# --- attention -------------------------------------------------------------------
 
 def test_attention_all_masked_returns_zero():
+    # No valid key: the stage output is exactly zero.
     model = rand_model()
-    out = cross_attention(
-        model, "attn1",
-        q_in=np.ones(2), k_src=np.ones((3, 2)), q_pos_emb=np.zeros(2),
-        k_pos_embs=np.zeros((3, 2)), mask=np.zeros(3, dtype=bool),
-    )
+    out = attend(model, "attn1", q_in=np.ones(2), k_src=np.ones((0, 2)),
+                 q_pos=np.zeros(2), k_pos=np.zeros((0, 2)))
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_attention_single_key_ignores_logits():
     model = rand_model(seed=8)
     k = np.array([0.7, -1.3])
-    out = cross_attention(
-        model, "attn2",
-        q_in=np.array([5.0, -2.0]), k_src=k[None, :],
-        q_pos_emb=np.array([1.0, 1.0]), k_pos_embs=np.array([[0.3, 0.4]]),
-        mask=np.ones(1, dtype=bool),
-    )
+    out = attend(model, "attn2", q_in=np.array([5.0, -2.0]), k_src=k[None, :],
+                 q_pos=np.array([1.0, 1.0]), k_pos=np.array([[0.3, 0.4]]))
     expected = model.params["attn2.wo"] @ (model.params["attn2.wv"] @ k)
     assert out == pytest.approx(expected, abs=1e-12)
 
@@ -174,8 +198,7 @@ def test_attention_two_keys_hand_computed():
     q_pos = np.array([0.1, -0.1])
     k_src = np.array([[1.0, 0.0], [0.0, 1.0]])
     k_pos = np.array([[0.0, 0.2], [0.2, 0.0]])
-    out = cross_attention(model, "attn1", q_in, k_src, q_pos, k_pos,
-                          mask=np.ones(2, dtype=bool))
+    out = attend(model, "attn1", q_in, k_src, q_pos, k_pos)
     # Hand evaluation with scalar arithmetic (single head, d_k = 2).
     q = (1.1, 0.4)
     keys = [(0.5 * 1.0, 0.5 * 0.2), (0.5 * 0.2, 0.5 * 1.0)]
