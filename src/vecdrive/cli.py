@@ -221,7 +221,11 @@ def _publish(args: argparse.Namespace, stem: str, rows: dict, extra: str = "") -
 
 @contextlib.contextmanager
 def _oracle(args: argparse.Namespace):
-    oracle = open_oracle(args.oracle, timeout=float(args.timeout))
+    timeout = float(args.timeout)
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ConfigError(f"--timeout must be a finite number of seconds above 0, "
+                          f"got {timeout!r}")
+    oracle = open_oracle(args.oracle, timeout=timeout)
     try:
         yield oracle
     finally:

@@ -11,8 +11,9 @@ One line channel serves a subprocess kept alive on stdin/stdout
 stream (end of stream, failed write, exited subprocess) closes it, so no
 late reply answers a later request: each later ``decide`` raises
 ``OracleProtocolError`` naming that failure. A reply line that fails
-validation, an error object included, leaves it usable. Errors that close
-an ``exec:`` channel end with the last 2 KB the subprocess wrote to stderr.
+validation, an error object included, leaves it usable; its error quotes
+the first 2 KB of the line. Errors that close an ``exec:`` channel end
+with the last 2 KB the subprocess wrote to stderr.
 """
 
 from __future__ import annotations
@@ -42,12 +43,19 @@ class OracleTimeout(OracleError):
 
 
 class OracleProtocolError(OracleError):
-    """Malformed or invalid response; carries the raw payload."""
+    """Malformed or invalid response; carries the raw payload.
+
+    The message quotes at most the first STDERR_TAIL_BYTES of the payload
+    (UTF-8) and says how much it left out.
+    """
 
     def __init__(self, endpoint: str, message: str, payload: str = ""):
         detail = f"oracle {endpoint}: {message}"
         if payload:
-            detail += f" (payload: {payload!r})"
+            head = payload.encode("utf-8")[:STDERR_TAIL_BYTES].decode("utf-8", "ignore")
+            cut = len(payload) - len(head)
+            more = f" ... {cut} more characters" if cut else ""
+            detail += f" (payload: {head!r}{more})"
         super().__init__(detail)
         self.endpoint = endpoint
         self.payload = payload

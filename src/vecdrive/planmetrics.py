@@ -41,8 +41,8 @@ class PlanEvalRow:
     def validate(self) -> None:
         for name, group in (("l2", self.l2), ("collision", self.collision)):
             for key in (*HORIZON_KEYS, "avg"):
-                if group[key] < 0:
-                    raise ValueError(f"{name}[{key}] negative")
+                if not (math.isfinite(group[key]) and group[key] >= 0):
+                    raise ValueError(f"{name}[{key}]={group[key]} is not finite and >= 0")
             mean = sum(group[k] for k in HORIZON_KEYS) / len(HORIZON_KEYS)
             if abs(group["avg"] - mean) > 1e-12:
                 raise ValueError(f"{name}[avg] {group['avg']} != mean {mean}")
@@ -50,21 +50,31 @@ class PlanEvalRow:
 
 @dataclass(frozen=True)
 class TextEvalRow:
-    """One row of the explanation-quality table (0..100 except CIDEr)."""
+    """One row of the explanation-quality table (0..100 except CIDEr).
+
+    ``meteor_inexact_pairs`` counts the pairs whose METEOR chunk search
+    hit its budget (see ``textmetrics.METEOR_BUDGET``).
+    """
 
     bleu: float
     meteor: float
     rouge_l: float
     cider: float
     gpt_score: float | None = None
+    meteor_inexact_pairs: int = 0
 
     def validate(self) -> None:
         for name in ("bleu", "meteor", "rouge_l"):
             v = getattr(self, name)
             if not (0.0 <= v <= 100.0):
                 raise ValueError(f"{name}={v} outside [0, 100]")
-        if self.cider < 0:
-            raise ValueError(f"cider={self.cider} negative")
+        if not (math.isfinite(self.cider) and self.cider >= 0):
+            raise ValueError(f"cider={self.cider} is not finite and >= 0")
+        if self.gpt_score is not None and not (1.0 <= self.gpt_score <= 5.0):
+            raise ValueError(f"gpt_score={self.gpt_score} outside [1, 5]")
+        inexact = self.meteor_inexact_pairs
+        if isinstance(inexact, bool) or not isinstance(inexact, int) or inexact < 0:
+            raise ValueError(f"meteor_inexact_pairs={inexact!r} is not a count")
 
 
 #: Optional external judge: (candidate text, reference text) -> score in [1, 5].
@@ -77,7 +87,8 @@ def evaluate_explanations(candidates: Sequence[str], references: Sequence[str],
 
     BLEU and CIDEr are corpus-level; METEOR and ROUGE-L are per-pair
     means. The judge hook, when registered, supplies the mean gpt_score;
-    without one the field stays absent.
+    without one the field stays absent. Pairs whose METEOR chunk search
+    hit its budget are counted in ``meteor_inexact_pairs``.
     """
     if len(candidates) != len(references):
         raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
@@ -89,14 +100,16 @@ def evaluate_explanations(candidates: Sequence[str], references: Sequence[str],
     gpt_score = None
     if judge is not None:
         gpt_score = sum(judge(c, r) for c, r in zip(candidates, references)) / n
+    exact: list[bool] = []
     row = TextEvalRow(
         bleu=textmetrics.bleu(cand_tokens, ref_tokens),
-        meteor=sum(textmetrics.meteor(c, r)
+        meteor=sum(textmetrics.meteor(c, r, exact)
                    for c, r in zip(cand_tokens, ref_tokens)) / n,
         rouge_l=sum(textmetrics.rouge_l(c, r)
                     for c, r in zip(cand_tokens, ref_tokens)) / n,
         cider=textmetrics.cider(cand_tokens, ref_tokens),
         gpt_score=gpt_score,
+        meteor_inexact_pairs=exact.count(False),
     )
     row.validate()
     return row

@@ -39,15 +39,20 @@ def render_plan_table(rows: dict[str, PlanEvalRow]) -> str:
 
 def render_text_table(rows: dict[str, TextEvalRow]) -> str:
     with_judge = any(row.gpt_score is not None for row in rows.values())
+    with_inexact = any(row.meteor_inexact_pairs for row in rows.values())
     header = ["Method", "BLEU", "METEOR", "ROUGE-L", "CIDEr"]
     if with_judge:
         header.append("GPT-Score")
+    if with_inexact:
+        header.append("METEOR inexact pairs")
     body = []
     for name, row in rows.items():
         cells = [name, f"{row.bleu:.2f}", f"{row.meteor:.2f}",
                  f"{row.rouge_l:.2f}", f"{row.cider:.2f}"]
         if with_judge:
             cells.append("-" if row.gpt_score is None else f"{row.gpt_score:.2f}")
+        if with_inexact:
+            cells.append(str(row.meteor_inexact_pairs))
         body.append(cells)
     return _format_table(header, body)
 
@@ -87,6 +92,8 @@ def text_row_to_dict(row: TextEvalRow) -> dict:
            "rouge_l": row.rouge_l, "cider": row.cider}
     if row.gpt_score is not None:
         out["gpt_score"] = row.gpt_score
+    if row.meteor_inexact_pairs:
+        out["meteor_inexact_pairs"] = row.meteor_inexact_pairs
     return out
 
 
@@ -94,6 +101,7 @@ def text_row_from_dict(obj: dict) -> TextEvalRow:
     row = TextEvalRow(
         bleu=obj["bleu"], meteor=obj["meteor"], rouge_l=obj["rouge_l"],
         cider=obj["cider"], gpt_score=obj.get("gpt_score"),
+        meteor_inexact_pairs=obj.get("meteor_inexact_pairs", 0),
     )
     row.validate()
     return row

@@ -8,8 +8,11 @@ hermetic variants:
   smoothing for zero precisions, brevity penalty exp(1 - r/c) for c < r.
 * METEOR: exact-match unigram alignment (no stemming or synonyms),
   maximizing matches and then minimizing chunks; reported as
-  "METEOR-exact".
-* ROUGE-L: LCS-based F1.
+  "METEOR-exact". Minimizing chunks is NP-hard in general, so the search
+  stops after METEOR_BUDGET expansions. It is exact unless it hits that
+  budget; past it, the score uses the best alignment found, which never
+  scores above the exact value.
+* ROUGE-L: LCS-based F1, the LCS length computed bit-parallel.
 * CIDEr: TF-IDF weighted n-gram cosine for n = 1..4, one reference per
   candidate, scaled by 10.
 
@@ -27,6 +30,10 @@ Tokens = Sequence[str]
 _TRAILING_PUNCT = ".,!?;:"
 _BLEU_EPS = 1e-9
 
+#: Search nodes the METEOR chunk minimization may expand per pair. It
+#: counts work, not time, so a score never depends on machine speed.
+METEOR_BUDGET = 5000
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip trailing punctuation.
@@ -41,8 +48,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _ngrams(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Tokens) -> list[Counter]:
+    """Counts of the 1..4-grams of one sentence, each in first-occurrence order."""
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, 5)]
 
 
 def bleu(candidates: list[Tokens], references: list[Tokens]) -> float:
@@ -55,16 +63,16 @@ def bleu(candidates: list[Tokens], references: list[Tokens]) -> float:
     ref_len = sum(len(r) for r in references)
     if cand_len == 0:
         return 0.0
+    matched = [0] * 4
+    total = [0] * 4
+    for cand, ref in zip(candidates, references):
+        for k, (cand_counts, ref_counts) in enumerate(zip(_ngram_counts(cand),
+                                                          _ngram_counts(ref))):
+            total[k] += sum(cand_counts.values())
+            matched[k] += sum(min(count, ref_counts[g]) for g, count in cand_counts.items())
     log_sum = 0.0
-    for n in range(1, 5):
-        matched = 0
-        total = 0
-        for cand, ref in zip(candidates, references):
-            cand_counts = _ngrams(cand, n)
-            ref_counts = _ngrams(ref, n)
-            total += sum(cand_counts.values())
-            matched += sum(min(count, ref_counts[g]) for g, count in cand_counts.items())
-        precision = matched / total if total > 0 else 0.0
+    for k in range(4):
+        precision = matched[k] / total[k] if total[k] > 0 else 0.0
         if precision == 0.0:
             precision = _BLEU_EPS
         log_sum += 0.25 * math.log(precision)
@@ -72,81 +80,107 @@ def bleu(candidates: list[Tokens], references: list[Tokens]) -> float:
     return 100.0 * brevity * math.exp(log_sum)
 
 
-def _min_chunks(candidate: Tokens, reference: Tokens) -> tuple[int, int]:
-    """Exact-match unigram alignment: (matches, minimal chunk count).
+def _min_chunks(candidate: Tokens, reference: Tokens) -> tuple[int, int, bool]:
+    """Exact-match unigram alignment: (matches, chunk count, exact).
 
     The number of matches per word is fixed (min of the two occurrence
     counts); which occurrences align is chosen to minimize the number of
     chunks, i.e. maximal runs contiguous in both sequences. Solved by
-    depth-first search over candidate positions with branch-and-bound;
-    preferring the run-extending assignment first makes near-monotone
-    alignments (the common case for templated text) terminate quickly.
+    depth-first branch-and-bound over candidate positions on an explicit
+    stack, trying the run-extending reference position first, so
+    near-monotone alignments (the common case for templated text) finish
+    quickly.
+
+    The bound: a candidate slot whose word has no spare occurrences must
+    be matched, and it can continue a run only if its bigram with the
+    previous candidate token occurs in the reference. Every must-match
+    slot that cannot opens a chunk, so ``chunks + suffix[slot]`` is a
+    lower bound. After METEOR_BUDGET expansions the search stops with
+    ``exact`` False and the best chunk count found so far; it starts at
+    ``matches``, which any alignment achieves or beats.
     """
     cand_counts = Counter(candidate)
     ref_counts = Counter(reference)
     quota = {w: min(cand_counts[w], c) for w, c in ref_counts.items() if w in cand_counts}
     matches = sum(quota.values())
     if matches == 0:
-        return 0, 0
+        return 0, 0, True
 
-    ref_positions: dict[str, list[int]] = {}
+    positions: dict[str, list[int]] = {w: [] for w in quota}
     for j, w in enumerate(reference):
         if w in quota:
-            ref_positions.setdefault(w, []).append(j)
+            positions[w].append(j)
+    masks = {w: sum(1 << j for j in js) for w, js in positions.items()}
+    spare = {w: cand_counts[w] - quota[w] for w in quota}
+    ref_bigrams = set(zip(reference, reference[1:]))
+
     # Candidate positions of matchable words; some may stay unmatched when
     # the candidate has more occurrences than the reference.
-    cand_slots = [(i, w) for i, w in enumerate(candidate) if w in quota]
+    slots = [i for i, w in enumerate(candidate) if w in quota]
+    n = len(slots)
+    words = [candidate[i] for i in slots]
+    seen: Counter = Counter()
+    occurrence = []          # earlier slots of the same word
+    for w in words:
+        occurrence.append(seen[w])
+        seen[w] += 1
+    # Whether the next slot is the next candidate position.
+    adjacent = [k + 1 < n and slots[k + 1] == slots[k] + 1 for k in range(n)]
+    suffix = [0] * (n + 1)   # must-match slots from here on that open a chunk
+    for k in range(n - 1, -1, -1):
+        i, w = slots[k], words[k]
+        opens = spare[w] == 0 and (i == 0 or (candidate[i - 1], w) not in ref_bigrams)
+        suffix[k] = suffix[k + 1] + opens
 
-    best = [matches]  # chunk count upper bound; matches chunks is the worst case
-
-    def search(slot: int, remaining: dict[str, int], spare: dict[str, int],
-               used: set[int], prev_cand: int, prev_ref: int, chunks: int) -> None:
-        if chunks >= best[0]:
-            return
-        if slot == len(cand_slots):
-            if all(v == 0 for v in remaining.values()):
-                best[0] = chunks
-            return
-        # Bound: even if every remaining match chains, chunk count stays.
-        i, w = cand_slots[slot]
-        options: list[int] = []
-        if remaining[w] > 0:
-            extend = prev_ref + 1
-            ref_opts = [j for j in ref_positions[w] if j not in used]
-            # Try the run-extending reference position first.
-            if i == prev_cand + 1 and extend in ref_opts:
-                options.append(extend)
-                options.extend(j for j in ref_opts if j != extend)
-            else:
-                options.extend(ref_opts)
-            for j in options:
-                contiguous = i == prev_cand + 1 and j == prev_ref + 1
-                remaining[w] -= 1
-                used.add(j)
-                search(slot + 1, remaining, spare, used, i, j,
-                       chunks if contiguous else chunks + 1)
-                used.discard(j)
-                remaining[w] += 1
-        # Leave this occurrence unmatched if the word has spare occurrences.
-        if spare[w] > 0:
-            spare[w] -= 1
-            search(slot + 1, remaining, spare, used, prev_cand, prev_ref, chunks)
-            spare[w] += 1
-
-    spare = {w: cand_counts[w] - quota[w] for w in quota}
-    search(0, dict(quota), spare, set(), -2, -2, 0)
-    return matches, best[0]
+    best = matches
+    expansions = 0
+    # (slot, used reference positions as bits, reference position matched
+    # at the candidate position before the slot or -2, chunks so far)
+    stack = [(0, 0, -2, 0)]
+    while stack:
+        k, used, prev, chunks = stack.pop()
+        if chunks + suffix[k] >= best:
+            continue
+        if k == n:
+            best = chunks
+            continue
+        if expansions == METEOR_BUDGET:
+            return matches, best, False
+        expansions += 1
+        w = words[k]
+        matched = (used & masks[w]).bit_count()
+        # Children are pushed in reverse order of trial: leaving the slot
+        # unmatched is tried last, the run-extending position first.
+        if occurrence[k] - matched < spare[w]:
+            stack.append((k + 1, used, -2, chunks))
+        if matched < quota[w]:
+            free = masks[w] & ~used
+            extend = prev + 1 if prev >= 0 and free >> (prev + 1) & 1 else -1
+            chain = adjacent[k]
+            # Children that open a chunk are not pushed when the bound
+            # already rules them out: popped, they would be pruned.
+            if chunks + 1 + suffix[k + 1] < best:
+                for j in reversed(positions[w]):
+                    if free >> j & 1 and j != extend:
+                        stack.append((k + 1, used | 1 << j, j if chain else -2, chunks + 1))
+            if extend >= 0:
+                stack.append((k + 1, used | 1 << extend, extend if chain else -2, chunks))
+    return matches, best, True
 
 
-def meteor(candidate: Tokens, reference: Tokens) -> float:
+def meteor(candidate: Tokens, reference: Tokens, exact: list[bool] | None = None) -> float:
     """METEOR-exact on a 0..100 scale.
 
     F = 10PR / (R + 9P), penalty = 0.5 * (chunks / matches)^3,
-    score = 100 * F * (1 - penalty). Zero matches score 0.
+    score = 100 * F * (1 - penalty). Zero matches score 0. If ``exact``
+    is given, whether the chunk search finished within its budget is
+    appended to it.
     """
     if not reference:
         raise ValueError("empty reference")
-    m, chunks = _min_chunks(candidate, reference)
+    m, chunks, finished = _min_chunks(candidate, reference)
+    if exact is not None:
+        exact.append(finished)
     if m == 0:
         return 0.0
     precision = m / len(candidate)
@@ -157,19 +191,23 @@ def meteor(candidate: Tokens, reference: Tokens) -> float:
 
 
 def lcs_length(a: Tokens, b: Tokens) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length, bit-parallel over ``b``.
+
+    Allison & Dix (1986) in Hyyro's (2004) form: one Python int holds a
+    bit per position of ``b``, and each token of ``a`` updates it with a
+    handful of big-int operations. The zero bits count the LCS length.
+    """
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Tokens, reference: Tokens) -> float:
@@ -196,23 +234,20 @@ def cider(candidates: list[Tokens], references: list[Tokens]) -> float:
     if not candidates:
         raise ValueError("empty corpus")
     n_docs = len(references)
-    doc_freq: list[Counter] = []
-    for n in range(1, 5):
-        df = Counter()
-        for ref in references:
-            for gram in set(_ngrams(ref, n).keys()):
-                df[gram] += 1
-        doc_freq.append(df)
+    ref_grams = [_ngram_counts(ref) for ref in references]
+    doc_freq = [Counter() for _ in range(4)]
+    for grams in ref_grams:
+        for df, counts in zip(doc_freq, grams):
+            df.update(counts.keys())
+    idf = [{g: math.log(n_docs / d) for g, d in df.items()} for df in doc_freq]
+    idf_unseen = math.log(n_docs)   # a gram no reference holds: df floored at 1
 
     total = 0.0
-    for cand, ref in zip(candidates, references):
+    for cand, ref_counts in zip(candidates, ref_grams):
         per_n = 0.0
-        for n in range(1, 5):
-            df = doc_freq[n - 1]
-            cand_vec = {g: c * math.log(n_docs / max(df[g], 1))
-                        for g, c in _ngrams(cand, n).items()}
-            ref_vec = {g: c * math.log(n_docs / max(df[g], 1))
-                       for g, c in _ngrams(ref, n).items()}
+        for idf_n, cand_n, ref_n in zip(idf, _ngram_counts(cand), ref_counts):
+            cand_vec = {g: c * idf_n.get(g, idf_unseen) for g, c in cand_n.items()}
+            ref_vec = {g: c * idf_n[g] for g, c in ref_n.items()}
             dot = sum(w * ref_vec[g] for g, w in cand_vec.items() if g in ref_vec)
             norm_c = math.sqrt(sum(w * w for w in cand_vec.values()))
             norm_r = math.sqrt(sum(w * w for w in ref_vec.values()))

@@ -2,11 +2,23 @@
 
 import numpy as np
 
-from vecdrive.planner import PlannerModel, forward, imitation_loss
+from vecdrive.planner import PlannerModel, _bind, _pack, _run_forward, imitation_loss
 
 
 def fd_gradients(model: PlannerModel, scenario, command, gt, eps=1e-5):
-    """Central finite differences of the imitation loss w.r.t. every parameter."""
+    """Central finite differences of the imitation loss w.r.t. every parameter.
+
+    The scenario is packed and the parameters bound once, and each loss
+    runs ``_run_forward``, as the public ``forward`` does. The bound
+    arrays are the model's own, so every perturbation below reaches it.
+    """
+    bound = _bind(model.params)
+    packed = _pack(scenario, command)
+
+    def loss():
+        pred, _ = _run_forward(bound, model.config, packed)
+        return imitation_loss(pred.tolist(), gt)
+
     grads = {}
     for name, arr in model.params.items():
         g = np.zeros_like(arr)
@@ -15,9 +27,9 @@ def fd_gradients(model: PlannerModel, scenario, command, gt, eps=1e-5):
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + eps
-            hi = imitation_loss(forward(model, scenario, command), gt)
+            hi = loss()
             flat[i] = original - eps
-            lo = imitation_loss(forward(model, scenario, command), gt)
+            lo = loss()
             flat[i] = original
             gflat[i] = (hi - lo) / (2.0 * eps)
         grads[name] = g

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -461,12 +462,19 @@ BAD_QA_LINES = [
 ]
 
 PLAN_ROW = {"l2": {"1s": 1.0, "2s": 2.0, "3s": 3.0, "avg": 2.0}}
+TEXT_ROW = {"bleu": 1.0, "meteor": 2.0, "rouge_l": 3.0, "cider": 4.0}
 BAD_RESULT_FILES = [
     ("eval_plan", {}),
     ("eval_text", {"rows": ["rule"]}),
     ("eval_plan", {"rows": {"planner": PLAN_ROW}}),
     ("eval_plan", {"rows": {"planner": {"l2": dict(PLAN_ROW["l2"], avg=10 ** 400),
                                         "collision": PLAN_ROW["l2"]}}}),
+    *[("eval_plan", {"rows": {"planner": {"l2": dict(PLAN_ROW["l2"], **{"1s": value}),
+                                          "collision": PLAN_ROW["l2"]}}})
+      for value in (math.nan, math.inf, -math.inf)],
+    *[("eval_text", {"rows": {"rule": dict(TEXT_ROW, **{name: value})}})
+      for name in ("bleu", "cider", "gpt_score") for value in (math.nan, math.inf, -math.inf)],
+    ("eval_text", {"rows": {"rule": dict(TEXT_ROW, gpt_score=5.5)}}),
 ]
 
 
@@ -512,6 +520,42 @@ def test_report_malformed_result_file_exit_2(workdir, capsys, stem, obj):
     path = write_bad_result(workdir / "bad", stem, obj)
     assert run(["report", "--dir", str(workdir / "bad")]) == 2
     assert f"error: {path}: malformed result file" in capsys.readouterr().err
+
+
+def test_report_accepts_valid_plan_and_text_rows(workdir):
+    write_bad_result(workdir, "eval_plan", {"rows": {"planner": {
+        "l2": PLAN_ROW["l2"], "collision": PLAN_ROW["l2"]}}})
+    write_bad_result(workdir, "eval_text", {"rows": {"rule": dict(TEXT_ROW, gpt_score=5.0)}})
+    assert run(["report", "--dir", str(workdir)]) == 0
+
+
+BAD_TIMEOUTS = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
+def test_bad_timeout_flag_exit_2_before_the_oracle_starts(workdir, capsys, timeout):
+    out = gen(workdir, n=6)
+    marker = workdir / "spawned"
+    mock = workdir / "spawn.py"
+    mock.write_text(f"open({str(marker)!r}, 'w').close()\n")
+    code = run(["eval-text", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--oracle", f"exec:{sys.executable} {mock}", f"--timeout={timeout}",
+                "--out", str(out)])
+    assert code == 2
+    assert "error: --timeout must be a finite number of seconds above 0" in (
+        capsys.readouterr().err)
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("timeout", [0, -2.5])
+def test_bad_timeout_in_config_exit_2(workdir, capsys, timeout):
+    out = gen(workdir, n=6)
+    config = workdir / "cfg.json"
+    config.write_text(json.dumps({"eval-plan": {"timeout": timeout}}))
+    code = run(["eval-plan", "--config", str(config), "--predict", "gt",
+                "--scenarios", str(out / "scenarios_eval.jsonl"), "--out", str(out)])
+    assert code == 2
+    assert "--timeout" in capsys.readouterr().err
 
 
 def test_defects_exit_cleanly_without_traceback(workdir):

@@ -15,6 +15,7 @@ from vecdrive.external import (
     OracleError,
     OracleProtocolError,
     OracleTimeout,
+    STDERR_TAIL_BYTES,
     TcpOracle,
     _parse_response,
     open_oracle,
@@ -114,6 +115,25 @@ def test_malformed_json_reports_payload(tmp_path):
         with pytest.raises(OracleProtocolError) as err:
             oracle.decide(make_scenario())
     assert "not json" in err.value.payload
+
+
+def test_huge_reply_is_quoted_up_to_2_kb(tmp_path):
+    cmd = write_mock(tmp_path, "huge.py", """\
+        import sys
+        for line in sys.stdin:
+            sys.stdout.write("[" * 100000 + "]" * 100000 + "\\n")
+            sys.stdout.flush()
+    """)
+    with ExecOracle(cmd, timeout=5.0) as oracle:
+        with pytest.raises(OracleProtocolError) as err:
+            oracle.decide(make_scenario())
+    assert len(err.value.payload) == 200_000
+    message = str(err.value)
+    assert len(message) < len(oracle.endpoint) + STDERR_TAIL_BYTES + 200
+    assert "[" * STDERR_TAIL_BYTES + "' ... 197952 more characters)" in message
+    # The cut counts UTF-8 bytes and never splits a character.
+    wide = str(OracleProtocolError("exec:x", "bad", "\u00e9" * STDERR_TAIL_BYTES))
+    assert "\u00e9" * (STDERR_TAIL_BYTES // 2) + "' ... 1024 more characters)" in wide
 
 
 def test_hazard_ids_must_exist_in_scenario(tmp_path):

@@ -2,14 +2,17 @@
 
 Each example takes one valid input file (config, scenario JSONL, QA
 JSONL, checkpoint or result file), applies one mutation (a byte flip,
-a truncation, a JSON value swapped for one of another type, or a value
+a truncation, a JSON value swapped for one of another type, a value
+replaced by a ``NaN``, ``Infinity`` or ``-Infinity`` token, or a value
 replaced by deep nesting) and runs the command that reads it through
 ``cli.main`` in-process. The command must succeed or fail with a
-configuration (2) or I/O (3) exit code. Derandomized and bounded, so the
+configuration (2) or I/O (3) exit code; a result file holding a
+non-finite number must fail with 2. Derandomized and bounded, so the
 suite stays deterministic and a few seconds longer.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -105,14 +108,18 @@ def swap(text, draw, new=None):
 
 @st.composite
 def mutated(draw, data: bytes):
-    kind = draw(st.sampled_from(["flip", "truncate", "swap", "deep"]))
+    kind = draw(st.sampled_from(["flip", "truncate", "swap", "deep", "nonfinite"]))
     if kind == "flip":
         at = draw(st.integers(0, len(data) - 1))
         return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
-    return swap(data.decode("utf-8"), draw, DEEP_MARK if kind == "deep" else None
-                ).encode("utf-8")
+    new = None
+    if kind == "deep":
+        new = DEEP_MARK
+    elif kind == "nonfinite":
+        new = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return swap(data.decode("utf-8"), draw, new).encode("utf-8")
 
 
 @pytest.mark.parametrize("target", ["config", "scenarios", "qa", "checkpoint", "report"])
@@ -130,6 +137,9 @@ def test_mutated_inputs_exit_0_2_or_3(inputs, target):
     def run(data):
         mutant = data.draw(mutated(original))
         mutant_path.write_bytes(mutant)
-        assert main(argv(str(mutant_path))) in (0, 2, 3)
+        code = main(argv(str(mutant_path)))
+        if target == "report" and (b"NaN" in mutant or b"Infinity" in mutant):
+            assert code == 2
+        assert code in (0, 2, 3)
 
     run()

@@ -1,10 +1,23 @@
 import itertools
 import math
+import random
+import sys
+import textwrap
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vecdrive import jsonio, textmetrics
+from vecdrive.cli import main
+from vecdrive.oracle import Format, rule_oracle_decide
+from vecdrive.planmetrics import TextEvalRow, evaluate_explanations
+from vecdrive.report import render_text_table, text_row_from_dict, text_row_to_dict
+from vecdrive.scene import load_scenarios
+from vecdrive.simgen import GenSpec, generate
 from vecdrive.textmetrics import (
+    _min_chunks,
     bleu,
     cider,
     lcs_length,
@@ -147,14 +160,118 @@ def brute_force_chunks(candidate, reference):
     return m, best
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.lists(st.sampled_from("abc"), min_size=0, max_size=6),
-    st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
-)
-def test_meteor_alignment_matches_brute_force(cand, ref):
-    from vecdrive.textmetrics import _min_chunks
-    assert _min_chunks(cand, ref) == brute_force_chunks(cand, ref)
+@st.composite
+def small_vocab_pair(draw):
+    vocab = draw(st.sampled_from(["ab", "abc"]))
+    return (draw(st.lists(st.sampled_from(vocab), min_size=0, max_size=7)),
+            draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_vocab_pair())
+def test_meteor_alignment_matches_brute_force(pair):
+    cand, ref = pair
+    matches, chunks, exact = _min_chunks(cand, ref)
+    assert (matches, chunks) == brute_force_chunks(cand, ref)
+    assert exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_vocab_pair(), st.integers(0, 12))
+def test_search_past_its_budget_keeps_a_valid_upper_bound(pair, budget):
+    cand, ref = pair
+    with mock.patch.object(textmetrics, "METEOR_BUDGET", budget):
+        matches, chunks, exact = _min_chunks(cand, ref)
+    exact_matches, exact_chunks = brute_force_chunks(cand, ref)
+    assert matches == exact_matches
+    assert exact_chunks <= chunks <= matches
+    if exact:
+        assert chunks == exact_chunks
+
+
+def long_rationales(seed):
+    return [tokenize(rule_oracle_decide(s, Format.LONG).rationale_long)
+            for s in generate(GenSpec(200, seed))]
+
+
+def best_of_3_under_50_ms(candidate, reference):
+    """Each retry runs only while the previous ones were all too slow."""
+    for _ in range(3):
+        start = time.perf_counter()
+        _min_chunks(candidate, reference)
+        if time.perf_counter() - start < 0.05:
+            return True
+    return False
+
+
+def test_meteor_on_mismatched_scenes_is_bounded():
+    # A fluent explanation of the wrong scene: 11 of these 200 pairs took
+    # over 1 s each with the unbounded search, and pair 1 over 150 s.
+    slow = [i for i, (c, r) in enumerate(zip(long_rationales(8), long_rationales(7)))
+            if not best_of_3_under_50_ms(c, r)]
+    assert slow == []
+
+
+def test_meteor_on_reversed_and_shuffled_candidates_is_bounded():
+    rng = random.Random(6)
+    texts = [t for t in long_rationales(7) if len(t) >= 60][:2]
+    texts += [[rng.choice(vocab) for _ in range(60)] for vocab in ("ab", "abc")]
+    slow = []
+    for length in range(14, 61):
+        for text in texts:
+            ref = text[:length]
+            for cand in (ref[::-1], rng.sample(ref, length)):
+                if not best_of_3_under_50_ms(cand, ref):
+                    slow.append((length, " ".join(cand)))
+    assert slow == []
+
+
+def test_evaluate_explanations_counts_inexact_pairs():
+    inexact = " ".join("abbaab" * 5)    # 30 tokens over 2 words: past the budget
+    reference = " ".join("ab" * 15)
+    assert not _min_chunks(tokenize(inexact), tokenize(reference))[2]
+    row = evaluate_explanations([inexact, reference, inexact], [reference] * 3)
+    assert row.meteor_inexact_pairs == 2
+    assert text_row_to_dict(row)["meteor_inexact_pairs"] == 2
+    assert text_row_from_dict(text_row_to_dict(row)) == row
+    assert "METEOR inexact pairs" in render_text_table({"m": row})
+    exact = evaluate_explanations([reference], [reference])
+    assert exact.meteor_inexact_pairs == 0
+    assert "meteor_inexact_pairs" not in text_row_to_dict(exact)
+    assert "inexact" not in render_text_table({"m": exact})
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, True, "2"])
+def test_inexact_pair_count_must_be_a_count(value):
+    with pytest.raises(ValueError):
+        TextEvalRow(1.0, 1.0, 1.0, 1.0, meteor_inexact_pairs=value).validate()
+
+
+def test_eval_text_scores_a_2000_token_rationale(tmp_path):
+    # The recursive search hit Python's recursion limit on such a reply.
+    assert main(["simgen", "--out", str(tmp_path), "--n", "10", "--seed", "4",
+                 "--train-frac", "0.5"]) == 0
+    verbose = tmp_path / "verbose.py"
+    verbose.write_text(textwrap.dedent("""\
+        import json, sys
+        from vecdrive.oracle import Format, RuleOracle
+        from vecdrive.scene import scenario_from_dict
+        for line in sys.stdin:
+            scenario = scenario_from_dict(json.loads(line)["scenario"])
+            d = RuleOracle().decide(scenario, Format.LONG)
+            sys.stdout.write(json.dumps({"v": 1, "action": d.action.value,
+                "rationale": " ".join([d.rationale_long] * 80),
+                "hazard_ids": list(d.hazard_ids)}) + "\\n")
+            sys.stdout.flush()
+    """))
+    endpoint = f"exec:{sys.executable} {verbose}"
+    scenarios = tmp_path / "scenarios_eval.jsonl"
+    assert min(len(tokenize(rule_oracle_decide(s, Format.LONG).rationale_long)) * 80
+               for s in load_scenarios(str(scenarios))) > 2000
+    assert main(["eval-text", "--scenarios", str(scenarios), "--oracle", endpoint,
+                 "--out", str(tmp_path)]) == 0
+    row = jsonio.loads((tmp_path / "eval_text.json").read_text())["rows"][endpoint]
+    assert 0.0 < row["meteor"] < 50.0
 
 
 def test_meteor_empty_reference_rejected():
@@ -204,6 +321,31 @@ def brute_force_lcs(a, b):
 )
 def test_lcs_matches_brute_force(a, b):
     assert lcs_length(a, b) == brute_force_lcs(a, b)
+
+
+def dp_lcs_length(a, b):
+    # Longest common subsequence length by dynamic programming.
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["ab", "abcd", "abcdefghij"]).flatmap(lambda vocab: st.tuples(
+    st.lists(st.sampled_from(vocab), max_size=80),
+    st.lists(st.sampled_from(vocab), max_size=80))))
+def test_bit_parallel_lcs_matches_dynamic_programming(pair):
+    a, b = pair
+    assert lcs_length(a, b) == dp_lcs_length(a, b) == lcs_length(b, a)
 
 
 # --- CIDEr -------------------------------------------------------------------
