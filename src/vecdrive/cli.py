@@ -66,6 +66,8 @@ from .planner import (
     train,
 )
 from .report import (
+    accuracy_from_dict,
+    latency_from_dict,
     plan_row_from_dict,
     render_actions_table,
     render_confusion,
@@ -115,8 +117,9 @@ _TABLES = {
     "eval_text": lambda rows: render_text_table(
         {name: text_row_from_dict(r) for name, r in rows.items()}),
     "eval_actions": lambda rows: render_actions_table(
-        {name: r["accuracy"] for name, r in rows.items()}),
-    "bench": render_latency_table,
+        {name: accuracy_from_dict(r) for name, r in rows.items()}),
+    "bench": lambda rows: render_latency_table(
+        {name: latency_from_dict(r) for name, r in rows.items()}),
 }
 
 

@@ -189,6 +189,18 @@ def ego_headings(pred: Trajectory) -> list[float]:
     return headings
 
 
+def _circles_apart(px: float, py: float, ax: float, ay: float, reach: float) -> bool:
+    """True when two boxes' bounding circles are disjoint beyond a slack.
+
+    ``reach`` is the sum of the two half-diagonals. The slack is relative
+    to the reach and the coordinates, so rounding in ``separation_margin``
+    cannot call a rejected pair overlapping: the prefilter is
+    conservative. A NaN anywhere keeps the pair.
+    """
+    slack = 1e-9 * (1.0 + reach + abs(px) + abs(py) + abs(ax) + abs(ay))
+    return math.hypot(ax - px, ay - py) - reach > slack
+
+
 def collision_horizons(
     pred: Trajectory,
     ego_extent: tuple[float, float],
@@ -198,7 +210,9 @@ def collision_horizons(
 
     At step k the ego box sits on pred[k] with segment-derived heading;
     each agent box sits on its ground-truth future point with its fixed
-    current heading.
+    current heading. Pairs whose bounding circles are apart skip the
+    separating-axis test, and the scan stops at the first colliding
+    step; the flags are those of testing every pair.
     """
     if len(pred) != T_F:
         raise ValueError(f"predicted trajectory must have {T_F} waypoints")
@@ -206,21 +220,27 @@ def collision_horizons(
         if len(agent.future) != T_F:
             raise ValueError(f"agent {agent.id} future has {len(agent.future)} points")
     headings = ego_headings(pred)
-    collided_at_step = []
+    ego_length, ego_width = ego_extent[0], ego_extent[1]
+    ego_reach = 0.5 * math.hypot(ego_length, ego_width)
+    reaches = [ego_reach + 0.5 * math.hypot(agent.extent[0], agent.extent[1])
+               for agent in agents]
+    first_hit = T_F + 1  # 1-based step of the first collision
     for k in range(T_F):
-        ego_box = OrientedBox(pred[k], headings[k], ego_extent[0], ego_extent[1])
-        hit = any(
-            boxes_overlap(
-                ego_box,
-                OrientedBox(agent.future[k], agent.heading,
-                            agent.extent[0], agent.extent[1]),
-            )
-            for agent in agents
-        )
-        collided_at_step.append(hit)
-    out = {}
-    for key, step in HORIZON_STEPS.items():
-        out[key] = 100.0 if any(collided_at_step[:step]) else 0.0
+        px, py = pred[k]
+        ego_box = None
+        for agent, reach in zip(agents, reaches):
+            ax, ay = agent.future[k]
+            if _circles_apart(px, py, ax, ay, reach):
+                continue
+            if ego_box is None:
+                ego_box = OrientedBox(pred[k], headings[k], ego_length, ego_width)
+            if boxes_overlap(ego_box, OrientedBox(agent.future[k], agent.heading,
+                                                  agent.extent[0], agent.extent[1])):
+                first_hit = k + 1
+                break
+        if first_hit <= T_F:
+            break
+    out = {key: 100.0 if first_hit <= step else 0.0 for key, step in HORIZON_STEPS.items()}
     return _with_avg(out)
 
 

@@ -8,6 +8,8 @@ accuracy, and per-format latency.
 
 from __future__ import annotations
 
+import math
+
 from .planmetrics import HORIZON_KEYS, PlanEvalRow, TextEvalRow
 
 
@@ -85,6 +87,29 @@ def plan_row_from_dict(obj: dict) -> PlanEvalRow:
     row = PlanEvalRow(l2=dict(obj["l2"]), collision=dict(obj["collision"]))
     row.validate()
     return row
+
+
+def accuracy_from_dict(obj: dict) -> float:
+    """The accuracy of an ``eval_actions`` row; its confusion holds counts."""
+    accuracy = obj["accuracy"]
+    if not (0.0 <= accuracy <= 100.0):
+        raise ValueError(f"accuracy={accuracy} outside [0, 100]")
+    for label, decided in obj.get("confusion", {}).items():
+        for action, count in decided.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(f"confusion[{label}][{action}]={count!r} is not a count")
+    return accuracy
+
+
+def latency_from_dict(obj: dict) -> dict[str, float]:
+    """The mean/p50/p95 of a ``bench`` row: finite, >= 0, and p50 <= p95."""
+    stats = {key: obj[key] for key in ("mean", "p50", "p95")}
+    for key, value in stats.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{key}={value} is not finite and >= 0")
+    if stats["p50"] > stats["p95"]:
+        raise ValueError(f"p50={stats['p50']} > p95={stats['p95']}")
+    return stats
 
 
 def text_row_to_dict(row: TextEvalRow) -> dict:

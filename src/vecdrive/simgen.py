@@ -79,8 +79,9 @@ class GenSpec:
         if not (0.0 <= self.agent_density <= 1.0):
             raise ValueError(f"agent_density {self.agent_density} outside [0, 1]")
         lo, hi = self.speed_range
-        if not (0.0 <= lo <= hi):
-            raise ValueError(f"speed_range {self.speed_range} must satisfy 0 <= min <= max")
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
+            raise ValueError(f"speed_range {self.speed_range} must be finite "
+                             "with 0 <= min <= max")
 
 
 # --- trajectory primitives -----------------------------------------------------

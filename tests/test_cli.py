@@ -76,6 +76,16 @@ def test_simgen_invalid_density_exit_2_names_field(workdir, capsys):
     assert "agent_density" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--speed-max", "inf"), ("--speed-max", "nan"),
+                                         ("--speed-min", "nan"), ("--speed-min", "-inf")])
+def test_simgen_non_finite_speed_exit_2_names_speed_range(workdir, capsys, flag, value):
+    code = run(["simgen", "--out", str(workdir / "x"), "--n", "5", "--seed", "1",
+                f"{flag}={value}"])
+    assert code == 2
+    assert "speed_range" in capsys.readouterr().err
+    assert not (workdir / "x" / "scenarios.jsonl").exists()
+
+
 def test_simgen_hazard_all_flagged(workdir):
     out = gen(workdir, "hz", n=15, suite="HAZARD_VRU")
     from vecdrive.oracle import rule_oracle_decide
@@ -463,6 +473,7 @@ BAD_QA_LINES = [
 
 PLAN_ROW = {"l2": {"1s": 1.0, "2s": 2.0, "3s": 3.0, "avg": 2.0}}
 TEXT_ROW = {"bleu": 1.0, "meteor": 2.0, "rouge_l": 3.0, "cider": 4.0}
+LATENCY_ROW = {"mean": 1.0, "p50": 1.0, "p95": 1.0}
 BAD_RESULT_FILES = [
     ("eval_plan", {}),
     ("eval_text", {"rows": ["rule"]}),
@@ -475,6 +486,16 @@ BAD_RESULT_FILES = [
     *[("eval_text", {"rows": {"rule": dict(TEXT_ROW, **{name: value})}})
       for name in ("bleu", "cider", "gpt_score") for value in (math.nan, math.inf, -math.inf)],
     ("eval_text", {"rows": {"rule": dict(TEXT_ROW, gpt_score=5.5)}}),
+    *[("eval_actions", {"rows": {"rule": {"accuracy": value, "confusion": {}}}})
+      for value in (math.nan, math.inf, -math.inf, 250.0, -0.5, "90")],
+    ("eval_actions", {"rows": {"rule": {"accuracy": 50.0,
+                                        "confusion": {"STOP": {"STOP": math.nan}}}}}),
+    ("eval_actions", {"rows": {"rule": {"accuracy": 50.0,
+                                        "confusion": {"STOP": {"STOP": -1}}}}}),
+    *[("bench", {"rows": {"Long": dict(LATENCY_ROW, **{name: value})}})
+      for name in ("mean", "p50", "p95") for value in (math.nan, math.inf, -1.0)],
+    ("bench", {"rows": {"Long": {"mean": -1.0, "p50": math.nan, "p95": math.inf}}}),
+    ("bench", {"rows": {"Long": dict(LATENCY_ROW, p50=2.0, p95=1.0)}}),
 ]
 
 
@@ -526,6 +547,14 @@ def test_report_accepts_valid_plan_and_text_rows(workdir):
     write_bad_result(workdir, "eval_plan", {"rows": {"planner": {
         "l2": PLAN_ROW["l2"], "collision": PLAN_ROW["l2"]}}})
     write_bad_result(workdir, "eval_text", {"rows": {"rule": dict(TEXT_ROW, gpt_score=5.0)}})
+    assert run(["report", "--dir", str(workdir)]) == 0
+
+
+def test_report_accepts_actions_and_bench_rows_at_their_bounds(workdir):
+    write_bad_result(workdir, "eval_actions", {"rows": {
+        "rule": {"accuracy": 100.0, "confusion": {"STOP": {"STOP": 3, "YIELD": 0}}},
+        "other": {"accuracy": 0}}})
+    write_bad_result(workdir, "bench", {"rows": {"Long": {"mean": 0.0, "p50": 0.0, "p95": 0.0}}})
     assert run(["report", "--dir", str(workdir)]) == 0
 
 

@@ -48,10 +48,17 @@ def inputs(tmp_path_factory):
                  "--hidden", "2"]) == 0
     assert main(["eval-plan", "--scenarios", eval_set, "--checkpoint",
                  str(data / "checkpoint.json"), "--out", str(data)]) == 0
+    assert main(["eval-actions", "--scenarios", eval_set, "--qa", str(data / "qa.jsonl"),
+                 "--out", str(data)]) == 0
+    assert main(["bench-oracle", "--scenarios", eval_set, "--out", str(data)]) == 0
     (data / "config.json").write_text(json.dumps({
         "n": 4, "seed": 2, "suite": "MIXED", "density": 0.5, "speed_min": 2.0,
         "speed_max": 6.0, "train_frac": 0.5, "simgen": {"seed": 5}}))
     out = str(root / "out")
+
+    def report(f):
+        return ["report", "--dir", os.path.dirname(f)]
+
     return root, {
         "config": (data / "config.json",
                    lambda f: ["simgen", "--config", f, "--out", out]),
@@ -62,8 +69,9 @@ def inputs(tmp_path_factory):
         "checkpoint": (data / "checkpoint.json",
                        lambda f: ["eval-plan", "--scenarios", eval_set, "--checkpoint", f,
                                   "--out", out]),
-        "report": (data / "eval_plan.json",
-                   lambda f: ["report", "--dir", os.path.dirname(f)]),
+        "report": (data / "eval_plan.json", report),
+        "report_actions": (data / "eval_actions.json", report),
+        "report_bench": (data / "bench.json", report),
     }
 
 
@@ -122,7 +130,8 @@ def mutated(draw, data: bytes):
     return swap(data.decode("utf-8"), draw, new).encode("utf-8")
 
 
-@pytest.mark.parametrize("target", ["config", "scenarios", "qa", "checkpoint", "report"])
+@pytest.mark.parametrize("target", ["config", "scenarios", "qa", "checkpoint", "report",
+                                    "report_actions", "report_bench"])
 def test_mutated_inputs_exit_0_2_or_3(inputs, target):
     root, cases = inputs
     path, argv = cases[target]
@@ -138,7 +147,7 @@ def test_mutated_inputs_exit_0_2_or_3(inputs, target):
         mutant = data.draw(mutated(original))
         mutant_path.write_bytes(mutant)
         code = main(argv(str(mutant_path)))
-        if target == "report" and (b"NaN" in mutant or b"Infinity" in mutant):
+        if target.startswith("report") and (b"NaN" in mutant or b"Infinity" in mutant):
             assert code == 2
         assert code in (0, 2, 3)
 

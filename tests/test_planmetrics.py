@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vecdrive.cli import _constant_velocity_baseline
 from vecdrive.planmetrics import (
     EGO_EXTENT,
+    HORIZON_STEPS,
     OrientedBox,
     PlanEvalRow,
     TextEvalRow,
@@ -15,9 +19,12 @@ from vecdrive.planmetrics import (
     latency_stats,
     mean_rows,
     separation_margin,
+    _circles_apart,
+    _with_avg,
 )
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import Trajectory
+from vecdrive.scene import T_F, Trajectory
+from vecdrive.simgen import GenSpec, Suite, generate
 
 from conftest import make_agent
 
@@ -190,6 +197,164 @@ def test_collision_rejects_bad_future():
     object.__setattr__(bad, "future", ((0.0, 0.0),) * 5)
     with pytest.raises(ValueError):
         collision_horizons(STRAIGHT, EGO_EXTENT, [bad])
+
+
+# --- bounding-circle prefilter ----------------------------------------------
+
+def all_pairs_collision_horizons(pred, ego_extent, agents):
+    """``collision_horizons`` before its prefilter: every (step, agent) pair
+    goes through the separating-axis test. Reference for the tests below."""
+    if len(pred) != T_F:
+        raise ValueError(f"predicted trajectory must have {T_F} waypoints")
+    for agent in agents:
+        if len(agent.future) != T_F:
+            raise ValueError(f"agent {agent.id} future has {len(agent.future)} points")
+    headings = ego_headings(pred)
+    collided_at_step = []
+    for k in range(T_F):
+        ego_box = OrientedBox(pred[k], headings[k], ego_extent[0], ego_extent[1])
+        hit = any(
+            boxes_overlap(
+                ego_box,
+                OrientedBox(agent.future[k], agent.heading,
+                            agent.extent[0], agent.extent[1]),
+            )
+            for agent in agents
+        )
+        collided_at_step.append(hit)
+    out = {}
+    for key, step in HORIZON_STEPS.items():
+        out[key] = 100.0 if any(collided_at_step[:step]) else 0.0
+    return _with_avg(out)
+
+
+def reach(a, b):
+    return 0.5 * math.hypot(a.length, a.width) + 0.5 * math.hypot(b.length, b.width)
+
+
+def magnitude(draw, lo, hi):
+    """A positive float whose decimal exponent is drawn from [lo, hi]."""
+    return draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(lo, hi))
+
+
+RELATIVE_NUDGE = st.one_of(st.sampled_from([0.0, 1e-9, -1e-9]), st.floats(-1e-9, 1e-9))
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes, placed freely, face to face, or corner to corner at the
+    bounding-circle distance, each touching placement nudged by up to 1e-9
+    of its distance. Coordinates reach 1e-3 to 1e300."""
+    def coord():
+        return draw(st.sampled_from([-1.0, 1.0])) * magnitude(draw, -3, 300)
+
+    def extent():
+        return magnitude(draw, -3, draw(st.sampled_from([1, 300])))
+
+    a = OrientedBox((coord(), coord()), draw(st.floats(-math.pi, math.pi)),
+                    extent(), extent())
+    b_length, b_width = extent(), extent()
+    placement = draw(st.sampled_from(["free", "face", "corner"]))
+    nudge = 1.0 + draw(RELATIVE_NUDGE)
+    if placement == "free":
+        return a, OrientedBox((coord(), coord()), draw(st.floats(-math.pi, math.pi)),
+                              b_length, b_width)
+    if placement == "face":
+        heading = a.heading
+        distance = 0.5 * (a.length + b_length) * nudge
+        direction = heading
+    else:
+        direction = a.heading + math.atan2(a.width, a.length)
+        heading = direction - math.atan2(b_width, b_length)
+        distance = (0.5 * math.hypot(a.length, a.width)
+                    + 0.5 * math.hypot(b_length, b_width)) * nudge
+    center = (a.center[0] + distance * math.cos(direction),
+              a.center[1] + distance * math.sin(direction))
+    return a, OrientedBox(center, heading, b_length, b_width)
+
+
+def test_prefilter_keeps_touching_squares_and_rejects_distant_ones():
+    a = OrientedBox((0.0, 0.0), 0.0, 1.0, 1.0)
+    touching = OrientedBox((1.0, 0.0), 0.0, 1.0, 1.0)
+    distant = OrientedBox((10.0, 0.0), 0.0, 1.0, 1.0)
+    assert not _circles_apart(*a.center, *touching.center, reach(a, touching))
+    assert _circles_apart(*a.center, *distant.center, reach(a, distant))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(box_pairs())
+def test_prefilter_never_rejects_an_overlapping_pair(pair):
+    a, b = pair
+    r = reach(a, b)
+    if separation_margin(a, b) <= 0.0:
+        assert not _circles_apart(*a.center, *b.center, r)
+    if separation_margin(b, a) <= 0.0:
+        assert not _circles_apart(*b.center, *a.center, r)
+
+
+SPEED_RANGES = [(2.0, 6.0), (0.0, 0.5), (1e5, 1e6), (1e299, 1e300)]
+
+
+@pytest.mark.parametrize("speed_range", SPEED_RANGES)
+def test_collision_matches_all_pairs_loop_on_dense_scenes(speed_range):
+    spec = GenSpec(n_scenarios=60, seed=11, suite=Suite.MIXED, agent_density=1.0,
+                   speed_range=speed_range)
+    flagged = 0
+    for scenario in generate(spec):
+        for pred in (scenario.gt_future, _constant_velocity_baseline(scenario)):
+            out = collision_horizons(pred, EGO_EXTENT, scenario.agents)
+            assert out == all_pairs_collision_horizons(pred, EGO_EXTENT, scenario.agents)
+            flagged += out["3s"] > 0
+    if speed_range[1] < 1e6:
+        assert flagged > 0
+
+
+@st.composite
+def near_touching_samples(draw):
+    """A random ego trajectory and agents whose future points sit near the
+    bounding-circle or face-to-face distance of the ego box at each step."""
+    scale = magnitude(draw, -3, 300)
+    pred = traj([(scale * draw(st.floats(-3, 3)), scale * draw(st.floats(-3, 3)))
+                 for _ in range(T_F)])
+    headings = ego_headings(pred)
+    ego_reach = 0.5 * math.hypot(*EGO_EXTENT)
+    agents = []
+    for i in range(draw(st.integers(0, 4))):
+        extent = (draw(st.floats(0.3, 6.0)), draw(st.floats(0.3, 3.0)))
+        heading = draw(st.floats(-math.pi, math.pi))
+        future = []
+        for k in range(T_F):
+            if draw(st.booleans()):
+                distance = ego_reach + 0.5 * math.hypot(*extent)
+                direction = draw(st.floats(-math.pi, math.pi))
+            else:
+                distance = 0.5 * (EGO_EXTENT[0] + extent[0])
+                direction = headings[k]
+            distance *= 1.0 + draw(st.one_of(RELATIVE_NUDGE, st.floats(-0.5, 0.5)))
+            future.append((pred[k][0] + distance * math.cos(direction),
+                           pred[k][1] + distance * math.sin(direction)))
+        agents.append(make_agent(agent_id=i + 1, heading=heading, extent=extent,
+                                 future=future))
+    return pred, agents
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(near_touching_samples())
+def test_collision_matches_all_pairs_loop_near_touching(sample):
+    pred, agents = sample
+    assert (collision_horizons(pred, EGO_EXTENT, agents)
+            == all_pairs_collision_horizons(pred, EGO_EXTENT, agents))
+
+
+@pytest.mark.parametrize("pred_len, future_len", [(5, 6), (6, 5), (7, 7)])
+def test_collision_raises_the_same_error_as_all_pairs_loop(pred_len, future_len):
+    pred = traj([(0.5 * k, 0.0) for k in range(1, pred_len + 1)])
+    agent = make_agent(future=((0.0, 0.0),) * 6)
+    object.__setattr__(agent, "future", ((0.0, 0.0),) * future_len)
+    with pytest.raises(ValueError) as expected:
+        all_pairs_collision_horizons(pred, EGO_EXTENT, [agent])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        collision_horizons(pred, EGO_EXTENT, [agent])
 
 
 # --- latency -----------------------------------------------------------------
