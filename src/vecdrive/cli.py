@@ -83,7 +83,7 @@ from .scene import (
     Trajectory,
     ValidationError,
     load_scenarios,
-    save_scenarios,
+    scenario_to_dict,
 )
 from .simgen import GenSpec, Suite, generate, split
 
@@ -273,16 +273,18 @@ def cmd_simgen(args: argparse.Namespace) -> int:
     _require(args, ["out"])
     spec = _gen_spec(args)
     out = _out_dir(args)
-    scenarios = generate(spec)
-    save_scenarios(scenarios, os.path.join(out, "scenarios.jsonl"))
+    scenarios = generate(spec)     # validated, with distinct ids
+    lines = {s.id: jsonio.dumps(scenario_to_dict(s)) + "\n" for s in scenarios}
+    jsonio.write_atomic(os.path.join(out, "scenarios.jsonl"), "".join(lines.values()))
     print(f"wrote {len(scenarios)} scenarios to {out}/scenarios.jsonl")
     if args.train_frac is not None:
         frac = float(args.train_frac)
         if not (0.0 < frac < 1.0):
             raise ConfigError(f"--train-frac {frac} outside (0, 1)")
         train_set, eval_set = split(scenarios, frac, spec.seed)
-        save_scenarios(train_set, os.path.join(out, "scenarios_train.jsonl"))
-        save_scenarios(eval_set, os.path.join(out, "scenarios_eval.jsonl"))
+        for name, part in (("train", train_set), ("eval", eval_set)):
+            jsonio.write_atomic(os.path.join(out, f"scenarios_{name}.jsonl"),
+                                "".join(lines[s.id] for s in part))
         print(f"split {len(train_set)} train / {len(eval_set)} eval")
     return EXIT_OK
 

@@ -11,9 +11,9 @@ One line channel serves a subprocess kept alive on stdin/stdout
 stream (end of stream, failed write, exited subprocess) closes it, so no
 late reply answers a later request: each later ``decide`` raises
 ``OracleProtocolError`` naming that failure. A reply line that fails
-validation, an error object included, leaves it usable; its error quotes
-the first 2 KB of the line. Errors that close an ``exec:`` channel end
-with the last 2 KB the subprocess wrote to stderr.
+validation, an error object or bytes that are not UTF-8 included, leaves
+it usable; its error quotes the first 2 KB of the line. Errors that close
+an ``exec:`` channel end with the last 2 KB the subprocess wrote to stderr.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ class OracleProtocolError(OracleError):
 def _encode_request(scenario: Scenario, format: Format) -> bytes:
     request = {"v": 1, "format": format.value, "scenario": scenario_to_dict(scenario)}
     return (jsonio.dumps(request) + "\n").encode("utf-8")
+
+
+def _decode_reply(line: bytes, endpoint: str) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise OracleProtocolError(endpoint, f"reply is not UTF-8: {e}",
+                                  line.decode("utf-8", errors="replace")) from None
 
 
 def _parse_response(raw: str, scenario: Scenario, format: Format,
@@ -130,7 +138,7 @@ class _LineOracle:
     def _stderr_tail(self) -> str:
         return ""
 
-    def _read_line(self, deadline: float) -> str:
+    def _read_line(self, deadline: float) -> bytes:
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([self._read_fd], [], [], remaining)[0]:
@@ -140,7 +148,7 @@ class _LineOracle:
                 raise OracleProtocolError(self.endpoint, "the oracle closed the stream")
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode("utf-8", errors="replace")
+        return line
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
         if self._failure is not None:
@@ -157,7 +165,8 @@ class _LineOracle:
         except OracleError as e:
             error = e
         else:
-            return _parse_response(raw, scenario, format, self.endpoint)
+            return _parse_response(_decode_reply(raw, self.endpoint), scenario, format,
+                                   self.endpoint)
         error.args = (f"{error}{self._stderr_tail()}",)
         self._failure = str(error)
         self.close()

@@ -7,6 +7,12 @@ so two runs produce byte-identical output, and reaches disk through
 ``write_atomic``. Dict key order is the
 insertion order of the dict being serialized; builders construct dicts
 in the documented schema order.
+
+There is one emitter. It dispatches on the exact type of each value and
+falls back to an ``isinstance`` chain for subclasses, so a subclass is
+written, or refused, exactly as its base type. Strings and keys are
+escaped as ``json.dumps(s, ensure_ascii=False)`` escapes them, and a list
+of floats is written with one join and one non-finite check.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import contextlib
 import json
 import math
 import os
-from typing import Any
+from typing import Any, Callable
+
+_encode_str = json.encoder.encode_basestring   # what json.dumps(s, ensure_ascii=False) calls
 
 
 def format_float(x: float) -> str:
@@ -27,43 +35,64 @@ def format_float(x: float) -> str:
 
 def dumps(value: Any) -> str:
     out: list[str] = []
-    _emit(value, out)
+    _EMITTERS.get(type(value), _emit_subclass)(value, out)
     return "".join(out)
 
 
-def _emit(value: Any, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+def _emit_subclass(value: Any, out: list[str]) -> None:
+    """Emit an instance of a subclass of a JSON type as its base type, or refuse it."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
         out.append(format_float(value))
     elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(k, ensure_ascii=False))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
+        _emit_dict(value, out)
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
+        _emit_list(value, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _emit_dict(value: dict, out: list[str]) -> None:
+    out.append("{")
+    sep = ""
+    for k, v in value.items():
+        if not isinstance(k, str):
+            raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
+        out.append(sep + _encode_str(k) + ":")
+        sep = ","
+        _EMITTERS.get(type(v), _emit_subclass)(v, out)
+    out.append("}")
+
+
+def _emit_list(value: list | tuple, out: list[str]) -> None:
+    if value and all(type(v) is float for v in value):
+        text = ",".join([format(v, ".17g") for v in value])
+        if "n" in text:     # "nan", "inf": no finite %.17g string holds an "n"
+            for v in value:
+                format_float(v)
+        out.append("[" + text + "]")
+        return
+    out.append("[")
+    for i, v in enumerate(value):
+        if i:
+            out.append(",")
+        _EMITTERS.get(type(v), _emit_subclass)(v, out)
+    out.append("]")
+
+
+_EMITTERS: dict[type, Callable[[Any, list[str]], None]] = {
+    type(None): lambda v, out: out.append("null"),
+    bool: lambda v, out: out.append("true" if v else "false"),
+    str: lambda v, out: out.append(_encode_str(v)),
+    int: lambda v, out: out.append(str(v)),
+    float: lambda v, out: out.append(format_float(v)),
+    dict: _emit_dict,
+    list: _emit_list,
+    tuple: _emit_list,
+}
 
 
 def loads(text: str) -> Any:

@@ -46,6 +46,12 @@ class PlanEvalRow:
             mean = sum(group[k] for k in HORIZON_KEYS) / len(HORIZON_KEYS)
             if abs(group["avg"] - mean) > 1e-12:
                 raise ValueError(f"{name}[avg] {group['avg']} != mean {mean}")
+        # Collision flags are cumulative per sample, so the rates cannot
+        # exceed 100 or fall from one horizon to the next.
+        rates = [self.collision[k] for k in HORIZON_KEYS]
+        if rates != sorted(rates) or rates[-1] > 100.0:
+            raise ValueError(f"collision rates {rates} must not fall over the horizons "
+                             "or exceed 100")
 
 
 @dataclass(frozen=True)

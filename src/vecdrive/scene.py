@@ -137,6 +137,22 @@ def _check_point(path: str, p: Sequence[float]) -> Point:
     return (_check_finite(path + "[0]", p[0]), _check_finite(path + "[1]", p[1]))
 
 
+def _check_points(path: str, points: Sequence[Sequence[float]]) -> None:
+    """Check that every point holds 2 finite coordinates.
+
+    One cheap pass covers the whole list. Only when it finds a fault does
+    the per-point loop run, and that loop builds each point's path and
+    raises the error.
+    """
+    try:
+        if all(len(p) == 2 and math.isfinite(p[0]) and math.isfinite(p[1]) for p in points):
+            return
+    except (TypeError, OverflowError):  # not a number (a str float() may take), or a huge int
+        pass
+    for k, p in enumerate(points):
+        _check_point(f"{path}[{k}]", p)
+
+
 @dataclass(frozen=True)
 class EgoState:
     position: Point
@@ -182,8 +198,7 @@ class AgentTrack:
             raise ValidationError(
                 path + ".future", f"expected {T_F} future points, got {len(self.future)}"
             )
-        for k, p in enumerate(self.future):
-            _check_point(f"{path}.future[{k}]", p)
+        _check_points(path + ".future", self.future)
 
 
 @dataclass(frozen=True)
@@ -198,8 +213,7 @@ class MapPolyline:
                 path + ".points",
                 f"expected {POLYLINE_POINTS} points, got {len(self.points)}",
             )
-        for k, p in enumerate(self.points):
-            _check_point(f"{path}.points[{k}]", p)
+        _check_points(path + ".points", self.points)
         for k in range(len(self.points) - 1):
             if self.points[k] == self.points[k + 1]:
                 raise ValidationError(
@@ -216,8 +230,7 @@ class Trajectory:
     def validate(self, path: str = "trajectory") -> None:
         if len(self.waypoints) != T_F:
             raise ValidationError(path, f"expected {T_F} waypoints, got {len(self.waypoints)}")
-        for k, p in enumerate(self.waypoints):
-            _check_point(f"{path}[{k}]", p)
+        _check_points(path, self.waypoints)
 
     def __iter__(self):
         return iter(self.waypoints)
@@ -322,9 +335,18 @@ def _as_float(value: Any, path: str) -> float:
         raise ValidationError(path, "number too large for a float") from None
 
 
+_NUMBER_TYPES = (float, int)
+
+
 def _as_points(value: Any, path: str) -> tuple[Point, ...]:
     if not isinstance(value, list):
         raise ValidationError(path, "expected a list of [x, y] points")
+    if all(type(p) is list and len(p) == 2
+           and type(p[0]) in _NUMBER_TYPES and type(p[1]) in _NUMBER_TYPES for p in value):
+        try:
+            return tuple([(float(x), float(y)) for x, y in value])
+        except OverflowError:   # an int too large for a float: the loop below names it
+            pass
     pts = []
     for k, p in enumerate(value):
         if not isinstance(p, list) or len(p) != 2:

@@ -496,6 +496,10 @@ BAD_RESULT_FILES = [
       for name in ("mean", "p50", "p95") for value in (math.nan, math.inf, -1.0)],
     ("bench", {"rows": {"Long": {"mean": -1.0, "p50": math.nan, "p95": math.inf}}}),
     ("bench", {"rows": {"Long": dict(LATENCY_ROW, p50=2.0, p95=1.0)}}),
+    *[("eval_plan", {"rows": {"planner": {"l2": PLAN_ROW["l2"], "collision": {
+        "1s": r1, "2s": r2, "3s": r3, "avg": (r1 + r2 + r3) / 3}}}})
+      for r1, r2, r3 in ((150.0, 150.0, 150.0), (0.0, 50.0, 100.5),
+                         (50.0, 25.0, 75.0), (0.0, 75.0, 25.0))],
 ]
 
 

@@ -328,6 +328,31 @@ def test_transport_error_object_raises_and_stream_stays_usable(connect):
     assert d.action is MetaAction.TURN_RIGHT
 
 
+NOT_UTF8_THEN_ECHO_MOCK = """\
+    import json, sys
+    for n, line in enumerate(sys.stdin, start=1):
+        req = json.loads(line)
+        if n == 1:
+            sys.stdout.buffer.write(b'{"v": 1, "action": "GO_STRAIGHT", '
+                                    b'"rationale": "go \\xff\\xfe straight", "hazard_ids": []}\\n')
+        else:
+            sys.stdout.buffer.write(json.dumps({
+                "v": 1, "action": req["scenario"]["route_intent"],
+                "rationale": "echo", "hazard_ids": []}).encode() + b"\\n")
+        sys.stdout.flush()
+"""
+
+
+def test_exec_reply_not_utf8_is_rejected_and_the_channel_stays_usable(tmp_path):
+    cmd = write_mock(tmp_path, "not_utf8.py", NOT_UTF8_THEN_ECHO_MOCK)
+    with ExecOracle(cmd, timeout=5.0) as oracle:
+        with pytest.raises(OracleProtocolError, match="reply is not UTF-8") as err:
+            oracle.decide(make_scenario())
+        assert "go \ufffd\ufffd straight" in err.value.payload
+        d = oracle.decide(make_scenario(route_intent=MetaAction.TURN_RIGHT))
+    assert d.action is MetaAction.TURN_RIGHT
+
+
 def test_exec_error_carries_stderr_tail(tmp_path):
     cmd = write_mock(tmp_path, "crash.py", CRASH_MOCK)
     with ExecOracle(cmd, timeout=5.0) as oracle:

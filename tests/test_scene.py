@@ -110,6 +110,25 @@ def test_heading_out_of_range_rejected():
     assert "heading" in err.value.field
 
 
+@pytest.mark.parametrize("coordinate, error", [
+    ("1.5", None), (7, None), (math.nan, ValidationError), (math.inf, ValidationError),
+    (None, TypeError), ("x", ValueError), (10 ** 400, OverflowError),
+])
+def test_point_check_takes_what_float_takes(coordinate, error):
+    # The whole-list check falls back to the per-point loop, which calls
+    # float() on each coordinate; both must accept and refuse the same.
+    future = [(10.0 + k, 3.5) for k in range(6)]
+    future[4] = (10.0, coordinate)
+    agent = make_agent(future=future)
+    if error is None:
+        agent.validate("agents[0]")
+        return
+    with pytest.raises(error) as err:
+        agent.validate("agents[0]")
+    if error is ValidationError:
+        assert err.value.field == "agents[0].future[4][1]"
+
+
 def test_polyline_repeated_point_rejected():
     from vecdrive.scene import MapPolyline, MapKind
     bad = MapPolyline(id=1, kind=MapKind.LANE_CENTER,
