@@ -255,6 +255,11 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
 
 
 def _constant_velocity_baseline(scenario) -> Trajectory:
+    # Kept apart from simgen.constant_velocity_future, which multiplies in
+    # another order ((v * cos) * 0.5 * k, not v * 0.5 * k * cos): the two
+    # agree on simgen's egos at the origin with heading 0, but differ in the
+    # last bit for more than half of random ego poses, and so would
+    # eval_plan.json for such scenes.
     v = scenario.ego.speed
     c, s = math.cos(scenario.ego.heading), math.sin(scenario.ego.heading)
     x0, y0 = scenario.ego.position

@@ -19,9 +19,12 @@ exactly zero gradient.
 All parameters live in one contiguous float64 vector, laid out in
 param_layout() order; ``model.params`` maps each name to a reshaped view
 into it, and gradients are views into a vector of the same length. A
-scenario's inputs are packed into arrays once (``_pack``), and one inner
-step (``_step``) runs forward, loss and backward on a packed sample.
-``forward``, ``backward`` and ``train`` all go through it; a training
+scenario's inputs are packed into arrays once, in one pass over its
+agents and polylines (``_pack``); the positional-embedding rows are the
+position columns of the agent and map rows, not a second read of the
+scene. One inner step (``_step``) runs forward, loss and backward on a
+packed sample. ``forward``, ``backward`` and ``train`` all go through
+it; a training
 step is: fill the gradient vector with zeros, run the step, then one
 ``theta -= lr * grad``.
 
@@ -62,11 +65,15 @@ MAP_FEATURES = POLYLINE_POINTS * 2
 EGO_STATE_FEATURES = 3      # speed, accel, constant 1
 N_COMMANDS = 3
 
-_COMMAND_INDEX = {
-    MetaAction.GO_STRAIGHT: 0,
-    MetaAction.TURN_LEFT: 1,
-    MetaAction.TURN_RIGHT: 2,
+_ONE_HOT = {
+    MetaAction.GO_STRAIGHT: (1.0, 0.0, 0.0),
+    MetaAction.TURN_LEFT: (0.0, 1.0, 0.0),
+    MetaAction.TURN_RIGHT: (0.0, 0.0, 1.0),
 }
+#: Per-column input scale of an agent row; the heading's cos and sin are
+#: not scaled (a product with 1.0 is exact).
+_AGENT_SCALE = np.array([INPUT_SCALE, INPUT_SCALE, 1.0, 1.0,
+                         INPUT_SCALE, INPUT_SCALE, INPUT_SCALE])
 
 _MLPS = ("agent_enc", "map_enc", "pe1", "pe2", "plan_head")
 _STAGES = ("attn1", "attn2")
@@ -221,39 +228,6 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
     return model
 
 
-# --- feature extraction ---------------------------------------------------------
-
-def agent_features(scenario: Scenario) -> np.ndarray:
-    """(n_agents, 7) rows: scaled x, y, cos/sin heading, scaled speed/extent."""
-    rows = [
-        (a.position[0] * INPUT_SCALE, a.position[1] * INPUT_SCALE,
-         math.cos(a.heading), math.sin(a.heading),
-         a.speed * INPUT_SCALE, a.extent[0] * INPUT_SCALE, a.extent[1] * INPUT_SCALE)
-        for a in scenario.agents
-    ]
-    return np.array(rows).reshape(len(rows), AGENT_FEATURES)
-
-
-def map_features(scenario: Scenario) -> np.ndarray:
-    """(n_polylines, 8) rows: the four points flattened, scaled."""
-    rows = [
-        [c * INPUT_SCALE for p in line.points for c in p]
-        for line in scenario.map
-    ]
-    return np.array(rows).reshape(len(rows), MAP_FEATURES)
-
-
-def ego_state_vector(scenario: Scenario) -> np.ndarray:
-    return np.array([scenario.ego.speed * INPUT_SCALE,
-                     scenario.ego.accel * INPUT_SCALE, 1.0])
-
-
-def command_one_hot(command: MetaAction) -> np.ndarray:
-    vec = np.zeros(N_COMMANDS)
-    vec[_COMMAND_INDEX[command]] = 1.0
-    return vec
-
-
 # --- MLP ------------------------------------------------------------------------
 
 def _mlp_forward(weights, x: np.ndarray):
@@ -366,30 +340,36 @@ def _attention_backward(weights, grads, config, grad_out, cache):
 # --- forward / backward --------------------------------------------------------------
 
 def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None) -> tuple:
-    """One sample's model inputs as arrays, built once and reused.
+    """One sample's model inputs as arrays, built in one pass and reused.
 
-    (agent features, map features, pe1 input rows [ego; agents], pe2
-    input rows [ego; map], ego state + one-hot command, gt waypoints or
-    None).
+    (agent rows, map rows, pe1 input rows [ego; agents], pe2 input rows
+    [ego; map], ego state + one-hot command, gt waypoints or None). An
+    agent row is x, y, cos/sin heading, speed, length, width; a map row is
+    the polyline's four points flattened; positions, speeds and extents
+    are scaled by INPUT_SCALE. The positional rows after the ego's are the
+    first two columns of the agent and map rows: each agent's position and
+    each polyline's first point.
     """
-    ego_pos = np.array([scenario.ego.position]) * INPUT_SCALE            # (1, 2)
-    agent_pos = np.array(
-        [a.position for a in scenario.agents]
-    ).reshape(len(scenario.agents), 2) * INPUT_SCALE
-    map_pos = np.array(
-        [line.points[0] for line in scenario.map]
-    ).reshape(len(scenario.map), 2) * INPUT_SCALE
+    ego = scenario.ego
+    ego_pos = np.array([ego.position], dtype=float) * INPUT_SCALE         # (1, 2)
+    agents = np.array(
+        [(a.position[0], a.position[1], math.cos(a.heading), math.sin(a.heading),
+          a.speed, a.extent[0], a.extent[1]) for a in scenario.agents], dtype=float,
+    ).reshape(-1, AGENT_FEATURES) * _AGENT_SCALE
+    lines = np.array(
+        [line.points for line in scenario.map], dtype=float,
+    ).reshape(-1, MAP_FEATURES) * INPUT_SCALE
     gt_arr = None
     if gt is not None:
-        gt_arr = np.array([[x, y] for x, y in gt]).reshape(-1, 2)
+        gt_arr = np.array(gt.waypoints, dtype=float).reshape(-1, 2)
         if gt_arr.shape[0] != T_F:
             raise ValueError(f"trajectories must have {T_F} waypoints")
     return (
-        agent_features(scenario),
-        map_features(scenario),
-        np.concatenate([ego_pos, agent_pos], axis=0),
-        np.concatenate([ego_pos, map_pos], axis=0),
-        np.concatenate([ego_state_vector(scenario), command_one_hot(command)]),
+        agents,
+        lines,
+        np.concatenate([ego_pos, agents[:, :2]]),
+        np.concatenate([ego_pos, lines[:, :2]]),
+        np.array([ego.speed * INPUT_SCALE, ego.accel * INPUT_SCALE, 1.0, *_ONE_HOT[command]]),
         gt_arr,
     )
 

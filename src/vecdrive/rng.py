@@ -37,11 +37,9 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
+        z = mix64(self._state)
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of precision."""

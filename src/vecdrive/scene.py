@@ -9,6 +9,12 @@ All types are immutable after construction and safe to share across
 threads. ``Scenario.validate()`` checks every structural invariant;
 loaders and generators call it so that any scenario in circulation is
 known-good.
+
+``validate()`` and the JSONL decoder call the same check for each kind
+of field (``_as_float``, ``_as_int``, ``_as_member``, ``_check_pose``,
+``_check_id_and_seed``), so ``validate()`` refuses exactly the types the
+loader refuses and ``save_scenarios`` never writes a file that
+``load_scenarios`` rejects.
 """
 
 from __future__ import annotations
@@ -64,6 +70,21 @@ class ScenarioLoadError(SceneError):
         self.message = message
 
 
+def _as_member(value: Any, path: str, cls: type[enum.Enum], noun: str) -> Any:
+    """The member of ``cls`` that ``value`` is or whose label it is."""
+    try:
+        return cls(value)
+    except ValueError:
+        raise ValidationError(path, f"unknown {noun} {value!r}") from None
+
+
+def _check_member(value: Any, path: str, cls: type[enum.Enum], noun: str) -> None:
+    """``value`` must be a member of ``cls``; a file holds its label."""
+    if type(value) is not cls:
+        _as_member(value, path, cls, noun)      # raises for anything but a label
+        raise ValidationError(path, f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 class MetaAction(enum.Enum):
     """High-level lateral driving command."""
 
@@ -73,10 +94,7 @@ class MetaAction(enum.Enum):
 
     @classmethod
     def parse(cls, label: str) -> "MetaAction":
-        try:
-            return cls(label)
-        except ValueError:
-            raise ValidationError("meta_action", f"unknown label {label!r}") from None
+        return _as_member(label, "meta_action", cls, "label")
 
     def __str__(self) -> str:
         return self.value
@@ -87,13 +105,6 @@ class AgentKind(enum.Enum):
     PEDESTRIAN = "PEDESTRIAN"
     CYCLIST = "CYCLIST"
 
-    @classmethod
-    def parse(cls, label: str) -> "AgentKind":
-        try:
-            return cls(label)
-        except ValueError:
-            raise ValidationError("kind", f"unknown agent kind {label!r}") from None
-
 
 #: Agent kinds treated as vulnerable road users by the safety override.
 VRU_KINDS = frozenset({AgentKind.PEDESTRIAN, AgentKind.CYCLIST})
@@ -103,13 +114,6 @@ class MapKind(enum.Enum):
     LANE_CENTER = "LANE_CENTER"
     LANE_BOUNDARY = "LANE_BOUNDARY"
     CROSSWALK = "CROSSWALK"
-
-    @classmethod
-    def parse(cls, label: str) -> "MapKind":
-        try:
-            return cls(label)
-        except ValueError:
-            raise ValidationError("kind", f"unknown map kind {label!r}") from None
 
 
 def normalize_heading(theta: float) -> float:
@@ -124,8 +128,27 @@ def normalize_heading(theta: float) -> float:
     return t
 
 
-def _check_finite(path: str, value: float) -> float:
-    v = float(value)
+def _as_float(value: Any, path: str) -> float:
+    """``value`` as a float: an int or a float, not a bool, within the float range."""
+    if type(value) is float:    # the common case, ahead of the isinstance tests
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(path, f"expected number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(path, "number too large for a float") from None
+
+
+def _as_int(value: Any, path: str, expected: str) -> int:
+    """``value`` if it is an int and not a bool; ``expected`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(path, f"expected {expected}")
+    return value
+
+
+def _check_finite(path: str, value: Any) -> float:
+    v = _as_float(value, path)
     if not math.isfinite(v):
         raise ValidationError(path, f"non-finite value {value!r}")
     return v
@@ -137,20 +160,43 @@ def _check_point(path: str, p: Sequence[float]) -> Point:
     return (_check_finite(path + "[0]", p[0]), _check_finite(path + "[1]", p[1]))
 
 
+_NUMBER_TYPES = (float, int)
+
+
 def _check_points(path: str, points: Sequence[Sequence[float]]) -> None:
     """Check that every point holds 2 finite coordinates.
 
-    One cheap pass covers the whole list. Only when it finds a fault does
-    the per-point loop run, and that loop builds each point's path and
-    raises the error.
+    One cheap pass covers the whole list. Only when it finds a fault, or a
+    number of a subclass type, does the per-point loop run; that loop
+    builds each point's path and raises the error.
     """
     try:
-        if all(len(p) == 2 and math.isfinite(p[0]) and math.isfinite(p[1]) for p in points):
+        if all(len(p) == 2 and type(p[0]) in _NUMBER_TYPES and type(p[1]) in _NUMBER_TYPES
+               and math.isfinite(p[0]) and math.isfinite(p[1]) for p in points):
             return
-    except (TypeError, OverflowError):  # not a number (a str float() may take), or a huge int
+    except (TypeError, OverflowError):  # a point that is not a sequence, or a huge int
         pass
     for k, p in enumerate(points):
         _check_point(f"{path}[{k}]", p)
+
+
+def _check_pose(path: str, position: Point, heading: float, speed: float) -> None:
+    """A finite position, a heading in (-pi, pi] and a non-negative speed."""
+    _check_point(path + ".position", position)
+    h = _check_finite(path + ".heading", heading)
+    if not (-math.pi < h <= math.pi):
+        raise ValidationError(path + ".heading", f"{h} outside (-pi, pi]")
+    if _check_finite(path + ".speed", speed) < 0:
+        raise ValidationError(path + ".speed", f"negative speed {speed}")
+
+
+def _check_id_and_seed(scenario_id: Any, seed: Any) -> None:
+    if not isinstance(scenario_id, str):
+        raise ValidationError("id", "expected string")
+    if not scenario_id:
+        raise ValidationError("id", "scenario id must be nonempty")
+    if not (0 <= _as_int(seed, "seed", "integer") < (1 << 64)):
+        raise ValidationError("seed", f"seed {seed} outside u64 range")
 
 
 @dataclass(frozen=True)
@@ -161,12 +207,7 @@ class EgoState:
     accel: float        # m/s^2
 
     def validate(self, path: str = "ego") -> None:
-        _check_point(path + ".position", self.position)
-        h = _check_finite(path + ".heading", self.heading)
-        if not (-math.pi < h <= math.pi):
-            raise ValidationError(path + ".heading", f"{h} outside (-pi, pi]")
-        if _check_finite(path + ".speed", self.speed) < 0:
-            raise ValidationError(path + ".speed", f"negative speed {self.speed}")
+        _check_pose(path, self.position, self.heading, self.speed)
         _check_finite(path + ".accel", self.accel)
 
 
@@ -181,14 +222,9 @@ class AgentTrack:
     future: tuple[Point, ...]       # T_F points at 0.5 s steps
 
     def validate(self, path: str) -> None:
-        if not isinstance(self.id, int):
-            raise ValidationError(path + ".id", "agent id must be an integer")
-        _check_point(path + ".position", self.position)
-        h = _check_finite(path + ".heading", self.heading)
-        if not (-math.pi < h <= math.pi):
-            raise ValidationError(path + ".heading", f"{h} outside (-pi, pi]")
-        if _check_finite(path + ".speed", self.speed) < 0:
-            raise ValidationError(path + ".speed", f"negative speed {self.speed}")
+        _as_int(self.id, path + ".id", "integer id")
+        _check_member(self.kind, path + ".kind", AgentKind, "agent kind")
+        _check_pose(path, self.position, self.heading, self.speed)
         length, width = self.extent
         if not (_check_finite(path + ".length", length) > 0):
             raise ValidationError(path + ".length", f"non-positive length {length}")
@@ -208,6 +244,8 @@ class MapPolyline:
     points: tuple[Point, ...]       # exactly POLYLINE_POINTS points
 
     def validate(self, path: str) -> None:
+        _as_int(self.id, path + ".id", "integer id")
+        _check_member(self.kind, path + ".kind", MapKind, "map kind")
         if len(self.points) != POLYLINE_POINTS:
             raise ValidationError(
                 path + ".points",
@@ -253,10 +291,7 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.id:
-            raise ValidationError("id", "scenario id must be nonempty")
-        if not (0 <= self.seed < (1 << 64)):
-            raise ValidationError("seed", f"seed {self.seed} outside u64 range")
+        _check_id_and_seed(self.id, self.seed)
         self.ego.validate("ego")
         if len(self.agents) > A_MAX:
             raise ValidationError("agents", f"{len(self.agents)} agents exceed A_MAX={A_MAX}")
@@ -270,6 +305,7 @@ class Scenario:
             raise ValidationError("map", f"{len(self.map)} polylines exceed M_MAX={M_MAX}")
         for i, line in enumerate(self.map):
             line.validate(f"map[{i}]")
+        _check_member(self.route_intent, "route_intent", MetaAction, "label")
         self.gt_future.validate("gt_future")
 
 
@@ -326,16 +362,8 @@ def _get(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(path, f"expected number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(path, "number too large for a float") from None
-
-
-_NUMBER_TYPES = (float, int)
+def _number(obj: dict, key: str, path: str) -> float:
+    return _as_float(_get(obj, key, path), f"{path}.{key}")
 
 
 def _as_points(value: Any, path: str) -> tuple[Point, ...]:
@@ -362,11 +390,10 @@ def scenario_from_dict(obj: Any) -> Scenario:
     if not isinstance(ego_obj, dict):
         raise ValidationError("ego", "expected object")
     ego = EgoState(
-        position=(_as_float(_get(ego_obj, "x", "ego"), "ego.x"),
-                  _as_float(_get(ego_obj, "y", "ego"), "ego.y")),
-        heading=_as_float(_get(ego_obj, "heading", "ego"), "ego.heading"),
-        speed=_as_float(_get(ego_obj, "speed", "ego"), "ego.speed"),
-        accel=_as_float(_get(ego_obj, "accel", "ego"), "ego.accel"),
+        position=(_number(ego_obj, "x", "ego"), _number(ego_obj, "y", "ego")),
+        heading=_number(ego_obj, "heading", "ego"),
+        speed=_number(ego_obj, "speed", "ego"),
+        accel=_number(ego_obj, "accel", "ego"),
     )
     agents = []
     agents_obj = _get(obj, "agents", "")
@@ -376,22 +403,13 @@ def scenario_from_dict(obj: Any) -> Scenario:
         path = f"agents[{i}]"
         if not isinstance(a, dict):
             raise ValidationError(path, "expected object")
-        agent_id = _get(a, "id", path)
-        if isinstance(agent_id, bool) or not isinstance(agent_id, int):
-            raise ValidationError(path + ".id", "expected integer id")
-        try:
-            kind = AgentKind.parse(_get(a, "kind", path))
-        except ValidationError as e:
-            raise ValidationError(path + ".kind", e.message) from None
         agents.append(AgentTrack(
-            id=agent_id,
-            kind=kind,
-            position=(_as_float(_get(a, "x", path), path + ".x"),
-                      _as_float(_get(a, "y", path), path + ".y")),
-            heading=_as_float(_get(a, "heading", path), path + ".heading"),
-            speed=_as_float(_get(a, "speed", path), path + ".speed"),
-            extent=(_as_float(_get(a, "length", path), path + ".length"),
-                    _as_float(_get(a, "width", path), path + ".width")),
+            id=_as_int(_get(a, "id", path), path + ".id", "integer id"),
+            kind=_as_member(_get(a, "kind", path), path + ".kind", AgentKind, "agent kind"),
+            position=(_number(a, "x", path), _number(a, "y", path)),
+            heading=_number(a, "heading", path),
+            speed=_number(a, "speed", path),
+            extent=(_number(a, "length", path), _number(a, "width", path)),
             future=_as_points(_get(a, "future", path), path + ".future"),
         ))
     polylines = []
@@ -402,28 +420,14 @@ def scenario_from_dict(obj: Any) -> Scenario:
         path = f"map[{i}]"
         if not isinstance(m, dict):
             raise ValidationError(path, "expected object")
-        line_id = _get(m, "id", path)
-        if isinstance(line_id, bool) or not isinstance(line_id, int):
-            raise ValidationError(path + ".id", "expected integer id")
-        try:
-            kind = MapKind.parse(_get(m, "kind", path))
-        except ValidationError as e:
-            raise ValidationError(path + ".kind", e.message) from None
         polylines.append(MapPolyline(
-            id=line_id,
-            kind=kind,
+            id=_as_int(_get(m, "id", path), path + ".id", "integer id"),
+            kind=_as_member(_get(m, "kind", path), path + ".kind", MapKind, "map kind"),
             points=_as_points(_get(m, "points", path), path + ".points"),
         ))
-    try:
-        intent = MetaAction.parse(_get(obj, "route_intent", ""))
-    except ValidationError as e:
-        raise ValidationError("route_intent", e.message) from None
-    scenario_id = _get(obj, "id", "")
-    if not isinstance(scenario_id, str):
-        raise ValidationError("id", "expected string")
-    seed = _get(obj, "seed", "")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError("seed", "expected integer")
+    intent = _as_member(_get(obj, "route_intent", ""), "route_intent", MetaAction, "label")
+    scenario_id, seed = _get(obj, "id", ""), _get(obj, "seed", "")
+    _check_id_and_seed(scenario_id, seed)
     scenario = Scenario(
         id=scenario_id,
         ego=ego,

@@ -165,7 +165,12 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+def _bad_value_id(value):
+    # A bare object's repr holds its address, which would rename the case on every run.
+    return "object()" if type(value) is object else repr(value)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=_bad_value_id)
 def test_dumps_refuses_as_reference(value):
     got = outcome(jsonio.dumps, value)
     assert isinstance(got, tuple)

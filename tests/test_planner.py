@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vecdrive import planner
+from vecdrive import planner, simgen
 from vecdrive.cli import main as cli_main
 from vecdrive.planner import (
     INPUT_SCALE,
@@ -12,15 +12,12 @@ from vecdrive.planner import (
     PlannerConfig,
     PlannerError,
     PlannerModel,
-    agent_features,
     attention_weights,
     backward,
-    command_one_hot,
     forward,
     imitation_loss,
     init_model,
     load_checkpoint,
-    map_features,
     save_checkpoint,
     train,
     TrainingDiverged,
@@ -29,7 +26,7 @@ from vecdrive.oracle import Format, RuleOracle
 from vecdrive.rng import SplitMix64
 from vecdrive.scene import MetaAction, Trajectory, save_scenarios
 
-from conftest import make_agent, make_polyline, make_scenario
+from conftest import make_agent, make_ego, make_polyline, make_scenario
 from helpers_grad import fd_gradients, max_relative_error
 
 TINY = PlannerConfig(d_model=2, n_heads=1, hidden=2)
@@ -49,8 +46,9 @@ def rand_model(config=TINY, seed=3):
 def encode(model, scenario):
     """Agent and map encoder rows, as the forward pass computes them."""
     bound = planner._bind(model.params)
-    q_a, _ = planner._mlp_forward(bound["agent_enc"], agent_features(scenario))
-    q_m, _ = planner._mlp_forward(bound["map_enc"], map_features(scenario))
+    agent_rows, map_rows = planner._pack(scenario, MetaAction.GO_STRAIGHT)[:2]
+    q_a, _ = planner._mlp_forward(bound["agent_enc"], agent_rows)
+    q_m, _ = planner._mlp_forward(bound["map_enc"], map_rows)
     return q_a, q_m
 
 
@@ -131,6 +129,38 @@ def test_param_layout_closed_set():
 
 
 # --- scene encoding --------------------------------------------------------------
+
+def reference_pack(scenario, command):
+    """Inputs as the per-field helpers built them: each row from scalar products."""
+    s = INPUT_SCALE
+    ego = [scenario.ego.position[0] * s, scenario.ego.position[1] * s]
+    return (
+        [[a.position[0] * s, a.position[1] * s, math.cos(a.heading), math.sin(a.heading),
+          a.speed * s, a.extent[0] * s, a.extent[1] * s] for a in scenario.agents],
+        [[c * s for p in line.points for c in p] for line in scenario.map],
+        [ego] + [[a.position[0] * s, a.position[1] * s] for a in scenario.agents],
+        [ego] + [[line.points[0][0] * s, line.points[0][1] * s] for line in scenario.map],
+        [scenario.ego.speed * s, scenario.ego.accel * s, 1.0,
+         *(float(command is c) for c in MetaAction)],
+        [list(p) for p in scenario.gt_future],
+    )
+
+
+def test_pack_is_bit_identical_to_per_field_reference():
+    spec = simgen.GenSpec(n_scenarios=30, seed=9, agent_density=1.0)
+    off_origin = make_scenario(
+        ego=make_ego(position=(3.7, -1.25), heading=0.4, speed=2.5, accel=-0.3),
+        agents=(make_agent(1, position=(12, -3), heading=-2.0, speed=4, extent=(4, 2)),
+                make_agent(2, position=(-6.5, 8.25), heading=3.0)),
+        polylines=(make_polyline(1, y=-0.5, x0=-3.3, step=2.7), make_polyline(2, y=4)))
+    for scenario in [*simgen.generate(spec), off_origin, make_scenario(polylines=())]:
+        for command in MetaAction:
+            packed = planner._pack(scenario, command, scenario.gt_future)
+            for got, want in zip(packed, reference_pack(scenario, command), strict=True):
+                want = np.array(want, dtype=float)
+                assert got.shape == want.shape or got.size == want.size == 0
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
 
 def test_encode_empty_scene():
     model = rand_model()
@@ -251,7 +281,7 @@ def test_forward_empty_scene_equals_hand_plan_head():
     out = forward(model, s, MetaAction.TURN_RIGHT)
     # With no keys both attention stages give zero vectors.
     x = np.concatenate([np.zeros(2), np.zeros(2),
-                        [3.0 * INPUT_SCALE, 0.0, 1.0], command_one_hot(MetaAction.TURN_RIGHT)])
+                        [3.0 * INPUT_SCALE, 0.0, 1.0], [0.0, 0.0, 1.0]])
     h = np.tanh(model.params["plan_head.w1"] @ x + model.params["plan_head.b1"])
     y = model.params["plan_head.w2"] @ h + model.params["plan_head.b2"]
     expected = y.reshape(6, 2)

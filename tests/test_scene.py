@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import os
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from vecdrive import jsonio
+from vecdrive import jsonio, simgen
 from vecdrive.scene import (
     AgentKind,
+    MapKind,
     MetaAction,
     Scenario,
     ScenarioLoadError,
@@ -111,12 +114,16 @@ def test_heading_out_of_range_rejected():
 
 
 @pytest.mark.parametrize("coordinate, error", [
-    ("1.5", None), (7, None), (math.nan, ValidationError), (math.inf, ValidationError),
-    (None, TypeError), ("x", ValueError), (10 ** 400, OverflowError),
+    (7, None), (math.nan, ValidationError), (math.inf, ValidationError),
+    ("1.5", ValidationError), (None, ValidationError), ("x", ValidationError),
+    (True, ValidationError), (10 ** 400, ValidationError),
 ])
 def test_point_check_takes_what_float_takes(coordinate, error):
-    # The whole-list check falls back to the per-point loop, which calls
-    # float() on each coordinate; both must accept and refuse the same.
+    # A coordinate is what a float field of a scenario file holds: an int
+    # or a finite float. The decoder's number check refuses the rest, and
+    # so must validate(), or save_scenarios writes a file the loader
+    # refuses. float() alone would take "1.5" and True. The whole-list
+    # check falls back to the per-point loop, which must say the same.
     future = [(10.0 + k, 3.5) for k in range(6)]
     future[4] = (10.0, coordinate)
     agent = make_agent(future=future)
@@ -125,12 +132,17 @@ def test_point_check_takes_what_float_takes(coordinate, error):
         return
     with pytest.raises(error) as err:
         agent.validate("agents[0]")
-    if error is ValidationError:
-        assert err.value.field == "agents[0].future[4][1]"
+    assert err.value.field == "agents[0].future[4][1]"
+    if coordinate == 10 ** 400:
+        assert err.value.message == "number too large for a float"
+    elif isinstance(coordinate, float):
+        assert err.value.message == f"non-finite value {coordinate!r}"
+    else:
+        assert err.value.message == f"expected number, got {type(coordinate).__name__}"
 
 
 def test_polyline_repeated_point_rejected():
-    from vecdrive.scene import MapPolyline, MapKind
+    from vecdrive.scene import MapPolyline
     bad = MapPolyline(id=1, kind=MapKind.LANE_CENTER,
                       points=((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
     with pytest.raises(ValidationError):
@@ -265,6 +277,123 @@ def test_unknown_action_label_in_file(tmp_path):
     with pytest.raises(ScenarioLoadError) as err:
         load_scenarios(p)
     assert "route_intent" in err.value.field
+
+
+def with_agent(s, **changes):
+    return replace(s, agents=(replace(s.agents[0], **changes), *s.agents[1:]))
+
+
+def with_future_y(s, coordinate):
+    future = list(s.agents[0].future)
+    future[4] = (future[4][0], coordinate)
+    return with_agent(s, future=tuple(future))
+
+
+#: Scenarios built in code with one field of a type the loader refuses:
+#: (fault, build, field the loader names, whether scenario_to_dict can
+#: write it at all). A str label has no ``.value`` to write.
+CODE_BUILT_FAULTS = [
+    ("str coordinate", lambda s: with_future_y(s, "1.5"), "agents[0].future[4][1]", True),
+    ("huge coordinate", lambda s: with_future_y(s, 10 ** 400), "agents[0].future[4][1]", True),
+    ("bool agent id", lambda s: with_agent(s, id=True), "agents[0].id", True),
+    ("bool polyline id", lambda s: replace(s, map=(replace(s.map[0], id=True),)), "map[0].id",
+     True),
+    ("int scenario id", lambda s: replace(s, id=7), "id", True),
+    ("bool seed", lambda s: replace(s, seed=True), "seed", True),
+    ("str agent kind", lambda s: with_agent(s, kind="VEHICLE"), "agents[0].kind", False),
+    ("str route intent", lambda s: replace(s, route_intent="GO_STRAIGHT"), "route_intent", False),
+]
+
+
+@pytest.mark.parametrize("build, field, writable", [case[1:] for case in CODE_BUILT_FAULTS],
+                         ids=[case[0] for case in CODE_BUILT_FAULTS])
+def test_save_refuses_what_load_refuses(tmp_path, build, field, writable):
+    bad = build(make_scenario("s", agents=(make_agent(),)))
+    p = tmp_path / "out.jsonl"
+    with pytest.raises(ValidationError) as err:
+        save_scenarios([bad], p)
+    assert err.value.field == field
+    assert not p.exists()
+    if writable:    # the same line written without validation: the loader names the field
+        p.write_text(jsonio.dumps(scenario_to_dict(bad)) + "\n")
+        with pytest.raises(ScenarioLoadError) as err:
+            load_scenarios(p)
+        assert err.value.field == field
+
+
+def leaves(value, path=()):
+    """(path, value) of every number, id, seed, label and coordinate of a scenario."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from leaves(getattr(value, f.name), (*path, f.name))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from leaves(item, (*path, i))
+    else:
+        yield path, value
+
+
+def replace_leaf(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(head, int):
+        return (*value[:head], replace_leaf(value[head], rest, new), *value[head + 1:])
+    return replace(value, **{head: replace_leaf(getattr(value, head), rest, new)})
+
+
+#: Values of every type a leaf could be given, 10**400 past the float range.
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from([*MetaAction, *AgentKind, *MapKind]),
+    st.sampled_from([m.value for m in (*MetaAction, *AgentKind, *MapKind)]),
+    st.just([]), st.just((1.0, 2.0)),
+)
+
+
+@pytest.fixture(scope="module")
+def simgen_scenario():
+    spec = simgen.GenSpec(n_scenarios=8, seed=4, suite=simgen.Suite.MIXED, agent_density=1.0)
+    return next(s for s in simgen.generate(spec) if s.agents and s.map)
+
+
+def read_back(scenario, path):
+    """What the scenario's line, written without validation, loads as; None if nothing."""
+    try:
+        line = jsonio.dumps(scenario_to_dict(scenario))
+    except (AttributeError, TypeError, ValueError):     # cannot be written at all
+        return None
+    path.write_text(line + "\n")
+    try:
+        return load_scenarios(path)[0]
+    except ScenarioLoadError:
+        return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validate_accepts_exactly_what_round_trips(simgen_scenario, tmp_path_factory, data):
+    path, old = data.draw(st.sampled_from(list(leaves(simgen_scenario))))
+    new = data.draw(OTHER_VALUES.filter(lambda v: type(v) is not type(old)))
+    scenario = replace_leaf(simgen_scenario, path, new)
+    out = tmp_path_factory.getbasetemp() / "leaf.jsonl"
+    try:
+        scenario.validate()
+        accepted = True
+    except ValidationError:
+        accepted = False
+    back = read_back(scenario, out)
+    if back is not None and type(old) is float and type(new) is int:
+        new = float(new)    # a float field reads an int back as the nearest float
+    # Round-tripping keeps the leaf's type: the emitter writes 5.0 as ``5``,
+    # so a float id or seed would load back as an int.
+    round_trips = (back is not None and back == replace_leaf(simgen_scenario, path, new)
+                   and type(dict(leaves(back))[path]) is type(new))
+    assert accepted == round_trips
+    if accepted:
+        save_scenarios([scenario], out)
+        assert load_scenarios(out) == [back]
 
 
 # --- canonical JSON ----------------------------------------------------------
