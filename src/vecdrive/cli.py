@@ -83,7 +83,7 @@ from .scene import (
     Trajectory,
     ValidationError,
     load_scenarios,
-    scenario_to_dict,
+    scenario_json,
 )
 from .simgen import GenSpec, Suite, generate, split
 
@@ -279,7 +279,7 @@ def cmd_simgen(args: argparse.Namespace) -> int:
     spec = _gen_spec(args)
     out = _out_dir(args)
     scenarios = generate(spec)     # validated, with distinct ids
-    lines = {s.id: jsonio.dumps(scenario_to_dict(s)) + "\n" for s in scenarios}
+    lines = {s.id: scenario_json(s) + "\n" for s in scenarios}
     jsonio.write_atomic(os.path.join(out, "scenarios.jsonl"), "".join(lines.values()))
     print(f"wrote {len(scenarios)} scenarios to {out}/scenarios.jsonl")
     if args.train_frac is not None:

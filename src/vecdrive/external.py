@@ -25,7 +25,7 @@ import time
 
 from . import jsonio
 from .oracle import Format, MetaDecision, Oracle
-from .scene import MetaAction, Scenario, ValidationError, scenario_from_dict, scenario_to_dict
+from .scene import MetaAction, Scenario, ValidationError, scenario_from_dict, scenario_json
 
 DEFAULT_TIMEOUT = 10.0
 STDERR_TAIL_BYTES = 2048
@@ -62,8 +62,10 @@ class OracleProtocolError(OracleError):
 
 
 def _encode_request(scenario: Scenario, format: Format) -> bytes:
-    request = {"v": 1, "format": format.value, "scenario": scenario_to_dict(scenario)}
-    return (jsonio.dumps(request) + "\n").encode("utf-8")
+    """``jsonio.dumps({"v": 1, "format": ..., "scenario": scenario_to_dict(scenario)})``
+    and a newline, with the scenario written by ``scenario_json``."""
+    return ('{"v":1,"format":' + jsonio.encode_str(format.value) + ',"scenario":'
+            + scenario_json(scenario) + "}\n").encode("utf-8")
 
 
 def _decode_reply(line: bytes, endpoint: str) -> str:

@@ -2,9 +2,12 @@
 
 Python's ``json.dumps`` uses shortest-repr floats, which is stable within
 one interpreter but not a portable contract. Every file this package
-writes (scenario JSONL, checkpoints, reports) goes through ``dumps`` here
-so two runs produce byte-identical output, and reaches disk through
-``write_atomic``. Dict key order is the
+writes (checkpoints, reports, QA files) goes through ``dumps`` here so two
+runs produce byte-identical output, and reaches disk through
+``write_atomic``. Scenario lines, in files and in oracle wire requests,
+come from ``scene.scenario_json``: it writes the bytes ``dumps`` writes
+for ``scene.scenario_to_dict``, straight from the dataclasses, and falls
+back to ``dumps`` for any value outside its fast path. Dict key order is the
 insertion order of the dict being serialized; builders construct dicts
 in the documented schema order.
 
@@ -23,7 +26,8 @@ import math
 import os
 from typing import Any, Callable
 
-_encode_str = json.encoder.encode_basestring   # what json.dumps(s, ensure_ascii=False) calls
+#: A str as a JSON string literal: what ``json.dumps(s, ensure_ascii=False)`` calls.
+encode_str = json.encoder.encode_basestring
 
 
 def format_float(x: float) -> str:
@@ -42,7 +46,7 @@ def dumps(value: Any) -> str:
 def _emit_subclass(value: Any, out: list[str]) -> None:
     """Emit an instance of a subclass of a JSON type as its base type, or refuse it."""
     if isinstance(value, str):
-        out.append(_encode_str(value))
+        out.append(encode_str(value))
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
@@ -61,7 +65,7 @@ def _emit_dict(value: dict, out: list[str]) -> None:
     for k, v in value.items():
         if not isinstance(k, str):
             raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
-        out.append(sep + _encode_str(k) + ":")
+        out.append(sep + encode_str(k) + ":")
         sep = ","
         _EMITTERS.get(type(v), _emit_subclass)(v, out)
     out.append("}")
@@ -86,7 +90,7 @@ def _emit_list(value: list | tuple, out: list[str]) -> None:
 _EMITTERS: dict[type, Callable[[Any, list[str]], None]] = {
     type(None): lambda v, out: out.append("null"),
     bool: lambda v, out: out.append("true" if v else "false"),
-    str: lambda v, out: out.append(_encode_str(v)),
+    str: lambda v, out: out.append(encode_str(v)),
     int: lambda v, out: out.append(str(v)),
     float: lambda v, out: out.append(format_float(v)),
     dict: _emit_dict,

@@ -539,7 +539,7 @@ def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
         "params": {
             name: {
                 "shape": list(model.params[name].shape),
-                "data": [float(v) for v in model.params[name].ravel()],
+                "data": model.params[name].ravel().tolist(),
             }
             for name in sorted(model.params)
         },

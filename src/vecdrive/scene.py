@@ -15,14 +15,22 @@ of field (``_as_float``, ``_as_int``, ``_as_member``, ``_check_pose``,
 ``_check_id_and_seed``), so ``validate()`` refuses exactly the types the
 loader refuses and ``save_scenarios`` never writes a file that
 ``load_scenarios`` rejects.
+
+``scenario_json`` writes a scenario's canonical line, the bytes of
+``jsonio.dumps(scenario_to_dict(s))``, straight from the dataclasses.
+Scenario files and oracle wire requests are written with it. A value of a
+type its fast path does not take goes to the generic emitter, which
+writes or refuses it as it does any value.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from . import jsonio
@@ -154,10 +162,20 @@ def _check_finite(path: str, value: Any) -> float:
     return v
 
 
+def _pair(path: str, value: Any, expected: str) -> tuple[Any, Any]:
+    """The two items of ``value``, which must be a sequence of two."""
+    try:
+        n = len(value)
+        if n == 2:
+            return value[0], value[1]
+    except (TypeError, LookupError):    # not a sequence: 5, None, a set
+        raise ValidationError(path, f"expected {expected}, got {type(value).__name__}") from None
+    raise ValidationError(path, f"expected {expected}, got {n}")
+
+
 def _check_point(path: str, p: Sequence[float]) -> Point:
-    if len(p) != 2:
-        raise ValidationError(path, f"expected 2 coordinates, got {len(p)}")
-    return (_check_finite(path + "[0]", p[0]), _check_finite(path + "[1]", p[1]))
+    x, y = _pair(path, p, "2 coordinates")
+    return (_check_finite(path + "[0]", x), _check_finite(path + "[1]", y))
 
 
 _NUMBER_TYPES = (float, int)
@@ -174,7 +192,7 @@ def _check_points(path: str, points: Sequence[Sequence[float]]) -> None:
         if all(len(p) == 2 and type(p[0]) in _NUMBER_TYPES and type(p[1]) in _NUMBER_TYPES
                and math.isfinite(p[0]) and math.isfinite(p[1]) for p in points):
             return
-    except (TypeError, OverflowError):  # a point that is not a sequence, or a huge int
+    except (TypeError, LookupError, OverflowError):  # a point that is not a pair, a huge int
         pass
     for k, p in enumerate(points):
         _check_point(f"{path}[{k}]", p)
@@ -225,7 +243,7 @@ class AgentTrack:
         _as_int(self.id, path + ".id", "integer id")
         _check_member(self.kind, path + ".kind", AgentKind, "agent kind")
         _check_pose(path, self.position, self.heading, self.speed)
-        length, width = self.extent
+        length, width = _pair(path + ".extent", self.extent, "length and width")
         if not (_check_finite(path + ".length", length) > 0):
             raise ValidationError(path + ".length", f"non-positive length {length}")
         if not (_check_finite(path + ".width", width) > 0):
@@ -356,6 +374,77 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     }
 
 
+#: What scenario_to_dict reads of a point, a position or an extent.
+_XY = operator.itemgetter(0, 1)
+_SEQUENCES = (tuple, list)
+_FLOATS = {float}
+_HEAD = ('{"id":%s,"seed":%d,"ego":{"x":%.17g,"y":%.17g,"heading":%.17g,"speed":%.17g,'
+         '"accel":%.17g},"agents":[')
+_AGENT = ('{"id":%d,"kind":"%s","x":%.17g,"y":%.17g,"heading":%.17g,"speed":%.17g,'
+          '"length":%.17g,"width":%.17g,"future":%s}')
+_POLYLINE = '{"id":%d,"kind":"%s","points":%s}'
+_TAIL = '],"route_intent":"%s","gt_future":%s}'
+
+
+def scenario_json(s: Scenario) -> str:
+    """``jsonio.dumps(scenario_to_dict(s))``, written without building the dict.
+
+    The fast path takes a scenario whose numbers are all exact, finite
+    floats, whose agent and polyline ids and seed are exact ints, whose id
+    is a str, and whose kinds and route intent are enum members: every
+    scenario ``simgen`` makes or a file loads. It formats each record with
+    one ``%`` and each point list with one more, where ``%.17g`` writes an
+    exact float as ``jsonio.format_float`` does. For anything else it
+    returns what the generic emitter writes, or raises what it raises.
+    """
+    try:
+        line = _scenario_line(s)
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
+        line = None     # a value the formats refuse: the generic emitter decides
+    return jsonio.dumps(scenario_to_dict(s)) if line is None else line
+
+
+def _points_line(points: Sequence[Point], numbers: list) -> str:
+    """``[[x,y],...]``, with each coordinate added to ``numbers``."""
+    template = ",".join(["[%.17g,%.17g]"] * len(points))   # before a generator is read
+    xy = tuple(chain.from_iterable(map(_XY, points)))
+    numbers += xy
+    return "[" + template % xy + "]"
+
+
+def _scenario_line(s: Scenario) -> str | None:
+    """The fast path of ``scenario_json``; None for a value it does not take.
+
+    Each number is formatted before its type is known; one check of every
+    number at the end refuses the line if any is not a finite float.
+    ``jsonio.encode_str`` refuses an id that is not a str.
+    """
+    agents, polylines = s.agents, s.map
+    if (type(s.seed) is not int or type(s.route_intent) is not MetaAction
+            or type(agents) not in _SEQUENCES or type(polylines) not in _SEQUENCES):
+        return None     # a generator is not read here: the generic emitter reads it
+    ego = s.ego
+    numbers = [*_XY(ego.position), ego.heading, ego.speed, ego.accel]
+    head = _HEAD % (jsonio.encode_str(s.id), s.seed, *numbers)
+    records = []
+    for a in agents:
+        if type(a.id) is not int or type(a.kind) is not AgentKind:
+            return None
+        fields = (*_XY(a.position), a.heading, a.speed, *_XY(a.extent))
+        numbers += fields
+        records.append(_AGENT % (a.id, a.kind.value, *fields, _points_line(a.future, numbers)))
+    lines = []
+    for m in polylines:
+        if type(m.id) is not int or type(m.kind) is not MapKind:
+            return None
+        lines.append(_POLYLINE % (m.id, m.kind.value, _points_line(m.points, numbers)))
+    gt_future = _points_line(s.gt_future.waypoints, numbers)
+    if set(map(type, numbers)) != _FLOATS or not math.isfinite(sum(numbers)):
+        return None     # a sum that overflows also falls back, to the same bytes
+    return (head + ",".join(records) + '],"map":[' + ",".join(lines)
+            + _TAIL % (s.route_intent.value, gt_future))
+
+
 def _get(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise ValidationError(f"{path}.{key}" if path else key, "missing field")
@@ -484,5 +573,4 @@ def save_scenarios(scenarios: Iterable[Scenario], path: str | os.PathLike) -> No
         if s.id in seen_ids:
             raise ValidationError("id", f"duplicate scenario id {s.id!r}")
         seen_ids.add(s.id)
-    jsonio.write_atomic(path, "".join(jsonio.dumps(scenario_to_dict(s)) + "\n"
-                                      for s in scenarios))
+    jsonio.write_atomic(path, "".join(scenario_json(s) + "\n" for s in scenarios))

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from vecdrive import jsonio, oracle_server
+from vecdrive import jsonio, oracle_server, simgen
 from vecdrive.external import (
     ExecOracle,
     OracleError,
@@ -17,6 +17,7 @@ from vecdrive.external import (
     OracleTimeout,
     STDERR_TAIL_BYTES,
     TcpOracle,
+    _encode_request,
     _parse_response,
     open_oracle,
 )
@@ -358,6 +359,14 @@ def test_exec_error_carries_stderr_tail(tmp_path):
     with ExecOracle(cmd, timeout=5.0) as oracle:
         with pytest.raises(OracleProtocolError, match="boom: weights missing"):
             oracle.decide(make_scenario())
+
+
+@pytest.mark.parametrize("format", list(Format))
+def test_request_bytes_are_the_generic_emitters(format):
+    spec = simgen.GenSpec(n_scenarios=20, seed=11, agent_density=1.0)
+    for s in [make_scenario('q"\\é', agents=(make_agent(),)), *simgen.generate(spec)]:
+        request = {"v": 1, "format": format.value, "scenario": scenario_to_dict(s)}
+        assert _encode_request(s, format) == (jsonio.dumps(request) + "\n").encode("utf-8")
 
 
 # --- server side -------------------------------------------------------------------

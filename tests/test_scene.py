@@ -1,12 +1,15 @@
 import dataclasses
+import enum
 import math
 import os
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecdrive import jsonio, simgen
+from vecdrive import jsonio, scene, simgen
 from vecdrive.scene import (
     AgentKind,
     MapKind,
@@ -19,6 +22,7 @@ from vecdrive.scene import (
     normalize_heading,
     save_scenarios,
     scenario_from_dict,
+    scenario_json,
     scenario_to_dict,
 )
 
@@ -321,6 +325,39 @@ def test_save_refuses_what_load_refuses(tmp_path, build, field, writable):
         assert err.value.field == field
 
 
+def with_future_point(s, point):
+    future = list(s.agents[0].future)
+    future[2] = point
+    return with_agent(s, future=tuple(future))
+
+
+#: Scenarios built in code with a point, position or extent that is not a
+#: sequence of two: (fault, build, field validate() names).
+CODE_BUILT_SHAPES = [
+    ("int point", lambda s: with_future_point(s, 5), "agents[0].future[2]"),
+    ("None point", lambda s: with_future_point(s, None), "agents[0].future[2]"),
+    ("set point", lambda s: with_future_point(s, {1.0, 2.0}), "agents[0].future[2]"),
+    ("dict point", lambda s: with_future_point(s, {"x": 1.0, "y": 2.0}), "agents[0].future[2]"),
+    ("int position", lambda s: with_agent(s, position=5), "agents[0].position"),
+    ("int extent", lambda s: with_agent(s, extent=5), "agents[0].extent"),
+    ("3-tuple extent", lambda s: with_agent(s, extent=(4.2, 1.8, 1.5)), "agents[0].extent"),
+]
+
+
+@pytest.mark.parametrize("build, field", [case[1:] for case in CODE_BUILT_SHAPES],
+                         ids=[case[0] for case in CODE_BUILT_SHAPES])
+def test_validate_names_a_field_that_is_not_a_pair(tmp_path, build, field):
+    bad = build(make_scenario("s", agents=(make_agent(),)))
+    with pytest.raises(ValidationError) as err:
+        bad.validate()
+    assert err.value.field == field
+    p = tmp_path / "out.jsonl"
+    with pytest.raises(ValidationError) as saved:
+        save_scenarios([bad], p)
+    assert (saved.value.field, saved.value.message) == (field, err.value.message)
+    assert not p.exists()
+
+
 def leaves(value, path=()):
     """(path, value) of every number, id, seed, label and coordinate of a scenario."""
     if dataclasses.is_dataclass(value):
@@ -406,3 +443,115 @@ def test_float_formatting_round_trips():
 def test_dumps_rejects_non_finite():
     with pytest.raises(ValueError):
         jsonio.dumps({"x": float("nan")})
+
+
+# --- scenario_json -------------------------------------------------------------
+
+class IntSub(int):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+class OddKind(enum.Enum):
+    """Members whose values the emitter must escape or write as numbers."""
+    QUOTE = 'a"b'
+    NUMBER = 5
+
+
+def nodes(value, path=()):
+    """(path, value) of every tuple in a scenario: point lists, points, positions, extents."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from nodes(getattr(value, f.name), (*path, f.name))
+    elif isinstance(value, tuple):
+        yield path, value
+        for i, item in enumerate(value):
+            yield from nodes(item, (*path, i))
+
+
+#: Ids and labels with quotes, backslashes, control characters and non-ASCII.
+AWKWARD_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f é漢😀'), st.characters()),
+                       max_size=8)
+
+#: What a code-built scenario may hold in place of a value of the fast path.
+AWKWARD_VALUES = [
+    0, 7, -7, 10 ** 17, -10 ** 17, 12345678901234567, 10 ** 400, True, False, None,
+    IntSub(3), IntSub(10 ** 17), FloatSub(1.5), StrSub('a"b'), "1.5", 'q"\\\x00\x1fé漢',
+    -0.0, 5e-324, 2.2250738585072e-308, 1e300, -1e300, math.nan, math.inf, -math.inf,
+    [], (1.0, 2.0), (1.0, 2.0, 3.0), {1.0, 2.0}, Fraction(1, 3), Decimal("sNaN"),
+    *MetaAction, *AgentKind, *MapKind, *(m.value for m in (*MetaAction, *AgentKind, *MapKind)),
+    *OddKind,
+]
+
+EMITTER_VALUES = st.one_of(
+    st.sampled_from(AWKWARD_VALUES), st.integers(), st.integers().map(IntSub),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=False).map(FloatSub),
+    AWKWARD_TEXT, AWKWARD_TEXT.map(StrSub),
+)
+
+
+def emitted(emit, scenario):
+    """The line ``emit`` writes, or the type of what it raises."""
+    try:
+        return emit(scenario)
+    except Exception as e:      # any type: the two emitters must raise the same one
+        return type(e)
+
+
+def generic_line(scenario):
+    return jsonio.dumps(scenario_to_dict(scenario))
+
+
+@st.composite
+def simgen_scenarios(draw):
+    spec = simgen.GenSpec(n_scenarios=3, seed=draw(st.integers(0, 2 ** 32)),
+                          suite=draw(st.sampled_from(simgen.Suite)),
+                          agent_density=draw(st.floats(0.0, 1.0)))
+    return draw(st.sampled_from(simgen.generate(spec)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scenario_json_writes_what_the_generic_emitter_writes(data):
+    scenario = data.draw(simgen_scenarios())
+    # Every generated scenario takes the fast path.
+    assert scene._scenario_line(scenario) == generic_line(scenario)
+    if data.draw(st.booleans()):
+        scenario = replace(scenario, id=data.draw(AWKWARD_TEXT))
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            path, old = data.draw(st.sampled_from(list(leaves(scenario))))
+            new = data.draw(EMITTER_VALUES)
+        else:   # a list in place of a tuple
+            path, old = data.draw(st.sampled_from(list(nodes(scenario))))
+            new = list(old)
+        scenario = replace_leaf(scenario, path, new)
+    assert emitted(scenario_json, scenario) == emitted(generic_line, scenario)
+
+
+def test_scenario_json_writes_what_the_generic_emitter_writes_for_each_field(simgen_scenario):
+    # Every field of the schema (the first agent, polyline and point stand
+    # for the rest) against every awkward value, and every tuple as a list.
+    fields = {}
+    for path, _ in leaves(simgen_scenario):
+        fields.setdefault(tuple(0 if isinstance(k, int) else k for k in path), path)
+    cases = [(path, new) for path in fields.values() for new in AWKWARD_VALUES]
+    cases += [(path, list(old)) for path, old in nodes(simgen_scenario)]
+    for path, new in cases:
+        scenario = replace_leaf(simgen_scenario, path, new)
+        assert emitted(scenario_json, scenario) == emitted(generic_line, scenario), (path, new)
+
+
+@pytest.mark.parametrize("field", ["agents", "map"])
+def test_scenario_json_reads_a_generator_once(simgen_scenario, field):
+    def build():    # a generator in place of a tuple, and an int the fast path leaves
+        s = replace(simgen_scenario, **{field: (x for x in getattr(simgen_scenario, field))})
+        return replace_leaf(s, ("ego", "speed"), 5)
+    assert emitted(scenario_json, build()) == emitted(generic_line, build())
