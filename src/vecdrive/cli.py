@@ -78,9 +78,10 @@ from .report import (
     text_row_to_dict,
 )
 from .scene import (
+    T_F,
     MetaAction,
+    Point,
     ScenarioLoadError,
-    Trajectory,
     ValidationError,
     load_scenarios,
     scenario_json,
@@ -110,14 +111,16 @@ _EXIT_CODES = (
 )
 
 #: Result stem -> renderer of the ``rows`` object of ``<stem>.json``. The
-#: commands print their tables through it and ``report`` re-renders them.
+#: commands print their tables through it and ``report`` re-renders the
+#: same bytes; ``eval_actions`` appends each row's confusion matrix.
 _TABLES = {
     "eval_plan": lambda rows: render_plan_table(
         {name: plan_row_from_dict(r) for name, r in rows.items()}),
     "eval_text": lambda rows: render_text_table(
         {name: text_row_from_dict(r) for name, r in rows.items()}),
     "eval_actions": lambda rows: render_actions_table(
-        {name: accuracy_from_dict(r) for name, r in rows.items()}),
+        {name: accuracy_from_dict(r) for name, r in rows.items()}) + "".join(
+        render_confusion(r["confusion"]) for r in rows.values() if r.get("confusion")),
     "bench": lambda rows: render_latency_table(
         {name: latency_from_dict(r) for name, r in rows.items()}),
 }
@@ -212,9 +215,9 @@ def _eval_scenarios(args: argparse.Namespace, *extra_required: str) -> list:
     return scenarios
 
 
-def _publish(args: argparse.Namespace, stem: str, rows: dict, extra: str = "") -> int:
+def _publish(args: argparse.Namespace, stem: str, rows: dict) -> int:
     """Write ``<stem>.json`` and ``<stem>.txt`` under ``--out`` and print the table."""
-    table = _TABLES[stem](rows) + extra
+    table = _TABLES[stem](rows)
     out = _out_dir(args)
     jsonio.write_atomic(os.path.join(out, f"{stem}.json"), jsonio.dumps({"rows": rows}) + "\n")
     jsonio.write_atomic(os.path.join(out, f"{stem}.txt"), table)
@@ -254,7 +257,7 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
     return config
 
 
-def _constant_velocity_baseline(scenario) -> Trajectory:
+def _constant_velocity_baseline(scenario) -> tuple[Point, ...]:
     # Kept apart from simgen.constant_velocity_future, which multiplies in
     # another order ((v * cos) * 0.5 * k, not v * 0.5 * k * cos): the two
     # agree on simgen's egos at the origin with heading 0, but differ in the
@@ -263,9 +266,12 @@ def _constant_velocity_baseline(scenario) -> Trajectory:
     v = scenario.ego.speed
     c, s = math.cos(scenario.ego.heading), math.sin(scenario.ego.heading)
     x0, y0 = scenario.ego.position
-    return Trajectory(tuple(
-        (x0 + v * 0.5 * k * c, y0 + v * 0.5 * k * s) for k in range(1, 7)
-    ))
+    return tuple((x0 + v * 0.5 * k * c, y0 + v * 0.5 * k * s) for k in range(1, T_F + 1))
+
+
+def _commands(oracle, scenarios):
+    """Each scenario's planner command, decided lazily: the oracle's, not the route intent."""
+    return (oracle.decide(s, Format.SHORT).action for s in scenarios)
 
 
 def _decision_text(decision, format: Format) -> str:
@@ -325,7 +331,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     log.info("training on %d scenarios for %d epochs (lr=%g, seed=%d)",
              len(scenarios), int(args.epochs), float(args.lr), int(args.seed))
     with _oracle(args) as oracle:
-        trained, curve = train(model, scenarios, oracle,
+        trained, curve = train(model, scenarios, _commands(oracle, scenarios),
                                epochs=int(args.epochs), lr=float(args.lr),
                                seed=int(args.seed))
     checkpoint_path = os.path.join(out, "checkpoint.json")
@@ -335,6 +341,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     jsonio.write_atomic(os.path.join(out, "loss_curve.csv"), "\n".join(curve_lines) + "\n")
     print(f"wrote {checkpoint_path}")
     print(f"final mean loss {curve[-1]:.6f} (initial {curve[0]:.6f})")
+    if curve[-1] > curve[0]:
+        log.warning("training ended worse than it started: final mean loss %.6f is above "
+                    "the first epoch's %.6f; see loss_curve.csv, and try a smaller --lr",
+                    curve[-1], curve[0])
     return EXIT_OK
 
 
@@ -347,8 +357,7 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
     rows_l2 = {"planner": [], "const-velocity": []}
     rows_col = {"planner": [], "const-velocity": []}
     with _oracle(args) as oracle:
-        for scenario in scenarios:
-            command = oracle.decide(scenario, Format.SHORT).action
+        for scenario, command in zip(scenarios, _commands(oracle, scenarios)):
             if model is not None:
                 pred = forward(model, scenario, command)
             else:
@@ -409,7 +418,7 @@ def cmd_eval_actions(args: argparse.Namespace) -> int:
             confusion[label.value][decision.value] += 1
     accuracy = planning_accuracy(decided, expected)
     rows = {args.oracle: {"accuracy": accuracy, "confusion": confusion}}
-    return _publish(args, "eval_actions", rows, extra=render_confusion(confusion))
+    return _publish(args, "eval_actions", rows)
 
 
 def cmd_bench_oracle(args: argparse.Namespace) -> int:

@@ -31,7 +31,8 @@ encode_str = json.encoder.encode_basestring
 
 
 def format_float(x: float) -> str:
-    """17 significant digits: exact round-trip for IEEE-754 doubles."""
+    """17 significant digits: an exact round trip for every finite double
+    but -0.0, written ``-0``, which ``json.loads`` reads as the int 0."""
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import textmetrics
-from .scene import AgentTrack, Point, T_F, Trajectory
+from .scene import AgentTrack, Point, T_F
 
 HORIZON_KEYS = ("1s", "2s", "3s")
 #: 1-based waypoint index per horizon at 0.5 s per step.
@@ -121,7 +121,7 @@ def evaluate_explanations(candidates: Sequence[str], references: Sequence[str],
     return row
 
 
-def l2_horizons(pred: Trajectory, gt: Trajectory) -> dict[str, float]:
+def l2_horizons(pred: Sequence[Point], gt: Sequence[Point]) -> dict[str, float]:
     """Euclidean displacement at each horizon plus the mean, in meters."""
     if len(pred) != T_F or len(gt) != T_F:
         raise ValueError(f"trajectories must have {T_F} waypoints")
@@ -177,7 +177,7 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return separation_margin(a, b) <= 0.0
 
 
-def ego_headings(pred: Trajectory) -> list[float]:
+def ego_headings(pred: Sequence[Point]) -> list[float]:
     """Per-step ego heading from consecutive waypoint segments.
 
     The segment before waypoint 1 starts at the origin. Segments shorter
@@ -208,7 +208,7 @@ def _circles_apart(px: float, py: float, ax: float, ay: float, reach: float) -> 
 
 
 def collision_horizons(
-    pred: Trajectory,
+    pred: Sequence[Point],
     ego_extent: tuple[float, float],
     agents: Sequence[AgentTrack],
 ) -> dict[str, float]:

@@ -24,9 +24,10 @@ agents and polylines (``_pack``); the positional-embedding rows are the
 position columns of the agent and map rows, not a second read of the
 scene. One inner step (``_step``) runs forward, loss and backward on a
 packed sample. ``forward``, ``backward`` and ``train`` all go through
-it; a training
-step is: fill the gradient vector with zeros, run the step, then one
-``theta -= lr * grad``.
+it; a training step is: fill the gradient vector with zeros, run the
+step, then one ``theta -= lr * grad``. A trajectory is a plain tuple of
+T_F points, and ``train`` takes its commands from the caller, so this
+module does not import the oracle that decides them.
 
 Everything is float64 and single-threaded; forward, backward and training
 are bit-deterministic. Gradients are hand-written reverse mode, checked
@@ -43,21 +44,13 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from . import jsonio
-from .oracle import Format, Oracle
 from .rng import SplitMix64
-from .scene import (
-    A_MAX,
-    M_MAX,
-    MetaAction,
-    POLYLINE_POINTS,
-    Scenario,
-    T_F,
-    Trajectory,
-)
+from .scene import A_MAX, M_MAX, POLYLINE_POINTS, T_F, MetaAction, Point, Scenario
 
 INPUT_SCALE = 0.1
 AGENT_FEATURES = 7          # x, y, cos(h), sin(h), speed, length, width
@@ -339,7 +332,8 @@ def _attention_backward(weights, grads, config, grad_out, cache):
 
 # --- forward / backward --------------------------------------------------------------
 
-def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None) -> tuple:
+def _pack(scenario: Scenario, command: MetaAction,
+          gt: tuple[Point, ...] | None = None) -> tuple:
     """One sample's model inputs as arrays, built in one pass and reused.
 
     (agent rows, map rows, pe1 input rows [ego; agents], pe2 input rows
@@ -361,7 +355,7 @@ def _pack(scenario: Scenario, command: MetaAction, gt: Trajectory | None = None)
     ).reshape(-1, MAP_FEATURES) * INPUT_SCALE
     gt_arr = None
     if gt is not None:
-        gt_arr = np.array(gt.waypoints, dtype=float).reshape(-1, 2)
+        gt_arr = np.array(gt, dtype=float).reshape(-1, 2)
         if gt_arr.shape[0] != T_F:
             raise ValueError(f"trajectories must have {T_F} waypoints")
     return (
@@ -434,10 +428,11 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
     return loss
 
 
-def forward(model: PlannerModel, scenario: Scenario, command: MetaAction) -> Trajectory:
-    """Predict the T_F-step ego trajectory for a scenario and command."""
+def forward(model: PlannerModel, scenario: Scenario,
+            command: MetaAction) -> tuple[Point, ...]:
+    """Predict the T_F ego waypoints for a scenario and command."""
     pred, _ = _run_forward(_bind(model.params), model.config, _pack(scenario, command))
-    return Trajectory(tuple(map(tuple, pred.tolist())))
+    return tuple(map(tuple, pred.tolist()))
 
 
 def attention_weights(model: PlannerModel, scenario: Scenario,
@@ -457,7 +452,7 @@ def attention_weights(model: PlannerModel, scenario: Scenario,
     return out
 
 
-def imitation_loss(pred: Trajectory, gt: Trajectory) -> float:
+def imitation_loss(pred: tuple[Point, ...], gt: tuple[Point, ...]) -> float:
     """Mean squared Euclidean waypoint distance."""
     if len(pred) != T_F or len(gt) != T_F:
         raise ValueError(f"trajectories must have {T_F} waypoints")
@@ -469,7 +464,7 @@ def imitation_loss(pred: Trajectory, gt: Trajectory) -> float:
 
 
 def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
-             gt: Trajectory) -> tuple[float, dict[str, np.ndarray]]:
+             gt: tuple[Point, ...]) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact reverse-mode gradients for every model parameter.
 
     The gradients are views into one new flat vector per call.
@@ -482,13 +477,14 @@ def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
 
 # --- training --------------------------------------------------------------------
 
-def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
+def train(model: PlannerModel, scenarios: list[Scenario], commands: Iterable[MetaAction],
           epochs: int, lr: float, seed: int) -> tuple[PlannerModel, list[float]]:
     """Plain per-sample SGD with a seeded shuffle per epoch.
 
-    The command for each scenario comes from the frozen oracle (SHORT
-    format), not from the stored route intent. Returns the trained copy
-    and the per-epoch mean loss curve.
+    ``commands`` holds one command per scenario, in order. It is read only
+    after the other checks, and a count other than the scenario count is
+    refused before the first step. Returns the trained copy and the
+    per-epoch mean loss curve.
     """
     if not scenarios:
         raise PlannerError("cannot train on an empty scenario list")
@@ -497,13 +493,15 @@ def train(model: PlannerModel, scenarios: list[Scenario], oracle: Oracle,
     if not (math.isfinite(lr) and lr >= 0.0):
         raise PlannerError(f"learning rate must be finite and non-negative, got {lr}")
     model.validate()
+    commands = list(commands)
+    if len(commands) != len(scenarios):
+        raise PlannerError(f"{len(commands)} commands for {len(scenarios)} scenarios")
     config = model.config
     theta, params = _flatten(config, model.params)
     trained = PlannerModel(config, params)
     grad = np.zeros_like(theta)
     bound, bound_grads = _bind(params), _bind(_views(config, grad))
-    packed = [_pack(s, oracle.decide(s, Format.SHORT).action, s.gt_future)
-              for s in scenarios]
+    packed = [_pack(s, command, s.gt_future) for s, command in zip(scenarios, commands)]
     rng = SplitMix64(seed)
     curve: list[float] = []
     order = list(range(len(scenarios)))

@@ -75,9 +75,6 @@ class SplitMix64:
             if u <= limit:
                 return u % n
 
-    def choice(self, items):
-        return items[self.randint(len(items))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""
         for i in range(len(items) - 1, 0, -1):

@@ -5,6 +5,9 @@ origin at t=0, +x forward by convention): the ego state, up to A_MAX agent
 tracks with 3 s futures, up to M_MAX fixed-size map polylines, the
 navigation-level intended maneuver, and the ground-truth ego future.
 
+A trajectory, ground truth or predicted, is a plain ``tuple[Point, ...]``
+of T_F points 0.5 s apart, as an agent's future is.
+
 All types are immutable after construction and safe to share across
 threads. ``Scenario.validate()`` checks every structural invariant;
 loaders and generators call it so that any scenario in circulation is
@@ -38,7 +41,6 @@ from . import jsonio
 # Schema limits: every scenario holds at most A_MAX agents and M_MAX
 # polylines; the planner attends over exactly the ones present.
 T_F = 6                 # future waypoints, 0.5 s apart (3 s at 2 Hz)
-STEP_SECONDS = 0.5
 A_MAX = 8               # agents per scenario, at most
 M_MAX = 8               # map polylines per scenario, at most
 POLYLINE_POINTS = 4     # points per map polyline
@@ -278,34 +280,13 @@ class MapPolyline:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Future ego waypoints at timestamps 0.5*k seconds, k = 1..T_F."""
-
-    waypoints: tuple[Point, ...]
-
-    def validate(self, path: str = "trajectory") -> None:
-        if len(self.waypoints) != T_F:
-            raise ValidationError(path, f"expected {T_F} waypoints, got {len(self.waypoints)}")
-        _check_points(path, self.waypoints)
-
-    def __iter__(self):
-        return iter(self.waypoints)
-
-    def __len__(self) -> int:
-        return len(self.waypoints)
-
-    def __getitem__(self, k: int) -> Point:
-        return self.waypoints[k]
-
-
-@dataclass(frozen=True)
 class Scenario:
     id: str
     ego: EgoState
     agents: tuple[AgentTrack, ...]
     map: tuple[MapPolyline, ...]
     route_intent: MetaAction
-    gt_future: Trajectory
+    gt_future: tuple[Point, ...]    # T_F ego waypoints at 0.5 s steps
     seed: int = 0
 
     def validate(self) -> None:
@@ -324,7 +305,10 @@ class Scenario:
         for i, line in enumerate(self.map):
             line.validate(f"map[{i}]")
         _check_member(self.route_intent, "route_intent", MetaAction, "label")
-        self.gt_future.validate("gt_future")
+        if len(self.gt_future) != T_F:
+            raise ValidationError(
+                "gt_future", f"expected {T_F} waypoints, got {len(self.gt_future)}")
+        _check_points("gt_future", self.gt_future)
 
 
 # --- JSONL schema -----------------------------------------------------------
@@ -370,7 +354,7 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
             for m in s.map
         ],
         "route_intent": s.route_intent.value,
-        "gt_future": [[p[0], p[1]] for p in s.gt_future.waypoints],
+        "gt_future": [[p[0], p[1]] for p in s.gt_future],
     }
 
 
@@ -438,7 +422,7 @@ def _scenario_line(s: Scenario) -> str | None:
         if type(m.id) is not int or type(m.kind) is not MapKind:
             return None
         lines.append(_POLYLINE % (m.id, m.kind.value, _points_line(m.points, numbers)))
-    gt_future = _points_line(s.gt_future.waypoints, numbers)
+    gt_future = _points_line(s.gt_future, numbers)
     if set(map(type, numbers)) != _FLOATS or not math.isfinite(sum(numbers)):
         return None     # a sum that overflows also falls back, to the same bytes
     return (head + ",".join(records) + '],"map":[' + ",".join(lines)
@@ -523,7 +507,7 @@ def scenario_from_dict(obj: Any) -> Scenario:
         agents=tuple(agents),
         map=tuple(polylines),
         route_intent=intent,
-        gt_future=Trajectory(_as_points(_get(obj, "gt_future", ""), "gt_future")),
+        gt_future=_as_points(_get(obj, "gt_future", ""), "gt_future"),
         seed=seed,
     )
     scenario.validate()

@@ -37,7 +37,6 @@ from .scene import (
     Point,
     Scenario,
     T_F,
-    Trajectory,
     normalize_heading,
 )
 
@@ -86,13 +85,14 @@ class GenSpec:
 
 # --- trajectory primitives -----------------------------------------------------
 
-def straight_future(speed: float) -> Trajectory:
-    return Trajectory(tuple((speed * 0.5 * k, 0.0) for k in range(1, T_F + 1)))
+def straight_future(speed: float) -> tuple[Point, ...]:
+    return tuple((speed * 0.5 * k, 0.0) for k in range(1, T_F + 1))
 
 
-def turn_future(speed: float, side: float) -> Trajectory:
+def turn_future(speed: float, side: float) -> tuple[Point, ...]:
     """Quarter circle of radius TURN_RADIUS at arc speed, tangent +x at
-    the origin; continues straight along the exit tangent past the arc."""
+    the origin; continues straight along the exit tangent past the arc.
+    ``0.0 +`` makes a right turn's y at zero arc length +0.0, not -0.0."""
     arc_length = TURN_RADIUS * math.pi / 2
     points = []
     for k in range(1, T_F + 1):
@@ -100,10 +100,10 @@ def turn_future(speed: float, side: float) -> Trajectory:
         if s <= arc_length:
             phi = s / TURN_RADIUS
             points.append((TURN_RADIUS * math.sin(phi),
-                           side * TURN_RADIUS * (1.0 - math.cos(phi))))
+                           0.0 + side * TURN_RADIUS * (1.0 - math.cos(phi))))
         else:
             points.append((TURN_RADIUS, side * (TURN_RADIUS + (s - arc_length))))
-    return Trajectory(tuple(points))
+    return tuple(points)
 
 
 def constant_velocity_future(position: Point, heading: float, speed: float) -> tuple[Point, ...]:
@@ -214,7 +214,7 @@ def _crossing_vru(rng: SplitMix64, ego_speed: float, agent_id: int) -> AgentTrac
     )
 
 
-def postponed_turn_future(cross_x: float) -> Trajectory:
+def postponed_turn_future(cross_x: float) -> tuple[Point, ...]:
     """Ground-truth behavior when the turn is postponed: ease out along
     the straight lane and stop short of the crossing point (quadratic
     ease-out over the 3 s horizon)."""
@@ -223,7 +223,7 @@ def postponed_turn_future(cross_x: float) -> Trajectory:
     for k in range(1, T_F + 1):
         u = k / T_F
         points.append((stop_x * (2.0 * u - u * u), 0.0))
-    return Trajectory(tuple(points))
+    return tuple(points)
 
 
 # --- suite builders ------------------------------------------------------------------
@@ -284,7 +284,8 @@ def _build_fork(rng: SplitMix64, spec: GenSpec, scenario_id: str, seed: int,
 
 
 def mirror_scenario(s: Scenario, new_id: str) -> Scenario:
-    """Negate every y coordinate and swap left/right intents."""
+    """Negate every y coordinate and heading and swap left/right intents.
+    ``0.0 - v`` is ``-v`` for any nonzero v, and +0.0, not -0.0, for a zero."""
     flip = {
         MetaAction.TURN_LEFT: MetaAction.TURN_RIGHT,
         MetaAction.TURN_RIGHT: MetaAction.TURN_LEFT,
@@ -292,20 +293,20 @@ def mirror_scenario(s: Scenario, new_id: str) -> Scenario:
     }
     return Scenario(
         id=new_id,
-        ego=EgoState((s.ego.position[0], -s.ego.position[1]),
-                     normalize_heading(-s.ego.heading), s.ego.speed, s.ego.accel),
+        ego=EgoState((s.ego.position[0], 0.0 - s.ego.position[1]),
+                     normalize_heading(0.0 - s.ego.heading), s.ego.speed, s.ego.accel),
         agents=tuple(
-            AgentTrack(a.id, a.kind, (a.position[0], -a.position[1]),
-                       normalize_heading(-a.heading), a.speed, a.extent,
-                       tuple((x, -y) for x, y in a.future))
+            AgentTrack(a.id, a.kind, (a.position[0], 0.0 - a.position[1]),
+                       normalize_heading(0.0 - a.heading), a.speed, a.extent,
+                       tuple((x, 0.0 - y) for x, y in a.future))
             for a in s.agents
         ),
         map=tuple(
-            MapPolyline(m.id, m.kind, tuple((x, -y) for x, y in m.points))
+            MapPolyline(m.id, m.kind, tuple((x, 0.0 - y) for x, y in m.points))
             for m in s.map
         ),
         route_intent=flip[s.route_intent],
-        gt_future=Trajectory(tuple((x, -y) for x, y in s.gt_future)),
+        gt_future=tuple((x, 0.0 - y) for x, y in s.gt_future),
         seed=s.seed,
     )
 

@@ -10,7 +10,6 @@ from vecdrive.scene import (
     MapPolyline,
     MetaAction,
     Scenario,
-    Trajectory,
 )
 
 
@@ -43,7 +42,7 @@ def make_scenario(scenario_id="s0", agents=(), polylines=None,
     if polylines is None:
         polylines = (make_polyline(),)
     if gt_future is None:
-        gt_future = Trajectory(tuple((speed * 0.5 * k, 0.0) for k in range(1, 7)))
+        gt_future = tuple((speed * 0.5 * k, 0.0) for k in range(1, 7))
     if ego is None:
         ego = make_ego(speed=speed)
     s = Scenario(

@@ -43,7 +43,7 @@ from vecdrive.planner import (
 )
 from vecdrive.report import render_latency_table
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import MetaAction, Scenario, Trajectory, VRU_KINDS
+from vecdrive.scene import MetaAction, Scenario, VRU_KINDS
 from vecdrive.simgen import GenSpec, Suite, generate, split
 from vecdrive.textmetrics import bleu, cider, lcs_length, meteor, rouge_l
 
@@ -62,10 +62,10 @@ def criterion(label):
     print(f"{label}: PASS")
 
 
-def constant_velocity_baseline(s: Scenario) -> Trajectory:
+def constant_velocity_baseline(s: Scenario) -> tuple:
     v = s.ego.speed
     c, si = math.cos(s.ego.heading), math.sin(s.ego.heading)
-    return Trajectory(tuple((v * 0.5 * k * c, v * 0.5 * k * si) for k in range(1, 7)))
+    return tuple((v * 0.5 * k * c, v * 0.5 * k * si) for k in range(1, 7))
 
 
 # --- shared trained model (A3 protocol) ----------------------------------------
@@ -81,7 +81,9 @@ def trained_setup():
     assert len(train_set) == 400 and len(eval_set) == 100
     model = init_model(PlannerConfig(), seed=7)
     start = time.monotonic()
-    trained, curve = train(model, train_set, RuleOracle(),
+    oracle = RuleOracle()
+    commands = (oracle.decide(s, Format.SHORT).action for s in train_set)
+    trained, curve = train(model, train_set, commands,
                            epochs=50, lr=1e-2, seed=7)
     elapsed = time.monotonic() - start
     return trained, curve, eval_set, elapsed
@@ -127,14 +129,13 @@ def test_a2_attention_invariants():
         for s in scenarios:
             if len(s.agents) < 2:
                 continue
-            base = np.array(list(forward(model, s, s.route_intent).waypoints))
+            base = np.array(forward(model, s, s.route_intent))
             perm = list(s.agents)
             rng.shuffle(perm)
             permuted_scene = Scenario(
                 id=s.id + "p", ego=s.ego, agents=tuple(perm), map=s.map,
                 route_intent=s.route_intent, gt_future=s.gt_future, seed=s.seed)
-            other = np.array(list(forward(model, permuted_scene,
-                                          s.route_intent).waypoints))
+            other = np.array(forward(model, permuted_scene, s.route_intent))
             assert np.max(np.abs(base - other)) <= 1e-9
         # Attention with no valid key returns exactly zero.
         out, _ = planner._attention_forward(
@@ -296,9 +297,9 @@ def test_a6_collision_geometry():
 
         scen_rng = SplitMix64(707)
         for _ in range(1000):
-            pred = Trajectory(tuple(
+            pred = tuple(
                 (scen_rng.uniform(0.0, 2.5) * k, scen_rng.uniform(-1.5, 1.5))
-                for k in range(1, 7)))
+                for k in range(1, 7))
             agents = []
             for i in range(scen_rng.randint(4)):
                 pos = (scen_rng.uniform(-2, 12), scen_rng.uniform(-4, 4))

@@ -203,6 +203,38 @@ def test_train_divergence_exit_4(workdir, capsys):
     assert "learning rate" in capsys.readouterr().err
 
 
+def train_warnings(workdir, caplog, capsys, speed_max, lr):
+    """Train on 40 MIXED scenes for 10 epochs; the exit code, stdout, the
+    loss curve and the warnings logged."""
+    out = gen(workdir, n=40, extra=("--speed-max", speed_max))
+    caplog.clear()
+    capsys.readouterr()
+    code = run(["train", "--scenarios", str(out / "scenarios.jsonl"), "--out", str(out),
+                "--epochs", "10", "--lr", lr, "--seed", "7"])
+    curve = [float(line.split(",")[1])
+             for line in (out / "loss_curve.csv").read_text().splitlines()[1:]]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "vecdrive" and r.levelname == "WARNING"]
+    return code, capsys.readouterr().out, curve, warnings
+
+
+def test_train_warns_when_it_ends_worse_than_it_started(workdir, caplog, capsys):
+    code, printed, curve, warnings = train_warnings(workdir, caplog, capsys, "12", "0.05")
+    assert code == 0
+    assert printed == (f"wrote {workdir / 'base' / 'checkpoint.json'}\n"
+                       "final mean loss 213.963646 (initial 116.403147)\n")
+    assert curve[-1] > curve[0]
+    assert len(warnings) == 1
+    assert "213.963646" in warnings[0] and "116.403147" in warnings[0]
+
+
+def test_train_that_converges_logs_no_warning(workdir, caplog, capsys):
+    code, printed, curve, warnings = train_warnings(workdir, caplog, capsys, "6", "0.01")
+    assert code == 0
+    assert curve[-1] < curve[0]
+    assert warnings == []
+
+
 # --- eval-plan ---------------------------------------------------------------
 
 def test_eval_plan_gt_bypass_zero_l2(workdir, capsys):
@@ -751,11 +783,10 @@ def test_report_prints_each_command_table(workdir, capsys):
     for stem, argv in commands.items():
         capsys.readouterr()
         assert run([*argv, "--scenarios", scenarios, "--out", str(out)]) == 0
-        table = (out / f"{stem}.txt").read_text()
-        assert capsys.readouterr().out == table
-        if stem == "eval_actions":
-            table = table[:table.index("Label \\ Decided")]
-        expected += f"== {stem}.json ==\n" + table
+        printed = capsys.readouterr().out
+        assert printed == (out / f"{stem}.txt").read_text()
+        expected += f"== {stem}.json ==\n" + printed
+    assert "Label \\ Decided" in expected     # the eval-actions confusion matrix
     assert run(["report", "--dir", str(out)]) == 0
     assert capsys.readouterr().out == expected
 

@@ -40,7 +40,7 @@ def vru_crossing_left_corridor(agent_id=7):
 
 
 def mirror_scenario(s: Scenario) -> Scenario:
-    from vecdrive.scene import AgentTrack, EgoState, MapPolyline, Trajectory, normalize_heading
+    from vecdrive.scene import AgentTrack, EgoState, MapPolyline, normalize_heading
     flip_intent = {
         MetaAction.TURN_LEFT: MetaAction.TURN_RIGHT,
         MetaAction.TURN_RIGHT: MetaAction.TURN_LEFT,
@@ -61,7 +61,7 @@ def mirror_scenario(s: Scenario) -> Scenario:
             for m in s.map
         ),
         route_intent=flip_intent[s.route_intent],
-        gt_future=Trajectory(tuple((x, -y) for x, y in s.gt_future)),
+        gt_future=tuple((x, -y) for x, y in s.gt_future),
         seed=s.seed,
     )
 

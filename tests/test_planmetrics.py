@@ -23,14 +23,14 @@ from vecdrive.planmetrics import (
     _with_avg,
 )
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import T_F, Trajectory
+from vecdrive.scene import T_F
 from vecdrive.simgen import GenSpec, Suite, generate
 
 from conftest import make_agent
 
 
 def traj(points):
-    return Trajectory(tuple(points))
+    return tuple(points)
 
 
 STRAIGHT = traj([(0.5 * k, 0.0) for k in range(1, 7)])

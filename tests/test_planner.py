@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vecdrive
 from vecdrive import planner, simgen
 from vecdrive.cli import main as cli_main
 from vecdrive.planner import (
@@ -24,7 +28,7 @@ from vecdrive.planner import (
 )
 from vecdrive.oracle import Format, RuleOracle
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import MetaAction, Trajectory, save_scenarios
+from vecdrive.scene import MetaAction, save_scenarios
 
 from conftest import make_agent, make_ego, make_polyline, make_scenario
 from helpers_grad import fd_gradients, max_relative_error
@@ -57,6 +61,18 @@ def attend(model, stage, q_in, k_src, q_pos, k_pos):
     out, _ = planner._attention_forward(planner._bind(model.params)[stage], model.config,
                                         q_in, k_src, q_pos, k_pos)
     return out
+
+
+def test_planner_imports_neither_the_oracle_nor_the_cli():
+    # The planner takes commands, not an oracle: importing it alone must
+    # not load the modules that decide them or drive it.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
+    probe = ("import sys, vecdrive.planner; "
+             "print([m for m in ('vecdrive.oracle', 'vecdrive.cli') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # --- config / init -----------------------------------------------------------
@@ -285,7 +301,7 @@ def test_forward_empty_scene_equals_hand_plan_head():
     h = np.tanh(model.params["plan_head.w1"] @ x + model.params["plan_head.b1"])
     y = model.params["plan_head.w2"] @ h + model.params["plan_head.b2"]
     expected = y.reshape(6, 2)
-    flat = np.array(list(out.waypoints))
+    flat = np.array(out)
     assert np.allclose(flat, expected, atol=1e-15)
 
 
@@ -295,11 +311,11 @@ def test_forward_permutation_invariant_over_keys():
                    for i in range(5))
     lines = tuple(make_polyline(i, y=3.5 * (i - 1)) for i in range(3))
     s = make_scenario(agents=agents, polylines=lines)
-    base = np.array(list(forward(model, s, MetaAction.GO_STRAIGHT).waypoints))
+    base = np.array(forward(model, s, MetaAction.GO_STRAIGHT))
     perm_agents = (agents[3], agents[0], agents[4], agents[2], agents[1])
     perm_lines = (lines[2], lines[0], lines[1])
     s2 = make_scenario(agents=perm_agents, polylines=perm_lines)
-    permuted = np.array(list(forward(model, s2, MetaAction.GO_STRAIGHT).waypoints))
+    permuted = np.array(forward(model, s2, MetaAction.GO_STRAIGHT))
     assert np.max(np.abs(base - permuted)) <= 1e-9
 
 
@@ -307,27 +323,28 @@ def test_forward_output_shape_and_finite():
     model = init_model(PlannerConfig(), 19)
     s = make_scenario(agents=(make_agent(),))
     out = forward(model, s, MetaAction.TURN_LEFT)
-    assert len(out) == 6
+    assert type(out) is tuple and len(out) == 6
+    assert all(type(p) is tuple and len(p) == 2 for p in out)
     assert all(math.isfinite(x) and math.isfinite(y) for x, y in out)
 
 
 # --- imitation loss ----------------------------------------------------------------
 
 def test_loss_identical_zero():
-    t = Trajectory(tuple((0.5 * k, 0.0) for k in range(1, 7)))
+    t = tuple((0.5 * k, 0.0) for k in range(1, 7))
     assert imitation_loss(t, t) == 0.0
 
 
 def test_loss_unit_offset():
-    t = Trajectory(tuple((0.5 * k, 0.0) for k in range(1, 7)))
-    shifted = Trajectory(tuple((x + 1.0, y) for x, y in t))
+    t = tuple((0.5 * k, 0.0) for k in range(1, 7))
+    shifted = tuple((x + 1.0, y) for x, y in t)
     assert imitation_loss(shifted, t) == pytest.approx(1.0)
 
 
 def test_loss_random_matches_reference():
     rng = SplitMix64(2)
-    a = Trajectory(tuple((rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)))
-    b = Trajectory(tuple((rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)))
+    a = tuple((rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6))
+    b = tuple((rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6))
     expected = sum((ax - bx) ** 2 + (ay - by) ** 2
                    for (ax, ay), (bx, by) in zip(a, b)) / 6
     assert imitation_loss(a, b) == pytest.approx(expected, abs=1e-15)
@@ -345,7 +362,7 @@ def grad_scenario():
 
 def test_backward_zero_model_zero_gt():
     model = zero_model()
-    s = make_scenario(gt_future=Trajectory(((0.0, 0.0),) * 6), speed=0.0)
+    s = make_scenario(gt_future=((0.0, 0.0),) * 6, speed=0.0)
     loss, grads = backward(model, s, MetaAction.GO_STRAIGHT, s.gt_future)
     assert loss == 0.0
     assert all(np.all(g == 0.0) for g in grads.values())
@@ -404,10 +421,15 @@ def train_set(n=4):
     return scenarios
 
 
-def reference_train(model, scenarios, oracle, epochs, lr, seed):
+def rule_commands(scenarios):
+    """The rule oracle's SHORT command for each scenario, as ``vecdrive train`` passes."""
+    oracle = RuleOracle()
+    return [oracle.decide(s, Format.SHORT).action for s in scenarios]
+
+
+def reference_train(model, scenarios, commands, epochs, lr, seed):
     """Per-sample SGD through the public backward() and a per-parameter update."""
     trained = PlannerModel(model.config, {k: v.copy() for k, v in model.params.items()})
-    commands = [oracle.decide(s, Format.SHORT).action for s in scenarios]
     rng = SplitMix64(seed)
     order = list(range(len(scenarios)))
     curve = []
@@ -430,8 +452,9 @@ def test_train_bit_identical_to_reference_loop():
         make_scenario(scenario_id="no_map", agents=(make_agent(1),), polylines=(),
                       route_intent=MetaAction.TURN_RIGHT),
     ]
-    trained, curve = train(model, scenarios, RuleOracle(), epochs=3, lr=1e-2, seed=5)
-    ref, ref_curve = reference_train(model, scenarios, RuleOracle(), epochs=3, lr=1e-2, seed=5)
+    commands = rule_commands(scenarios)
+    trained, curve = train(model, scenarios, iter(commands), epochs=3, lr=1e-2, seed=5)
+    ref, ref_curve = reference_train(model, scenarios, commands, epochs=3, lr=1e-2, seed=5)
     assert curve == ref_curve
     for name in ref.params:
         assert np.array_equal(trained.params[name], ref.params[name]), name
@@ -440,7 +463,8 @@ def test_train_bit_identical_to_reference_loop():
 
 def test_train_lr_zero_no_change():
     model = init_model(TINY, 3)
-    trained, curve = train(model, train_set(), RuleOracle(), epochs=3, lr=0.0, seed=5)
+    trained, curve = train(model, train_set(), rule_commands(train_set()), epochs=3, lr=0.0,
+                           seed=5)
     for name in model.params:
         assert np.array_equal(model.params[name], trained.params[name])
     assert len(curve) == 3
@@ -450,26 +474,42 @@ def test_train_lr_zero_no_change():
 @pytest.mark.parametrize("epochs, lr", [(0, 0.01), (-1, 0.01), (1, math.nan),
                                         (1, math.inf), (1, -1.0)])
 def test_train_rejects_bad_epochs_and_lr_before_any_decide(epochs, lr):
-    class NoCalls:
-        def decide(self, scenario, format):
-            raise AssertionError("oracle called")
+    class Unread:
+        """Commands that fail when read: none may be drawn before the checks."""
+
+        def __iter__(self):
+            raise AssertionError("commands read")
 
     with pytest.raises(PlannerError) as err:
-        train(init_model(TINY, 3), train_set(), NoCalls(), epochs=epochs, lr=lr, seed=5)
+        train(init_model(TINY, 3), train_set(), Unread(), epochs=epochs, lr=lr, seed=5)
     assert not isinstance(err.value, TrainingDiverged)
+
+
+@pytest.mark.parametrize("n_commands", [0, 3, 5])
+def test_train_refuses_a_command_count_other_than_the_scenario_count(monkeypatch, n_commands):
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(planner, "_step", no_step)
+    with pytest.raises(PlannerError) as err:
+        train(init_model(TINY, 3), train_set(4), [MetaAction.GO_STRAIGHT] * n_commands,
+              epochs=1, lr=1e-2, seed=5)
+    assert str(err.value) == f"{n_commands} commands for 4 scenarios"
 
 
 def test_train_overfits_single_scenario():
     model = init_model(PlannerConfig(d_model=8, n_heads=2, hidden=16), 3)
     scenarios = train_set(1)
-    trained, curve = train(model, scenarios, RuleOracle(), epochs=300, lr=1e-2, seed=5)
+    trained, curve = train(model, scenarios, rule_commands(scenarios), epochs=300, lr=1e-2,
+                           seed=5)
     assert curve[-1] < 0.01 * curve[0]
 
 
 def test_train_same_seed_bitwise_identical():
     model = init_model(TINY, 3)
-    a, curve_a = train(model, train_set(), RuleOracle(), epochs=4, lr=1e-2, seed=7)
-    b, curve_b = train(model, train_set(), RuleOracle(), epochs=4, lr=1e-2, seed=7)
+    commands = rule_commands(train_set())
+    a, curve_a = train(model, train_set(), commands, epochs=4, lr=1e-2, seed=7)
+    b, curve_b = train(model, train_set(), commands, epochs=4, lr=1e-2, seed=7)
     assert curve_a == curve_b
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
@@ -478,7 +518,7 @@ def test_train_same_seed_bitwise_identical():
 def test_train_does_not_mutate_input_model():
     model = init_model(TINY, 3)
     snapshot = {k: v.copy() for k, v in model.params.items()}
-    train(model, train_set(), RuleOracle(), epochs=2, lr=1e-2, seed=7)
+    train(model, train_set(), rule_commands(train_set()), epochs=2, lr=1e-2, seed=7)
     for name in snapshot:
         assert np.array_equal(snapshot[name], model.params[name])
 
@@ -487,7 +527,7 @@ def test_train_divergence_raises():
     model = init_model(TINY, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as err:
-            train(model, train_set(), RuleOracle(), epochs=200, lr=1e6, seed=5)
+            train(model, train_set(), rule_commands(train_set()), epochs=200, lr=1e6, seed=5)
     assert "learning rate" in str(err.value)
 
 
@@ -495,12 +535,12 @@ def test_train_rejects_misshapen_parameter():
     model = init_model(TINY, 3)
     model.params["agent_enc.w1"] = model.params["agent_enc.w1"].T.copy()
     with pytest.raises(PlannerError):
-        train(model, train_set(), RuleOracle(), epochs=1, lr=1e-2, seed=5)
+        train(model, train_set(), rule_commands(train_set()), epochs=1, lr=1e-2, seed=5)
 
 
 def test_train_empty_rejected():
     with pytest.raises(PlannerError):
-        train(init_model(TINY, 3), [], RuleOracle(), epochs=1, lr=0.1, seed=1)
+        train(init_model(TINY, 3), [], [], epochs=1, lr=0.1, seed=1)
 
 
 # --- checkpoints ---------------------------------------------------------------------

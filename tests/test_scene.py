@@ -16,7 +16,6 @@ from vecdrive.scene import (
     MetaAction,
     Scenario,
     ScenarioLoadError,
-    Trajectory,
     ValidationError,
     load_scenarios,
     normalize_heading,
@@ -80,7 +79,7 @@ def test_too_many_agents_rejected():
     agents = tuple(make_agent(agent_id=i, position=(5.0 + i, 3.5)) for i in range(9))
     s = Scenario(id="s", ego=make_ego(), agents=agents, map=(make_polyline(),),
                  route_intent=MetaAction.GO_STRAIGHT,
-                 gt_future=Trajectory(tuple((0.5 * k, 0.0) for k in range(1, 7))))
+                 gt_future=tuple((0.5 * k, 0.0) for k in range(1, 7)))
     with pytest.raises(ValidationError) as err:
         s.validate()
     assert "agents" in err.value.field
@@ -95,8 +94,9 @@ def test_duplicate_agent_id_rejected():
 
 def test_bad_gt_future_length_rejected():
     with pytest.raises(ValidationError) as err:
-        make_scenario(gt_future=Trajectory(tuple((0.5 * k, 0.0) for k in range(1, 8))))
-    assert "gt_future" in err.value.field
+        make_scenario(gt_future=tuple((0.5 * k, 0.0) for k in range(1, 8)))
+    assert err.value.field == "gt_future"
+    assert err.value.message == "expected 6 waypoints, got 7"
 
 
 def test_negative_speed_rejected():
@@ -194,7 +194,7 @@ def test_save_rejects_invalid_before_writing(tmp_path):
     agents = tuple(make_agent(agent_id=i, position=(5.0 + i, 3.5)) for i in range(9))
     bad = Scenario(id="s", ego=make_ego(), agents=agents, map=(make_polyline(),),
                    route_intent=MetaAction.GO_STRAIGHT,
-                   gt_future=Trajectory(tuple((0.5 * k, 0.0) for k in range(1, 7))))
+                   gt_future=tuple((0.5 * k, 0.0) for k in range(1, 7)))
     p = tmp_path / "out.jsonl"
     with pytest.raises(ValidationError):
         save_scenarios([make_scenario("ok"), bad], p)

@@ -5,7 +5,15 @@ import pytest
 
 from vecdrive import jsonio
 from vecdrive.oracle import rule_oracle_decide
-from vecdrive.scene import AgentKind, MetaAction, VRU_KINDS, scenario_to_dict
+from vecdrive.cli import main as cli_main
+from vecdrive.scene import (
+    AgentKind,
+    MetaAction,
+    VRU_KINDS,
+    load_scenarios,
+    save_scenarios,
+    scenario_to_dict,
+)
 from vecdrive.simgen import GenSpec, Suite, generate, mirror_scenario, split
 
 from test_oracle import brute_corridor_distance
@@ -158,6 +166,22 @@ def test_genspec_validation():
         GenSpec(n_scenarios=1, seed=1, speed_range=(5.0, 2.0)).validate()
     with pytest.raises(ValueError):
         Suite.parse("DONUTS")
+
+
+@pytest.mark.parametrize("suite", [suite.value for suite in Suite])
+@pytest.mark.parametrize("speeds", [(), ("--speed-min", "0"),
+                                    ("--speed-min", "0", "--speed-max", "0")],
+                         ids=["default-speeds", "speed-min-0", "speed-0"])
+def test_simgen_file_round_trips_byte_for_byte(tmp_path, suite, speeds):
+    # -0.0 is written "-0" and read back as the int 0, so a file holding it
+    # would change when loaded and saved: mirrored forks (a negated y or
+    # heading of 0) and right turns at zero speed must not make one.
+    out = tmp_path / "gen"
+    assert cli_main(["simgen", "--out", str(out), "--n", "40", "--seed", "3",
+                     "--suite", suite, *speeds]) == 0
+    written = (out / "scenarios.jsonl").read_bytes()
+    save_scenarios(load_scenarios(out / "scenarios.jsonl"), tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == written
 
 
 # --- split ------------------------------------------------------------------------
