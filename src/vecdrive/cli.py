@@ -283,15 +283,15 @@ def _decision_text(decision, format: Format) -> str:
 def cmd_simgen(args: argparse.Namespace) -> int:
     _require(args, ["out"])
     spec = _gen_spec(args)
+    frac = None if args.train_frac is None else float(args.train_frac)
+    if frac is not None and not (0.0 < frac < 1.0):
+        raise ConfigError(f"--train-frac {frac} outside (0, 1)")
     out = _out_dir(args)
     scenarios = generate(spec)     # validated, with distinct ids
     lines = {s.id: scenario_json(s) + "\n" for s in scenarios}
     jsonio.write_atomic(os.path.join(out, "scenarios.jsonl"), "".join(lines.values()))
     print(f"wrote {len(scenarios)} scenarios to {out}/scenarios.jsonl")
-    if args.train_frac is not None:
-        frac = float(args.train_frac)
-        if not (0.0 < frac < 1.0):
-            raise ConfigError(f"--train-frac {frac} outside (0, 1)")
+    if frac is not None:
         train_set, eval_set = split(scenarios, frac, spec.seed)
         for name, part in (("train", train_set), ("eval", eval_set)):
             jsonio.write_atomic(os.path.join(out, f"scenarios_{name}.jsonl"),
@@ -423,10 +423,13 @@ def cmd_eval_actions(args: argparse.Namespace) -> int:
 
 def cmd_bench_oracle(args: argparse.Namespace) -> int:
     scenarios = _eval_scenarios(args)
+    warmup = int(args.warmup)
+    if warmup < 0:
+        raise ConfigError(f"--warmup must be 0 or more, got {warmup}")
     rows = {}
     with _oracle(args) as oracle:
         for label, fmt in (("Long", Format.LONG), ("Short", Format.SHORT)):
-            for scenario in scenarios[:int(args.warmup)]:
+            for scenario in scenarios[:warmup]:
                 oracle.decide(scenario, fmt)
             samples = []
             for scenario in scenarios:

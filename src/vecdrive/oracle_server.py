@@ -16,12 +16,15 @@ from .oracle import RuleOracle
 
 
 def serve(stdin=None, stdout=None) -> None:
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    """Answer each line of the binary ``stdin`` on the binary ``stdout``: the
+    protocol is UTF-8 whatever the locale, so each line is decoded here."""
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    stdout = stdout if stdout is not None else sys.stdout.buffer
     oracle = RuleOracle()
-    for line in stdin:
-        if line.strip():
-            stdout.write(_reply(line, oracle))
+    for raw in stdin:
+        reply = _reply(raw, oracle)
+        if reply:
+            stdout.write(reply)
             stdout.flush()
 
 

@@ -63,10 +63,19 @@ def test_simgen_rerun_byte_identical(workdir):
 
 
 def test_simgen_invalid_frac_exit_2(workdir, capsys):
-    code = run(["simgen", "--out", str(workdir / "x"), "--n", "5", "--seed", "1",
+    # The fraction is refused before any file is written: one already in
+    # --out keeps its bytes, and nothing is printed.
+    out = workdir / "x"
+    out.mkdir()
+    (out / "scenarios.jsonl").write_bytes(b"kept\n")
+    code = run(["simgen", "--out", str(out), "--n", "5", "--seed", "1",
                 "--train-frac", "1.5"])
     assert code == 2
-    assert "train-frac" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "train-frac" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == ["scenarios.jsonl"]
+    assert read(out / "scenarios.jsonl") == b"kept\n"
 
 
 def test_simgen_invalid_density_exit_2_names_field(workdir, capsys):
@@ -442,6 +451,18 @@ def test_bench_sleepy_mock_mean_in_band(workdir):
     obj = jsonio.loads((out / "bench.json").read_text())
     for stats in obj["rows"].values():
         assert 0.050 <= stats["mean"] <= 0.060
+
+
+def test_bench_oracle_refuses_negative_warmup_before_opening_the_oracle(workdir, capsys,
+                                                                         monkeypatch):
+    out = gen(workdir, n=5)
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was opened")
+    monkeypatch.setattr(cli, "open_oracle", no_oracle)
+    assert run(["bench-oracle", "--scenarios", str(out / "scenarios.jsonl"),
+                "--warmup", "-3", "--out", str(out)]) == 2
+    assert "--warmup" in capsys.readouterr().err
+    assert not (out / "bench.json").exists()
 
 
 # --- report / fixtures --------------------------------------------------------------

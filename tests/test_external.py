@@ -1,4 +1,5 @@
 import io
+import os
 import shlex
 import socket
 import subprocess
@@ -393,6 +394,19 @@ def test_packaged_server_answers_garbage_and_serves_on():
     assert_rule_oracle_reply(reply, s)
 
 
+def test_packaged_server_answers_a_line_that_is_not_utf8_and_serves_on():
+    s = make_scenario(agents=(make_agent(),), route_intent=MetaAction.TURN_LEFT)
+    proc = subprocess.run([sys.executable, "-m", "vecdrive.oracle_server"],
+                          input=b"\xff\xfe\n" + request_line(scenario_to_dict(s)).encode() + b"\n",
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    error, reply = proc.stdout.decode("utf-8").splitlines()
+    assert list(jsonio.loads(error)) == ["v", "error"]
+    assert "utf-8" in jsonio.loads(error)["error"]
+    assert_rule_oracle_reply(reply, s)
+
+
 def test_server_replies_error_object_per_bad_request():
     s = make_scenario(agents=(make_agent(),))
     negative, huge = scenario_to_dict(s), scenario_to_dict(s)
@@ -403,10 +417,10 @@ def test_server_replies_error_object_per_bad_request():
            request_line(scenario_to_dict(s), format="medium"),
            request_line(scenario_to_dict(s), format=5),
            "[" * 100_000 + "]" * 100_000]
-    out = io.StringIO()
-    oracle_server.serve(io.StringIO("\n".join(bad + [request_line(scenario_to_dict(s))]) + "\n"),
-                        stdout=out)
-    lines = out.getvalue().splitlines()
+    out = io.BytesIO()
+    request = "\n".join(bad + [request_line(scenario_to_dict(s))]) + "\n"
+    oracle_server.serve(io.BytesIO(request.encode("utf-8")), stdout=out)
+    lines = out.getvalue().decode("utf-8").splitlines()
     assert len(lines) == len(bad) + 1
     for line in lines[:-1]:
         assert list(jsonio.loads(line)) == ["v", "error"]

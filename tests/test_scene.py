@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import enum
 import math
@@ -5,6 +6,7 @@ import os
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -555,3 +557,138 @@ def test_scenario_json_reads_a_generator_once(simgen_scenario, field):
         s = replace(simgen_scenario, **{field: (x for x in getattr(simgen_scenario, field))})
         return replace_leaf(s, ("ego", "speed"), 5)
     assert emitted(scenario_json, build()) == emitted(generic_line, build())
+
+
+# --- scenario_from_dict: the one pass against the checked path -------------------
+
+def decoded(decode, obj):
+    """Each leaf of the scenario ``decode`` builds, with its type; the
+    ``(field, message)`` it raises; or None."""
+    try:
+        s = decode(obj)
+    except ValidationError as e:
+        return e.field, e.message
+    return None if s is None else [(path, type(v), repr(v)) for path, v in leaves(s)]
+
+
+def json_nodes(value, path=()):
+    """(path, value) of every node of a decoded line, the line itself first."""
+    yield path, value
+    if type(value) is dict:
+        for key, item in value.items():
+            yield from json_nodes(item, (*path, key))
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            yield from json_nodes(item, (*path, i))
+
+
+def set_node(obj, path, new):
+    if not path:
+        return new
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return obj
+
+
+#: Values at the bounds the one pass checks itself: numbers, and an empty id.
+BOUND_VALUES = [math.pi, -math.pi, 4, -4.0, -1, -0.0, 2 ** 64 - 1, 2 ** 64, 1e308, ""]
+
+#: What a line, or a dict built in code, may hold in place of a field.
+DECODER_VALUES = st.one_of(
+    st.sampled_from(AWKWARD_VALUES + BOUND_VALUES), st.booleans(), st.integers(-2, 9),
+    st.integers(), st.integers().map(IntSub), st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False).map(FloatSub), AWKWARD_TEXT,
+)
+
+
+def shape(path):
+    """A node's path with every list index as ``*``: its field in the schema."""
+    return tuple("*" if isinstance(key, int) else key for key in path)
+
+
+def assert_one_pass_agrees(obj):
+    checked = decoded(scene._scenario_checked, obj)
+    fast = decoded(scene._scenario_fast, obj)
+    assert fast is None or fast == checked, obj
+    assert decoded(scenario_from_dict, obj) == checked
+
+
+def test_one_pass_builds_what_the_checked_path_builds_for_each_field(simgen_scenario):
+    # Every field of the line (the first agent, polyline and point stand for
+    # the rest) against every awkward value, and every object and list
+    # changed in shape: wrapped, short of a key or an item, with one more,
+    # or with every item the same (a repeated point or agent id).
+    line = scenario_json(simgen_scenario)
+    fields = {}
+    for path, node in json_nodes(jsonio.loads(line)):
+        fields.setdefault(shape(path), (path, node))
+    for path, node in fields.values():
+        variants = [*AWKWARD_VALUES, *BOUND_VALUES]
+        if type(node) is dict:
+            variants += [MappingProxyType(node), {**node, "extra": 1},
+                         *({k: v for k, v in node.items() if k != key} for key in node)]
+        elif type(node) is list:
+            variants += [tuple(node), node[:-1], node + node[-1:], node[:1] * len(node)]
+        for new in variants:
+            assert_one_pass_agrees(set_node(jsonio.loads(line), path, new))
+    # Too many agents (with distinct ids), too many polylines, and both as tuples.
+    obj = jsonio.loads(line)
+    obj["agents"] = [{**obj["agents"][0], "id": k} for k in range(scene.A_MAX + 1)]
+    assert_one_pass_agrees(obj)
+    obj = jsonio.loads(line)
+    obj["map"] = obj["map"][:1] * (scene.M_MAX + 1)
+    assert_one_pass_agrees(obj)
+    obj = jsonio.loads(line)
+    obj["agents"], obj["map"] = tuple(obj["agents"]), tuple(obj["map"])
+    assert_one_pass_agrees(obj)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_pass_builds_what_the_checked_path_builds_or_defers(data):
+    scenario = data.draw(simgen_scenarios())
+    obj = jsonio.loads(scenario_json(scenario))
+    # Every generated scenario takes the one pass.
+    assert decoded(scene._scenario_fast, obj) == decoded(scene._scenario_checked, obj)
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = list(json_nodes(obj))
+        field = data.draw(st.sampled_from(sorted({shape(p) for p, _ in nodes}, key=repr)))
+        path, node = data.draw(st.sampled_from([n for n in nodes if shape(n[0]) == field]))
+        change = data.draw(st.sampled_from(["replace", "delete", "extra", "container", "copy"]))
+        if change == "replace":
+            obj = set_node(obj, path, data.draw(DECODER_VALUES))
+        elif change == "container" and type(node) in (dict, list):
+            wrapped = MappingProxyType(node) if type(node) is dict else tuple(node)
+            obj = set_node(obj, path, wrapped)
+        elif change == "delete" and node:
+            if type(node) is dict:
+                del node[data.draw(st.sampled_from(sorted(node)))]
+            elif type(node) is list:
+                del node[data.draw(st.integers(0, len(node) - 1))]
+        elif change == "extra" and type(node) is dict:
+            node[data.draw(st.text(max_size=8))] = data.draw(DECODER_VALUES)
+        elif change == "copy" and type(node) is list and node:
+            i = data.draw(st.integers(0, len(node)))    # over its neighbour, or appended
+            item = copy.deepcopy(node[max(i - 1, 0)])
+            if i < len(node):
+                node[i] = item
+            else:
+                node.append(item)
+    assert_one_pass_agrees(obj)
+
+
+@pytest.mark.parametrize("speeds", [(2.0, 6.0), (0.0, 0.0)], ids=["default-speeds", "speed-0"])
+def test_load_never_falls_back_on_simgen_files(tmp_path, monkeypatch, speeds):
+    def fallback(obj):
+        raise AssertionError("a generated line left the one pass")
+    monkeypatch.setattr(scene, "_scenario_checked", fallback)
+    for suite in simgen.Suite:
+        for density in (0.0, 0.5, 1.0):
+            spec = simgen.GenSpec(n_scenarios=40, seed=5, suite=suite, agent_density=density,
+                                  speed_range=speeds)
+            scenarios = simgen.generate(spec)
+            path = tmp_path / f"{suite.value}-{density}.jsonl"
+            save_scenarios(scenarios, path)
+            assert load_scenarios(path) == scenarios
