@@ -109,24 +109,24 @@ def _parse_response(raw: str, scenario: Scenario, format: Format,
     return decision
 
 
-def _reply(raw: bytes, oracle: Oracle) -> bytes:
+def _reply(raw: bytes, oracle: Oracle) -> str:
     """Server side: the reply line to one request line, an error object if it is not
     valid (bytes that are not UTF-8 included), and nothing to a blank line."""
     try:
-        line = raw.decode("utf-8")     # a UnicodeDecodeError is a ValueError
+        line = raw.decode("utf-8")
         if not line.strip():
-            return b""
+            return ""
         obj = jsonio.loads(line)
         if not isinstance(obj, dict) or not isinstance(obj.get("scenario"), dict):
             raise ValueError("request is not an object with a scenario object")
         format = Format.parse(str(obj.get("format", "short")))
         scenario = scenario_from_dict(obj["scenario"])
     except (ValueError, ValidationError) as e:
-        return (jsonio.dumps({"v": 1, "error": f"invalid request: {e}"}) + "\n").encode("utf-8")
+        return jsonio.dumps({"v": 1, "error": f"invalid request: {e}"}) + "\n"
     decision = oracle.decide(scenario, format)
     rationale = decision.rationale_long if format is Format.LONG else decision.rationale_short
-    return (jsonio.dumps({"v": 1, "action": decision.action.value, "rationale": rationale,
-                          "hazard_ids": list(decision.hazard_ids)}) + "\n").encode("utf-8")
+    return jsonio.dumps({"v": 1, "action": decision.action.value, "rationale": rationale,
+                         "hazard_ids": list(decision.hazard_ids)}) + "\n"
 
 
 class _LineOracle:

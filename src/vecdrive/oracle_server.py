@@ -9,6 +9,7 @@ and as a template for wiring a real model into the protocol.
 
 from __future__ import annotations
 
+import codecs
 import sys
 
 from .external import _reply
@@ -16,10 +17,10 @@ from .oracle import RuleOracle
 
 
 def serve(stdin=None, stdout=None) -> None:
-    """Answer each line of the binary ``stdin`` on the binary ``stdout``: the
-    protocol is UTF-8 whatever the locale, so each line is decoded here."""
+    """Answer each line of the binary ``stdin`` with a line of text on ``stdout``; the
+    default ``stdout`` writes UTF-8 to ``sys.stdout.buffer`` whatever the locale."""
     stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
+    stdout = stdout if stdout is not None else codecs.getwriter("utf-8")(sys.stdout.buffer)
     oracle = RuleOracle()
     for raw in stdin:
         reply = _reply(raw, oracle)

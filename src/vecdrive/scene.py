@@ -19,9 +19,8 @@ for each kind of field (``_as_float``, ``_as_int``, ``_as_member``,
 exactly the types the loader refuses and ``save_scenarios`` never writes
 a file that ``load_scenarios`` rejects.
 
-``scenario_from_dict`` decodes a line in one pass, without ``validate()``;
-a line that pass does not take goes field by field through the checked
-path, which builds the same scenario or raises an error naming the field.
+``scenario_from_dict`` decodes a line in one pass and keeps the checked,
+per-field path for the lines that pass defers, so every error names its field.
 
 ``scenario_json`` writes a scenario's canonical line, the bytes of
 ``jsonio.dumps(scenario_to_dict(s))``, straight from the dataclasses.
@@ -458,12 +457,10 @@ def _as_points(value: Any, path: str) -> tuple[Point, ...]:
 _AGENT_KINDS = {k.value: k for k in AgentKind}
 _MAP_KINDS = {k.value: k for k in MapKind}
 _INTENTS = {m.value: m for m in MetaAction}
-_DICTS, _LISTS, _PAIRS, _NUMBERS = {dict}, {list}, {2}, set(_NUMBER_TYPES)
 
 
 def scenario_from_dict(obj: Any) -> Scenario:
-    """The scenario a decoded JSONL line holds, checked as ``validate()`` checks one;
-    ``ValidationError`` names the first bad field."""
+    """The scenario a decoded JSONL line holds; ``ValidationError`` names the bad field."""
     scenario = _scenario_fast(obj)
     return _scenario_checked(obj) if scenario is None else scenario
 
@@ -471,36 +468,30 @@ def scenario_from_dict(obj: Any) -> Scenario:
 def _scenario_fast(obj: Any) -> Scenario | None:
     """The one pass of ``scenario_from_dict``: what the checked path returns, or None.
 
-    It takes plain dicts, lists, strs, ints and floats. Every number is
-    checked at once: an exact int or float, with a finite sum (no bool,
-    subclass, NaN, infinity or int too large for a float). Then it checks
-    only the bounds ``validate()`` sets on values of the right types.
+    It takes plain dicts, lists, strs, ints and floats and checks every number at once
+    (an exact int or float, finite sum: no bool, subclass, NaN, infinity or int too large
+    for a float), then only the bounds ``validate()`` sets on values of the right types.
     """
-    if type(obj) is not dict:
-        return None
     try:
         ego, agents, polylines = obj["ego"], obj["agents"], obj["map"]
-        if (type(ego) is not dict or type(agents) is not list or type(polylines) is not list
-                or not set(map(type, agents + polylines)) <= _DICTS
+        if (type(obj) is not dict or type(ego) is not dict or type(agents) is not list
+                or type(polylines) is not list or not set(map(type, agents + polylines)) <= {dict}
                 or len(agents) > A_MAX or len(polylines) > M_MAX):
             return None
         point_lists = [*(a["future"] for a in agents), *(m["points"] for m in polylines),
                        obj["gt_future"]]
         points = list(chain.from_iterable(point_lists))
-        if (set(map(type, point_lists)) != _LISTS or set(map(type, points)) != _LISTS
-                or set(map(len, points)) != _PAIRS):
+        if (set(map(type, point_lists)) != {list} or set(map(type, points)) != {list}
+                or set(map(len, points)) != {2}):
             return None
         numbers = [ego["x"], ego["y"], ego["heading"], ego["speed"], ego["accel"]]
         for a in agents:
             numbers += (a["x"], a["y"], a["heading"], a["speed"], a["length"], a["width"])
         numbers += chain.from_iterable(points)
-        if not (set(map(type, numbers)) <= _NUMBERS and math.isfinite(math.fsum(numbers))):
+        if not (set(map(type, numbers)) <= {float, int} and math.isfinite(math.fsum(numbers))):
             return None
         values = map(float, numbers)    # read in the order the numbers were collected
         x, y, heading, speed, accel = islice(values, 5)
-        if not (-math.pi < heading <= math.pi and speed >= 0):
-            return None
-        ego = EgoState((x, y), heading, speed, accel)
         fields = [tuple(islice(values, 6)) for _ in agents]
         pairs = zip(values, values)
         point_tuples = [tuple(islice(pairs, len(p))) for p in point_lists]
@@ -508,21 +499,20 @@ def _scenario_fast(obj: Any) -> Scenario | None:
                                   (length, width), future)
                        for a, (x, y, heading, speed, length, width), future
                        in zip(agents, fields, point_tuples))
-        if (any(type(t.id) is not int or not -math.pi < t.heading <= math.pi or t.speed < 0
-                or min(t.extent) <= 0 or len(t.future) != T_F for t in tracks)
-                or len({t.id for t in tracks}) != len(tracks)):
-            return None
         lines = tuple(MapPolyline(m["id"], _MAP_KINDS[m["kind"]], pts)
                       for m, pts in zip(polylines, point_tuples[len(agents):]))
-        if any(type(m.id) is not int or len(m.points) != POLYLINE_POINTS
-               or any(map(operator.eq, m.points, m.points[1:])) for m in lines):
-            return None
         scenario_id, seed, gt_future = obj["id"], obj["seed"], point_tuples[-1]
-        if (type(scenario_id) is not str or not scenario_id or type(seed) is not int
+        if (not -math.pi < heading <= math.pi or speed < 0
+                or any(type(t.id) is not int or not -math.pi < t.heading <= math.pi or t.speed < 0
+                       or min(t.extent) <= 0 or len(t.future) != T_F for t in tracks)
+                or len({t.id for t in tracks}) != len(tracks)
+                or any(type(m.id) is not int or len(m.points) != POLYLINE_POINTS
+                       or any(map(operator.eq, m.points, m.points[1:])) for m in lines)
+                or type(scenario_id) is not str or not scenario_id or type(seed) is not int
                 or not 0 <= seed < 1 << 64 or len(gt_future) != T_F):
             return None
-        return Scenario(scenario_id, ego, tracks, lines, _INTENTS[obj["route_intent"]],
-                        gt_future, seed)
+        return Scenario(scenario_id, EgoState((x, y), heading, speed, accel), tracks, lines,
+                        _INTENTS[obj["route_intent"]], gt_future, seed)
     except (ArithmeticError, LookupError, TypeError, ValueError):
         return None     # a sum that overflows, a missing key, an unknown or unhashable label
 

@@ -394,17 +394,37 @@ def test_packaged_server_answers_garbage_and_serves_on():
     assert_rule_oracle_reply(reply, s)
 
 
-def test_packaged_server_answers_a_line_that_is_not_utf8_and_serves_on():
+@pytest.mark.parametrize("stdio_encoding", ["utf-8", "ascii"])
+def test_packaged_server_answers_a_line_that_is_not_utf8_and_serves_on(stdio_encoding):
     s = make_scenario(agents=(make_agent(),), route_intent=MetaAction.TURN_LEFT)
+    requests = ["\xff\xfe".encode("latin-1"),
+                request_line(scenario_to_dict(s), format="médium").encode("utf-8"),
+                request_line(scenario_to_dict(s)).encode("utf-8")]
     proc = subprocess.run([sys.executable, "-m", "vecdrive.oracle_server"],
-                          input=b"\xff\xfe\n" + request_line(scenario_to_dict(s)).encode() + b"\n",
-                          capture_output=True, timeout=60,
-                          env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+                          input=b"\n".join(requests) + b"\n", capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONIOENCODING": stdio_encoding})
     assert (proc.returncode, proc.stderr) == (0, b"")
-    error, reply = proc.stdout.decode("utf-8").splitlines()
-    assert list(jsonio.loads(error)) == ["v", "error"]
-    assert "utf-8" in jsonio.loads(error)["error"]
+    not_utf8, unknown_format, reply = proc.stdout.decode("utf-8").splitlines()
+    assert list(jsonio.loads(not_utf8)) == ["v", "error"]
+    assert "utf-8" in jsonio.loads(not_utf8)["error"]
+    assert "médium" in jsonio.loads(unknown_format)["error"]
     assert_rule_oracle_reply(reply, s)
+
+
+def test_benchmark_fault_server_alters_every_kth_reply():
+    # perfbench/faulty_oracle.py hands serve() a text writer of its own; the
+    # benchmark's fault check relies on it answering every request.
+    s = make_scenario(agents=(make_agent(),))
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "faulty_oracle.py")
+    proc = subprocess.run([sys.executable, script, "--every", "2"],
+                          input=(request_line(scenario_to_dict(s)) + "\n") * 2,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    intact, altered = proc.stdout.splitlines()
+    assert_rule_oracle_reply(intact, s)
+    rationale = RuleOracle().decide(s, Format.LONG).rationale_long
+    assert jsonio.loads(altered)["rationale"] == rationale + " (injected fault)"
 
 
 def test_server_replies_error_object_per_bad_request():
@@ -417,10 +437,10 @@ def test_server_replies_error_object_per_bad_request():
            request_line(scenario_to_dict(s), format="medium"),
            request_line(scenario_to_dict(s), format=5),
            "[" * 100_000 + "]" * 100_000]
-    out = io.BytesIO()
+    out = io.StringIO()
     request = "\n".join(bad + [request_line(scenario_to_dict(s))]) + "\n"
     oracle_server.serve(io.BytesIO(request.encode("utf-8")), stdout=out)
-    lines = out.getvalue().decode("utf-8").splitlines()
+    lines = out.getvalue().splitlines()
     assert len(lines) == len(bad) + 1
     for line in lines[:-1]:
         assert list(jsonio.loads(line)) == ["v", "error"]
