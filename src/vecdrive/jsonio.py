@@ -15,7 +15,7 @@ There is one emitter. It dispatches on the exact type of each value and
 falls back to an ``isinstance`` chain for subclasses, so a subclass is
 written, or refused, exactly as its base type. Strings and keys are
 escaped as ``json.dumps(s, ensure_ascii=False)`` escapes them, and a list
-of floats is written with one join and one non-finite check.
+of floats is written with one ``%`` and one non-finite check.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _emit_dict(value: dict, out: list[str]) -> None:
 
 
 def _emit_list(value: list | tuple, out: list[str]) -> None:
-    if value and all(type(v) is float for v in value):
-        text = ",".join([format(v, ".17g") for v in value])
+    if set(map(type, value)) == {float}:
+        text = ("%.17g," * len(value))[:-1] % tuple(value)
         if "n" in text:     # "nan", "inf": no finite %.17g string holds an "n"
             for v in value:
                 format_float(v)

@@ -24,10 +24,11 @@ agents and polylines (``_pack``); the positional-embedding rows are the
 position columns of the agent and map rows, not a second read of the
 scene. One inner step (``_step``) runs forward, loss and backward on a
 packed sample. ``forward``, ``backward`` and ``train`` all go through
-it; a training step is: fill the gradient vector with zeros, run the
-step, then one ``theta -= lr * grad``. A trajectory is a plain tuple of
-T_F points, and ``train`` takes its commands from the caller, so this
-module does not import the oracle that decides them.
+it. The step writes each gradient array in place, exactly once, so a
+training step is: run the step, then ``grad *= lr; theta -= grad``, with
+no zero-fill and no temporary. A trajectory is a plain tuple of T_F
+points, and ``train`` takes its commands from the caller, so this module
+does not import the oracle that decides them.
 
 Everything is float64 and single-threaded; forward, backward and training
 are bit-deterministic. Gradients are hand-written reverse mode, checked
@@ -40,9 +41,11 @@ in their active range at street-scale coordinates.
 
 from __future__ import annotations
 
+import logging
 import math
 import operator
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -51,6 +54,8 @@ import numpy as np
 from . import jsonio
 from .rng import SplitMix64
 from .scene import A_MAX, M_MAX, POLYLINE_POINTS, T_F, MetaAction, Point, Scenario
+
+log = logging.getLogger("vecdrive")
 
 INPUT_SCALE = 0.1
 AGENT_FEATURES = 7          # x, y, cos(h), sin(h), speed, length, width
@@ -232,17 +237,17 @@ def _mlp_forward(weights, x: np.ndarray):
 
 
 def _mlp_backward(weights, grads, grad_y: np.ndarray, cache) -> np.ndarray:
-    """Adds the weight gradients into ``grads``; returns the pre-tanh gradient.
+    """Writes the weight gradients into ``grads``; returns the pre-tanh gradient.
 
     The input gradient is ``gz @ w1``, left to the one caller that needs it.
     """
     x, h = cache
     gw1, gb1, gw2, gb2 = grads
-    gw2 += grad_y.T @ h
-    gb2 += grad_y.sum(axis=0)
+    np.matmul(grad_y.T, h, out=gw2)
+    np.add.reduce(grad_y, axis=0, out=gb2)
     gz = (grad_y @ weights[2]) * (1.0 - h * h)
-    gw1 += gz.T @ x
-    gb1 += gz.sum(axis=0)
+    np.matmul(gz.T, x, out=gw1)
+    np.add.reduce(gz, axis=0, out=gb1)
     return gz
 
 
@@ -271,9 +276,9 @@ def _attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
     kh = kp.reshape(n, n_heads, dh)
     vh = vp.reshape(n, n_heads, dh)
     logits = np.einsum("nhd,hd->hn", kh, qh) / math.sqrt(dh)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     expd = np.exp(shifted)
-    weights = expd / expd.sum(axis=1, keepdims=True)          # (n_heads, n)
+    weights = expd / np.add.reduce(expd, axis=1, keepdims=True)   # (n_heads, n)
     heads_out = np.einsum("hn,nhd->hd", weights, vh)
     cat = heads_out.reshape(d)
     out = wo @ cat
@@ -282,14 +287,18 @@ def _attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
 
 
 def _attention_backward(weights, grads, config, grad_out, cache):
-    """Returns (grad_q_in, grad_q_pos, grad_k_src, grad_k_pos).
+    """Writes the stage's weight gradients into ``grads``; returns
+    (grad_q_in, grad_q_pos, grad_k_src, grad_k_pos).
 
     grad_q_in and grad_q_pos are the same array: the query is q_in + q_pos.
-    With no keys (cache None) the key gradients have zero rows, so callers
-    run the encoder backward without checking the key count.
+    With no keys (cache None) the weight gradients are zero-filled and the
+    key gradients have zero rows, so callers run the encoder backward
+    without checking the key count.
     """
     d = config.d_model
     if cache is None:
+        for g in grads:
+            g.fill(0.0)
         zero = np.zeros(d)
         return zero, zero, np.zeros((0, d)), np.zeros((0, d))
     wq, wk, wv, wo = weights
@@ -299,7 +308,7 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     n_heads = config.n_heads
     dh = d // n_heads
 
-    gwo += grad_out[:, None] * cat[None, :]
+    np.multiply.outer(grad_out, cat, out=gwo)
     g_cat = wo.T @ grad_out
     g_heads = g_cat.reshape(n_heads, dh)
 
@@ -308,7 +317,7 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     g_vh = np.einsum("hn,hd->nhd", attn, g_heads)
 
     # Softmax backward per head.
-    dot = (attn * g_weights).sum(axis=1, keepdims=True)
+    dot = np.add.reduce(attn * g_weights, axis=1, keepdims=True)
     g_logits = attn * (g_weights - dot)
 
     kh = kp.reshape(n, n_heads, dh)
@@ -321,11 +330,11 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     g_kp = g_kh.reshape(n, d)
     g_vp = g_vh.reshape(n, d)
 
-    gwq += g_qp[:, None] * q[None, :]
+    np.multiply.outer(g_qp, q, out=gwq)
     g_q = wq.T @ g_qp
-    gwk += g_kp.T @ keys
+    np.matmul(g_kp.T, keys, out=gwk)
     g_keys = g_kp @ wk
-    gwv += g_vp.T @ k_src
+    np.matmul(g_vp.T, k_src, out=gwv)
     g_k_src = g_vp @ wv + g_keys
     return g_q, g_q, g_k_src, g_keys
 
@@ -389,9 +398,10 @@ def _run_forward(bound: dict, config: PlannerConfig, packed: tuple):
 
 
 def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> float:
-    """Loss of one packed sample; its gradients are added into ``grads``.
+    """Loss of one packed sample; its gradients are written into ``grads``.
 
-    ``grads`` is a ``_bind`` of gradient arrays, expected to hold zeros.
+    ``grads`` is a ``_bind`` of gradient arrays. Every array is written
+    once, whatever it held before, so callers need not zero it.
     """
     d = config.d_model
     pred, caches = _run_forward(bound, config, packed)
@@ -417,7 +427,7 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
 
     g_ego_query, g_qpos1, g_qa, g_kpos1 = _attention_backward(
         bound["attn1"], grads["attn1"], config, g_q1, attn1_cache)
-    grads["ego_query"] += g_ego_query
+    grads["ego_query"][...] = g_ego_query
 
     _mlp_backward(bound["agent_enc"], grads["agent_enc"], g_qa, agent_cache)
     _mlp_backward(bound["pe1"], grads["pe1"],
@@ -484,7 +494,9 @@ def train(model: PlannerModel, scenarios: list[Scenario], commands: Iterable[Met
     ``commands`` holds one command per scenario, in order. It is read only
     after the other checks, and a count other than the scenario count is
     refused before the first step. Returns the trained copy and the
-    per-epoch mean loss curve.
+    per-epoch mean loss curve. Each epoch logs one INFO line to the
+    ``vecdrive`` logger: its mean loss, as ``loss_curve.csv`` writes it,
+    and its samples per second.
     """
     if not scenarios:
         raise PlannerError("cannot train on an empty scenario list")
@@ -508,17 +520,20 @@ def train(model: PlannerModel, scenarios: list[Scenario], commands: Iterable[Met
     for epoch in range(epochs):
         rng.shuffle(order)
         total = 0.0
+        start = time.perf_counter()
         for i in order:
-            grad.fill(0.0)
             loss = _step(bound, bound_grads, config, packed[i])
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, scenario {scenarios[i].id!r}; "
                     f"the learning rate {lr} is likely too high"
                 )
-            theta -= lr * grad
+            grad *= lr
+            theta -= grad
             total += loss
         curve.append(total / len(scenarios))
+        log.info("epoch %d: mean loss %.17g, %.0f samples/s", epoch, curve[-1],
+                 len(order) / (time.perf_counter() - start))
     return trained, curve
 
 

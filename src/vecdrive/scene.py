@@ -439,7 +439,8 @@ def _get(obj: dict, key: str, path: str) -> Any:
 
 
 def _number(obj: dict, key: str, path: str) -> float:
-    return _as_float(_get(obj, key, path), f"{path}.{key}")
+    """A finite number, checked where it is read, so errors name the file's key."""
+    return _check_finite(f"{path}.{key}", _get(obj, key, path))
 
 
 def _as_points(value: Any, path: str) -> tuple[Point, ...]:

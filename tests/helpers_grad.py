@@ -1,8 +1,30 @@
-"""Finite-difference gradient oracle shared by unit and acceptance tests."""
+"""Gradient oracles shared by unit and acceptance tests.
+
+``fd_gradients`` is a finite-difference oracle. ``ref_backward`` and
+``ref_train`` are the training step as it was before gradients were
+written in place: ``_mlp_backward``, ``_attention_forward``,
+``_attention_backward``, ``_run_forward`` and ``_step`` copied verbatim
+(names prefixed ``ref_``), adding every gradient into a zero-filled
+buffer, and ``train``'s loop with ``grad.fill(0.0)`` and
+``theta -= lr * grad``. The package's step must match them bit for bit.
+"""
+
+import math
 
 import numpy as np
 
-from vecdrive.planner import PlannerModel, _bind, _pack, _run_forward, imitation_loss
+from vecdrive.planner import (
+    PlannerModel,
+    _bind,
+    _flatten,
+    _mlp_forward,
+    _pack,
+    _run_forward,
+    _views,
+    imitation_loss,
+)
+from vecdrive.rng import SplitMix64
+from vecdrive.scene import T_F
 
 
 def fd_gradients(model: PlannerModel, scenario, command, gt, eps=1e-5):
@@ -56,3 +78,171 @@ def max_relative_error(analytic, numeric, loss, eps=1e-5):
         if err.size:
             worst = max(worst, float(err.max()))
     return worst
+
+
+# --- the accumulate-into-zeros step --------------------------------------------------
+
+def ref_mlp_backward(weights, grads, grad_y, cache):
+    x, h = cache
+    gw1, gb1, gw2, gb2 = grads
+    gw2 += grad_y.T @ h
+    gb2 += grad_y.sum(axis=0)
+    gz = (grad_y @ weights[2]) * (1.0 - h * h)
+    gw1 += gz.T @ x
+    gb1 += gz.sum(axis=0)
+    return gz
+
+
+def ref_attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
+    n = k_src.shape[0]
+    d = config.d_model
+    if n == 0:
+        return np.zeros(d), None
+    wq, wk, wv, wo = weights
+    n_heads = config.n_heads
+    dh = d // n_heads
+    q = q_in + q_pos
+    keys = k_src + k_pos
+    qp = wq @ q
+    kp = keys @ wk.T
+    vp = k_src @ wv.T
+    qh = qp.reshape(n_heads, dh)
+    kh = kp.reshape(n, n_heads, dh)
+    vh = vp.reshape(n, n_heads, dh)
+    logits = np.einsum("nhd,hd->hn", kh, qh) / math.sqrt(dh)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    weights = expd / expd.sum(axis=1, keepdims=True)          # (n_heads, n)
+    heads_out = np.einsum("hn,nhd->hd", weights, vh)
+    cat = heads_out.reshape(d)
+    out = wo @ cat
+    cache = (q, keys, k_src, qp, kp, vp, weights, cat)
+    return out, cache
+
+
+def ref_attention_backward(weights, grads, config, grad_out, cache):
+    d = config.d_model
+    if cache is None:
+        zero = np.zeros(d)
+        return zero, zero, np.zeros((0, d)), np.zeros((0, d))
+    wq, wk, wv, wo = weights
+    gwq, gwk, gwv, gwo = grads
+    q, keys, k_src, qp, kp, vp, attn, cat = cache
+    n = k_src.shape[0]
+    n_heads = config.n_heads
+    dh = d // n_heads
+
+    gwo += grad_out[:, None] * cat[None, :]
+    g_cat = wo.T @ grad_out
+    g_heads = g_cat.reshape(n_heads, dh)
+
+    vh = vp.reshape(n, n_heads, dh)
+    g_weights = np.einsum("hd,nhd->hn", g_heads, vh)
+    g_vh = np.einsum("hn,hd->nhd", attn, g_heads)
+
+    # Softmax backward per head.
+    dot = (attn * g_weights).sum(axis=1, keepdims=True)
+    g_logits = attn * (g_weights - dot)
+
+    kh = kp.reshape(n, n_heads, dh)
+    qh = qp.reshape(n_heads, dh)
+    scale = 1.0 / math.sqrt(dh)
+    g_qh = np.einsum("hn,nhd->hd", g_logits, kh) * scale
+    g_kh = np.einsum("hn,hd->nhd", g_logits, qh) * scale
+
+    g_qp = g_qh.reshape(d)
+    g_kp = g_kh.reshape(n, d)
+    g_vp = g_vh.reshape(n, d)
+
+    gwq += g_qp[:, None] * q[None, :]
+    g_q = wq.T @ g_qp
+    gwk += g_kp.T @ keys
+    g_keys = g_kp @ wk
+    gwv += g_vp.T @ k_src
+    g_k_src = g_vp @ wv + g_keys
+    return g_q, g_q, g_k_src, g_keys
+
+
+def ref_run_forward(bound, config, packed):
+    a_feat, m_feat, pe1_in, pe2_in, tail, _ = packed
+    q_a, agent_cache = _mlp_forward(bound["agent_enc"], a_feat)
+    q_m, map_cache = _mlp_forward(bound["map_enc"], m_feat)
+    pe1_out, pe1_cache = _mlp_forward(bound["pe1"], pe1_in)
+    pe2_out, pe2_cache = _mlp_forward(bound["pe2"], pe2_in)
+
+    q1, attn1_cache = ref_attention_forward(
+        bound["attn1"], config, bound["ego_query"], q_a, pe1_out[0], pe1_out[1:])
+    q2, attn2_cache = ref_attention_forward(
+        bound["attn2"], config, q1, q_m, pe2_out[0], pe2_out[1:])
+
+    head_in = np.concatenate([q1, q2, tail])[None, :]
+    head_out, head_cache = _mlp_forward(bound["plan_head"], head_in)
+    pred = head_out.reshape(T_F, 2)
+    return pred, (agent_cache, map_cache, pe1_cache, pe2_cache,
+                  attn1_cache, attn2_cache, head_cache)
+
+
+def ref_step(bound, grads, config, packed):
+    d = config.d_model
+    pred, caches = ref_run_forward(bound, config, packed)
+    agent_cache, map_cache, pe1_cache, pe2_cache, attn1_cache, attn2_cache, head_cache = caches
+    gt = packed[5]
+
+    diff = pred - gt
+    total = 0.0
+    for dx, dy in diff.tolist():      # summed as imitation_loss sums
+        total += dx * dx + dy * dy
+    loss = total / T_F
+
+    g_out = (2.0 / T_F) * diff.reshape(1, T_F * 2)
+    gz = ref_mlp_backward(bound["plan_head"], grads["plan_head"], g_out, head_cache)
+    g_head_in = (gz @ bound["plan_head"][0])[0]
+
+    g_q1 = g_head_in[:d]
+    g_q2 = g_head_in[d:2 * d]
+
+    g_q1_from_attn2, g_qpos2, g_qm, g_kpos2 = ref_attention_backward(
+        bound["attn2"], grads["attn2"], config, g_q2, attn2_cache)
+    g_q1 += g_q1_from_attn2
+
+    g_ego_query, g_qpos1, g_qa, g_kpos1 = ref_attention_backward(
+        bound["attn1"], grads["attn1"], config, g_q1, attn1_cache)
+    grads["ego_query"] += g_ego_query
+
+    ref_mlp_backward(bound["agent_enc"], grads["agent_enc"], g_qa, agent_cache)
+    ref_mlp_backward(bound["pe1"], grads["pe1"],
+                     np.concatenate([g_qpos1[None, :], g_kpos1]), pe1_cache)
+    ref_mlp_backward(bound["map_enc"], grads["map_enc"], g_qm, map_cache)
+    ref_mlp_backward(bound["pe2"], grads["pe2"],
+                     np.concatenate([g_qpos2[None, :], g_kpos2]), pe2_cache)
+    return loss
+
+
+def ref_backward(model, scenario, command, gt):
+    """``planner.backward`` through ``ref_step``: (loss, name -> gradient)."""
+    config = model.config
+    grads = _views(config, np.zeros(sum(g.size for g in model.params.values())))
+    loss = ref_step(_bind(model.params), _bind(grads), config, _pack(scenario, command, gt))
+    return loss, grads
+
+
+def ref_train(model, scenarios, commands, epochs, lr, seed):
+    """``planner.train``'s loop through ``ref_step``: zero, step, ``theta -= lr * grad``."""
+    config = model.config
+    theta, params = _flatten(config, model.params)
+    grad = np.zeros_like(theta)
+    bound, bound_grads = _bind(params), _bind(_views(config, grad))
+    packed = [_pack(s, c, s.gt_future) for s, c in zip(scenarios, commands)]
+    rng = SplitMix64(seed)
+    order = list(range(len(scenarios)))
+    curve = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for i in order:
+            grad.fill(0.0)
+            loss = ref_step(bound, bound_grads, config, packed[i])
+            theta -= lr * grad
+            total += loss
+        curve.append(total / len(scenarios))
+    return PlannerModel(config, params), curve

@@ -244,6 +244,34 @@ def test_train_that_converges_logs_no_warning(workdir, caplog, capsys):
     assert warnings == []
 
 
+def test_train_logs_epochs_on_stderr_only_with_vlad_log_info(workdir):
+    """The per-epoch lines go to stderr under VLAD_LOG=info and nowhere by
+    default; stdout, loss_curve.csv and checkpoint.json keep their bytes."""
+    scenarios = gen(workdir, n=10) / "scenarios_train.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
+    env.pop("VLAD_LOG", None)
+    runs = {}
+    for level in (None, "info"):
+        out = workdir / f"log-{level}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "vecdrive", "train", "--scenarios", str(scenarios),
+             "--out", str(out), "--epochs", "3", "--lr", "0.01", "--seed", "7"],
+            env=env if level is None else dict(env, VLAD_LOG=level),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        files = [(out / name).read_bytes() for name in ("loss_curve.csv", "checkpoint.json")]
+        runs[level] = (proc.stdout.replace(str(out), "OUT"), files, proc.stderr)
+    assert runs[None][:2] == runs["info"][:2]
+    assert runs[None][2] == ""
+    losses = runs["info"][1][0].decode().splitlines()[1:]
+    epochs = [line for line in runs["info"][2].splitlines() if ": epoch " in line]
+    assert len(epochs) == 3
+    for line, row in zip(epochs, losses):
+        epoch, loss = row.split(",")
+        assert line.startswith(f"INFO vecdrive: epoch {epoch}: mean loss {loss}, "), line
+        assert line.endswith(" samples/s"), line
+
+
 # --- eval-plan ---------------------------------------------------------------
 
 def test_eval_plan_gt_bypass_zero_l2(workdir, capsys):

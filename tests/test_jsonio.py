@@ -82,7 +82,10 @@ SPECIAL_FLOATS = [-0.0, 0.0, 5.0, -5.0, 1e300, -1e300, 5e-324, -5e-324,
 TEXT = st.text(alphabet=st.one_of(
     st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é中\U0001f697'),
     st.characters()), max_size=12)
-FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+#: What a float list may hold beyond SPECIAL_FLOATS: the largest powers of ten
+#: and the negative largest subnormal.
+EXTREME_FLOATS = [1e308, -1e308, -2.2250738585072009e-308]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS + EXTREME_FLOATS),
                    st.floats(allow_nan=False, allow_infinity=False))
 SCALARS = st.one_of(
     st.none(), st.booleans(), FLOATS, TEXT,
@@ -111,6 +114,15 @@ def test_dumps_matches_reference_emitter(value):
 @pytest.mark.parametrize("value", SPECIAL_FLOATS + [[SPECIAL_FLOATS], tuple(SPECIAL_FLOATS)])
 def test_dumps_special_floats(value):
     assert jsonio.dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    [-0.0, 0.0, -0.0], [5e-324, -5e-324, 2.2250738585072009e-308], EXTREME_FLOATS,
+    SPECIAL_FLOATS + EXTREME_FLOATS, [1e308] * 40,
+], ids=["signed zeros", "subnormals", "extremes", "all", "long"])
+def test_dumps_float_lists_as_reference(value):
+    assert jsonio.dumps(value) == reference_dumps(value)
+    assert jsonio.dumps(tuple(value)) == reference_dumps(value)
 
 
 class Label(str, enum.Enum):

@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import vecdrive
-from vecdrive import planner, simgen
+from vecdrive import jsonio, planner, simgen
 from vecdrive.cli import main as cli_main
 from vecdrive.planner import (
     INPUT_SCALE,
@@ -31,7 +33,7 @@ from vecdrive.rng import SplitMix64
 from vecdrive.scene import MetaAction, save_scenarios
 
 from conftest import make_agent, make_ego, make_polyline, make_scenario
-from helpers_grad import fd_gradients, max_relative_error
+from helpers_grad import fd_gradients, max_relative_error, ref_backward, ref_train
 
 TINY = PlannerConfig(d_model=2, n_heads=1, hidden=2)
 
@@ -459,6 +461,59 @@ def test_train_bit_identical_to_reference_loop():
     for name in ref.params:
         assert np.array_equal(trained.params[name], ref.params[name]), name
     assert not np.array_equal(trained.params["agent_enc.w1"], model.params["agent_enc.w1"])
+
+
+def keyless_after_keyed_set():
+    """MIXED scenes plus hand-built ones, among them one with no agents and
+    one with no map; in seed 5's shuffle each comes right after a scene
+    that has what it lacks."""
+    spec = simgen.GenSpec(n_scenarios=12, seed=4, agent_density=0.5)
+    return simgen.generate(spec) + train_set(3) + [
+        make_scenario(scenario_id="no_agents", agents=(), speed=3.0),
+        make_scenario(scenario_id="no_map", agents=(make_agent(1),), polylines=(),
+                      route_intent=MetaAction.TURN_RIGHT),
+    ]
+
+
+@pytest.mark.parametrize("config", [TINY, PlannerConfig()], ids=["tiny", "default"])
+def test_train_and_backward_bit_identical_to_accumulate_into_zeros_step(config):
+    scenarios = keyless_after_keyed_set()
+    commands = rule_commands(scenarios)
+    rng, order, steps = SplitMix64(5), list(range(len(scenarios))), []
+    for _ in range(3):
+        rng.shuffle(order)
+        steps += order
+    pairs = [(scenarios[a], scenarios[b]) for a, b in zip(steps, steps[1:])]
+    assert any(a.agents and b.id == "no_agents" for a, b in pairs)
+    assert any(a.map and b.id == "no_map" for a, b in pairs)
+
+    model = init_model(config, 3)
+    trained, curve = train(model, scenarios, commands, epochs=3, lr=1e-2, seed=5)
+    ref, ref_curve = ref_train(model, scenarios, commands, epochs=3, lr=1e-2, seed=5)
+    assert curve == ref_curve
+    for name, value in trained.params.items():
+        assert value.tobytes() == ref.params[name].tobytes(), name
+        assert not np.any((value == 0.0) & np.signbit(value)), name
+    assert not np.array_equal(trained.params["attn1.wk"], model.params["attn1.wk"])
+    for s, command in zip(scenarios, commands):
+        loss, grads = backward(trained, s, command, s.gt_future)
+        ref_loss, ref_grads = ref_backward(trained, s, command, s.gt_future)
+        assert loss == ref_loss
+        for name in ref_grads:
+            assert np.array_equal(grads[name], ref_grads[name]), (s.id, name)
+
+
+def test_train_logs_one_info_line_per_epoch(caplog):
+    scenarios = train_set()
+    with caplog.at_level(logging.INFO, logger="vecdrive"):
+        _, curve = train(init_model(TINY, 3), scenarios, rule_commands(scenarios),
+                         epochs=3, lr=1e-2, seed=5)
+    records = [r for r in caplog.records if r.name == "vecdrive"]
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    for epoch, (record, loss) in enumerate(zip(records, curve)):
+        m = re.fullmatch(r"epoch (\d+): mean loss (\S+), (\d+) samples/s", record.getMessage())
+        assert m, record.getMessage()
+        assert int(m[1]) == epoch and m[2] == jsonio.format_float(loss) and int(m[3]) > 0
 
 
 def test_train_lr_zero_no_change():
