@@ -48,7 +48,6 @@ from .oracle import (
     rule_oracle_decide,
 )
 from .planmetrics import (
-    EGO_EXTENT,
     collision_horizons,
     evaluate_explanations,
     l2_horizons,
@@ -78,15 +77,13 @@ from .report import (
     text_row_to_dict,
 )
 from .scene import (
-    T_F,
     MetaAction,
-    Point,
     ScenarioLoadError,
     ValidationError,
     load_scenarios,
     scenario_json,
 )
-from .simgen import GenSpec, Suite, generate, split
+from .simgen import GenSpec, Suite, constant_velocity_future, generate, split
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -257,25 +254,9 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
     return config
 
 
-def _constant_velocity_baseline(scenario) -> tuple[Point, ...]:
-    # Kept apart from simgen.constant_velocity_future, which multiplies in
-    # another order ((v * cos) * 0.5 * k, not v * 0.5 * k * cos): the two
-    # agree on simgen's egos at the origin with heading 0, but differ in the
-    # last bit for more than half of random ego poses, and so would
-    # eval_plan.json for such scenes.
-    v = scenario.ego.speed
-    c, s = math.cos(scenario.ego.heading), math.sin(scenario.ego.heading)
-    x0, y0 = scenario.ego.position
-    return tuple((x0 + v * 0.5 * k * c, y0 + v * 0.5 * k * s) for k in range(1, T_F + 1))
-
-
 def _commands(oracle, scenarios):
     """Each scenario's planner command, decided lazily: the oracle's, not the route intent."""
     return (oracle.decide(s, Format.SHORT).action for s in scenarios)
-
-
-def _decision_text(decision, format: Format) -> str:
-    return decision.rationale_long if format is Format.LONG else decision.rationale_short
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -362,13 +343,13 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
                 pred = forward(model, scenario, command)
             else:
                 pred = scenario.gt_future
-            baseline = _constant_velocity_baseline(scenario)
+            ego = scenario.ego
+            baseline = constant_velocity_future(ego.position, ego.heading, ego.speed)
             rows_l2["planner"].append(l2_horizons(pred, scenario.gt_future))
             rows_l2["const-velocity"].append(l2_horizons(baseline, scenario.gt_future))
-            rows_col["planner"].append(
-                collision_horizons(pred, EGO_EXTENT, scenario.agents))
+            rows_col["planner"].append(collision_horizons(pred, ego, scenario.agents))
             rows_col["const-velocity"].append(
-                collision_horizons(baseline, EGO_EXTENT, scenario.agents))
+                collision_horizons(baseline, ego, scenario.agents))
     return _publish(args, "eval_plan", {
         name: {"l2": mean_rows(rows_l2[name]), "collision": mean_rows(rows_col[name])}
         for name in ("planner", "const-velocity")
@@ -381,8 +362,8 @@ def cmd_eval_text(args: argparse.Namespace) -> int:
     candidates, references = [], []
     with _oracle(args) as oracle:
         for scenario in scenarios:
-            candidates.append(_decision_text(oracle.decide(scenario, fmt), fmt))
-            references.append(_decision_text(rule_oracle_decide(scenario, fmt), fmt))
+            candidates.append(oracle.decide(scenario, fmt).rationale(fmt))
+            references.append(rule_oracle_decide(scenario, fmt).rationale(fmt))
     row = evaluate_explanations(candidates, references)
     return _publish(args, "eval_text", {args.oracle: text_row_to_dict(row)})
 
@@ -400,6 +381,9 @@ def cmd_eval_actions(args: argparse.Namespace) -> int:
             except (ValueError, ValidationError) as e:
                 raise ConfigError(f"{args.qa}:{lineno}: {e}") from None
             if item.task is QATask.PLANNING:
+                if item.scenario_id in labels:
+                    raise ConfigError(f"{args.qa}:{lineno}: a second planning item for "
+                                      f"scenario {item.scenario_id!r}")
                 labels[item.scenario_id] = item.gt_action
     missing = [s.id for s in scenarios if s.id not in labels]
     if missing:

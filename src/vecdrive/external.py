@@ -124,8 +124,8 @@ def _reply(raw: bytes, oracle: Oracle) -> str:
     except (ValueError, ValidationError) as e:
         return jsonio.dumps({"v": 1, "error": f"invalid request: {e}"}) + "\n"
     decision = oracle.decide(scenario, format)
-    rationale = decision.rationale_long if format is Format.LONG else decision.rationale_short
-    return jsonio.dumps({"v": 1, "action": decision.action.value, "rationale": rationale,
+    return jsonio.dumps({"v": 1, "action": decision.action.value,
+                         "rationale": decision.rationale(format),
                          "hazard_ids": list(decision.hazard_ids)}) + "\n"
 
 
@@ -145,16 +145,21 @@ class _LineOracle:
         return ""
 
     def _read_line(self, deadline: float) -> bytes:
-        while b"\n" not in self._buffer:
+        # Only each new chunk is searched and the pieces are joined once,
+        # so a long line costs time linear in its length.
+        pieces, chunk = [], self._buffer
+        while b"\n" not in chunk:
+            if chunk:
+                pieces.append(chunk)
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([self._read_fd], [], [], remaining)[0]:
                 raise OracleTimeout(self.endpoint, self.timeout)
             chunk = os.read(self._read_fd, 65536)
             if not chunk:
                 raise OracleProtocolError(self.endpoint, "the oracle closed the stream")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line
+        line, self._buffer = chunk.split(b"\n", 1)
+        pieces.append(line)
+        return b"".join(pieces)
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
         if self._failure is not None:
@@ -197,6 +202,8 @@ class ExecOracle(_LineOracle):
         import subprocess   # here, not at the top: the server side starts faster without it
         import tempfile
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        if not self.command:
+            raise ValueError(f"the exec: oracle endpoint needs a command, got {command!r}")
         endpoint = "exec:" + " ".join(self.command)
         self._stderr = tempfile.TemporaryFile()   # unlike an unread pipe, never fills
         try:

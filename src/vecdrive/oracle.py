@@ -75,6 +75,10 @@ class MetaDecision:
             if unknown:
                 raise ValueError(f"hazard ids {unknown} not present in scenario")
 
+    def rationale(self, format: Format) -> str:
+        """The rationale an answer in ``format`` carries."""
+        return self.rationale_long if format is Format.LONG else self.rationale_short
+
 
 class Oracle(Protocol):
     """Anything that can decide a maneuver for a scenario."""

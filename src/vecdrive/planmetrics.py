@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import textmetrics
-from .scene import AgentTrack, Point, T_F
+from .scene import AgentTrack, EgoState, Point, T_F
 
 HORIZON_KEYS = ("1s", "2s", "3s")
 #: 1-based waypoint index per horizon at 0.5 s per step.
@@ -177,15 +177,16 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return separation_margin(a, b) <= 0.0
 
 
-def ego_headings(pred: Sequence[Point]) -> list[float]:
+def ego_headings(pred: Sequence[Point], ego: EgoState) -> list[float]:
     """Per-step ego heading from consecutive waypoint segments.
 
-    The segment before waypoint 1 starts at the origin. Segments shorter
-    than 1e-6 m reuse the previous heading; the initial heading is 0.
+    The segment before waypoint 1 starts at the ego's position. Segments
+    shorter than 1e-6 m reuse the previous heading, which before the first
+    longer segment is the ego's own.
     """
     headings = []
-    prev_point = (0.0, 0.0)
-    prev_heading = 0.0
+    prev_point = ego.position
+    prev_heading = ego.heading
     for point in pred:
         dx, dy = point[0] - prev_point[0], point[1] - prev_point[1]
         if math.hypot(dx, dy) >= 1e-6:
@@ -209,14 +210,15 @@ def _circles_apart(px: float, py: float, ax: float, ay: float, reach: float) -> 
 
 def collision_horizons(
     pred: Sequence[Point],
-    ego_extent: tuple[float, float],
+    ego: EgoState,
     agents: Sequence[AgentTrack],
 ) -> dict[str, float]:
     """Binary collision (0 or 100) up to each horizon for one sample.
 
-    At step k the ego box sits on pred[k] with segment-derived heading;
-    each agent box sits on its ground-truth future point with its fixed
-    current heading. Pairs whose bounding circles are apart skip the
+    At step k an ``EGO_EXTENT`` box sits on pred[k] with the heading
+    ``ego_headings(pred, ego)`` gives, so the chain starts at the ego's
+    pose; each agent box sits on its ground-truth future point with its
+    fixed current heading. Pairs whose bounding circles are apart skip the
     separating-axis test, and the scan stops at the first colliding
     step; the flags are those of testing every pair.
     """
@@ -225,8 +227,8 @@ def collision_horizons(
     for agent in agents:
         if len(agent.future) != T_F:
             raise ValueError(f"agent {agent.id} future has {len(agent.future)} points")
-    headings = ego_headings(pred)
-    ego_length, ego_width = ego_extent[0], ego_extent[1]
+    headings = ego_headings(pred, ego)
+    ego_length, ego_width = EGO_EXTENT
     ego_reach = 0.5 * math.hypot(ego_length, ego_width)
     reaches = [ego_reach + 0.5 * math.hypot(agent.extent[0], agent.extent[1])
                for agent in agents]

@@ -85,10 +85,6 @@ class GenSpec:
 
 # --- trajectory primitives -----------------------------------------------------
 
-def straight_future(speed: float) -> tuple[Point, ...]:
-    return tuple((speed * 0.5 * k, 0.0) for k in range(1, T_F + 1))
-
-
 def turn_future(speed: float, side: float) -> tuple[Point, ...]:
     """Quarter circle of radius TURN_RADIUS at arc speed, tangent +x at
     the origin; continues straight along the exit tangent past the arc.
@@ -107,6 +103,7 @@ def turn_future(speed: float, side: float) -> tuple[Point, ...]:
 
 
 def constant_velocity_future(position: Point, heading: float, speed: float) -> tuple[Point, ...]:
+    """Agent futures, the CRUISE ego's ground truth and eval-plan's baseline."""
     vx, vy = speed * math.cos(heading), speed * math.sin(heading)
     return tuple((position[0] + vx * 0.5 * k, position[1] + vy * 0.5 * k)
                  for k in range(1, T_F + 1))
@@ -237,7 +234,7 @@ def _build_cruise(rng: SplitMix64, spec: GenSpec, scenario_id: str, seed: int) -
         agents=tuple(agents),
         map=cruise_map(),
         route_intent=MetaAction.GO_STRAIGHT,
-        gt_future=straight_future(speed),
+        gt_future=constant_velocity_future((0.0, 0.0), 0.0, speed),
         seed=seed,
     )
 

@@ -25,7 +25,6 @@ from vecdrive.oracle import (
     rule_oracle_decide,
 )
 from vecdrive.planmetrics import (
-    EGO_EXTENT,
     OrientedBox,
     boxes_overlap,
     collision_horizons,
@@ -43,8 +42,8 @@ from vecdrive.planner import (
 )
 from vecdrive.report import render_latency_table
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import MetaAction, Scenario, VRU_KINDS
-from vecdrive.simgen import GenSpec, Suite, generate, split
+from vecdrive.scene import EgoState, MetaAction, Scenario, VRU_KINDS
+from vecdrive.simgen import GenSpec, Suite, constant_velocity_future, generate, split
 from vecdrive.textmetrics import bleu, cider, lcs_length, meteor, rouge_l
 
 from helpers_grad import fd_gradients, max_relative_error
@@ -63,9 +62,7 @@ def criterion(label):
 
 
 def constant_velocity_baseline(s: Scenario) -> tuple:
-    v = s.ego.speed
-    c, si = math.cos(s.ego.heading), math.sin(s.ego.heading)
-    return tuple((v * 0.5 * k * c, v * 0.5 * k * si) for k in range(1, 7))
+    return constant_velocity_future(s.ego.position, s.ego.heading, s.ego.speed)
 
 
 # --- shared trained model (A3 protocol) ----------------------------------------
@@ -168,9 +165,9 @@ def test_a3_planning_efficacy(trained_setup):
         for s in hazard:
             command = oracle.decide(s, Format.SHORT).action
             model_col.append(collision_horizons(
-                forward(trained, s, command), EGO_EXTENT, s.agents))
+                forward(trained, s, command), s.ego, s.agents))
             base_col.append(collision_horizons(
-                constant_velocity_baseline(s), EGO_EXTENT, s.agents))
+                constant_velocity_baseline(s), s.ego, s.agents))
         model_rate = mean_rows(model_col)["avg"]
         base_rate = mean_rows(base_col)["avg"]
         print(f"  hazard collision avg: planner {model_rate:.1f}%, "
@@ -296,6 +293,7 @@ def test_a6_collision_geometry():
         assert tested > 800
 
         scen_rng = SplitMix64(707)
+        ego = EgoState((0.0, 0.0), 0.0, 0.0, 0.0)
         for _ in range(1000):
             pred = tuple(
                 (scen_rng.uniform(0.0, 2.5) * k, scen_rng.uniform(-1.5, 1.5))
@@ -313,7 +311,7 @@ def test_a6_collision_geometry():
                 agents.append(AgentTrack(
                     id=i + 1, kind=AgentKind.VEHICLE, position=pos, heading=0.0,
                     speed=speed, extent=(2.0, 1.0), future=future))
-            out = collision_horizons(pred, EGO_EXTENT, agents)
+            out = collision_horizons(pred, ego, agents)
             assert out["1s"] <= out["2s"] <= out["3s"]
 
 

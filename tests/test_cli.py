@@ -612,6 +612,24 @@ def test_eval_actions_malformed_qa_line_exit_2(workdir, capsys, line):
     assert f"{qa}:2: " in capsys.readouterr().err
 
 
+def test_eval_actions_second_planning_label_exit_2(workdir, capsys):
+    out = gen(workdir, n=50, seed=1)
+    qa = workdir / "qa.jsonl"
+    assert run(["qagen", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--out", str(qa)]) == 0
+    lines = qa.read_text().splitlines()
+    item = next(jsonio.loads(line) for line in lines if '"PLANNING"' in line)
+    item["gt_action"] = "TURN_RIGHT" if item["gt_action"] == "TURN_LEFT" else "TURN_LEFT"
+    qa.write_text("\n".join([*lines, jsonio.dumps(item)]) + "\n")
+    capsys.readouterr()
+    code = run(["eval-actions", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--qa", str(qa), "--out", str(out)])
+    assert code == 2
+    assert (f"{qa}:{len(lines) + 1}: a second planning item for scenario "
+            f"{item['scenario_id']!r}") in capsys.readouterr().err
+    assert not (out / "eval_actions.json").exists()
+
+
 def test_eval_actions_empty_scenarios_exit_2(workdir, capsys):
     empty = workdir / "empty.jsonl"
     empty.write_text("")
@@ -689,6 +707,9 @@ def test_defects_exit_cleanly_without_traceback(workdir):
     (workdir / "huge.jsonl").write_text(jsonio.dumps(huge) + "\n")
     cases.append(["qagen", "--scenarios", str(workdir / "huge.jsonl"),
                   "--out", str(workdir / "qa.jsonl")])
+    for endpoint in ("exec:", "exec:   "):
+        cases.append(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                      "--out", str(out), "--oracle", endpoint])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
     for argv in cases:
         proc = subprocess.run([sys.executable, "-m", "vecdrive", *argv], env=env,

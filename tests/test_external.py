@@ -18,6 +18,7 @@ from vecdrive.external import (
     OracleTimeout,
     STDERR_TAIL_BYTES,
     TcpOracle,
+    _LineOracle,
     _encode_request,
     _parse_response,
     open_oracle,
@@ -138,6 +139,41 @@ def test_huge_reply_is_quoted_up_to_2_kb(tmp_path):
     assert "\u00e9" * (STDERR_TAIL_BYTES // 2) + "' ... 1024 more characters)" in wide
 
 
+def test_long_reply_line_is_read_in_linear_time(tmp_path):
+    # Searching and copying the whole buffer for each 64 KB chunk made the
+    # read quadratic, and a line this long timed out instead of failing to parse.
+    cmd = write_mock(tmp_path, "long.py", """\
+        import sys
+        for line in sys.stdin:
+            sys.stdout.write("x" * 40_000_000 + "\\n")
+            sys.stdout.flush()
+    """)
+    with ExecOracle(cmd, timeout=5.0) as oracle:
+        with pytest.raises(OracleProtocolError, match="invalid JSON") as err:
+            oracle.decide(make_scenario())
+    assert len(err.value.payload) == 40_000_000
+
+
+def test_read_line_joins_chunks_and_keeps_what_follows():
+    read_fd, write_fd = os.pipe()
+    long = b"y" * 200_000   # more than one 64 KB read
+    writer = threading.Thread(target=os.write, args=(write_fd, b"a\n" + long + b"\nb\nc"))
+    writer.start()
+    channel = _LineOracle("pipe", 5.0, read_fd, write_fd)
+    deadline = time.monotonic() + 5.0
+    try:
+        assert channel._read_line(deadline) == b"a"
+        assert channel._read_line(deadline) == long
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        assert channel._read_line(deadline) == b"b"
+        os.close(write_fd)
+        with pytest.raises(OracleProtocolError, match="closed the stream"):
+            channel._read_line(deadline)
+    finally:
+        os.close(read_fd)
+
+
 def test_hazard_ids_must_exist_in_scenario(tmp_path):
     cmd = write_mock(tmp_path, "ghost.py", """\
         import json, sys
@@ -221,6 +257,9 @@ def test_open_oracle_endpoint_parsing():
         open_oracle("tcp:127.0.0.1:99999")   # would wrap to port 34463
     with pytest.raises(OracleError):
         open_oracle("exec:/nonexistent/binary-xyz")
+    for endpoint in ("exec:", "exec:   "):
+        with pytest.raises(ValueError, match="needs a command"):
+            open_oracle(endpoint)
 
 
 # --- one behaviour set over both transports ---------------------------------------
