@@ -20,7 +20,6 @@ a per-sector scene description (front / left / right by bearing).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -28,6 +27,7 @@ from typing import Protocol
 from .scene import (
     AgentKind,
     AgentTrack,
+    Label,
     MapKind,
     MetaAction,
     Point,
@@ -43,7 +43,7 @@ APPROACH_LENGTH = 10.0
 POSTPONEMENT_CLAUSE = "postponing the"
 
 
-class Format(enum.Enum):
+class Format(Label):
     SHORT = "short"
     LONG = "long"
 
@@ -69,6 +69,8 @@ class MetaDecision:
             raise ValueError("rationale_long must be nonempty")
         if self.rationale_short not in self.rationale_long:
             raise ValueError("rationale_long must contain the short justification")
+        if len(set(self.hazard_ids)) != len(self.hazard_ids):
+            raise ValueError(f"hazard ids {list(self.hazard_ids)} name an agent more than once")
         if scenario is not None:
             agent_ids = {a.id for a in scenario.agents}
             unknown = [i for i in self.hazard_ids if i not in agent_ids]
@@ -89,9 +91,19 @@ class Oracle(Protocol):
 
 # --- corridor geometry --------------------------------------------------------
 
-def _to_ego_frame(scenario: Scenario, p: Point) -> Point:
+#: A scenario's ego frame: the ego position and the cos and sin of -heading.
+EgoFrame = tuple[float, float, float, float]
+
+
+def ego_frame(scenario: Scenario) -> EgoFrame:
+    """The ego frame of ``scenario``; a decision builds it once."""
     ex, ey = scenario.ego.position
-    c, s = math.cos(-scenario.ego.heading), math.sin(-scenario.ego.heading)
+    heading = scenario.ego.heading
+    return ex, ey, math.cos(-heading), math.sin(-heading)
+
+
+def _to_ego_frame(frame: EgoFrame, p: Point) -> Point:
+    ex, ey, c, s = frame
     dx, dy = p[0] - ex, p[1] - ey
     return (c * dx - s * dy, s * dx + c * dy)
 
@@ -138,14 +150,15 @@ def point_in_turn_corridor(p: Point, side: MetaAction) -> bool:
     return corridor_centerline_distance(p, side) <= CORRIDOR_HALF_WIDTH
 
 
-def corridor_hazards(scenario: Scenario, side: MetaAction) -> list[AgentTrack]:
+def corridor_hazards(scenario: Scenario, side: MetaAction,
+                     frame: EgoFrame) -> list[AgentTrack]:
     """VRUs whose ground-truth future enters the turn corridor within 3 s."""
     hazards = []
     for agent in scenario.agents:
         if agent.kind not in VRU_KINDS:
             continue
         for p in agent.future:
-            if point_in_turn_corridor(_to_ego_frame(scenario, p), side):
+            if point_in_turn_corridor(_to_ego_frame(frame, p), side):
                 hazards.append(agent)
                 break
     return hazards
@@ -154,6 +167,7 @@ def corridor_hazards(scenario: Scenario, side: MetaAction) -> list[AgentTrack]:
 # --- sector descriptions -------------------------------------------------------
 
 _SECTOR_ORDER = ("front", "left", "right", "rear")
+_SECTOR_HEAD = {name: f"{name.capitalize()} sector: " for name in _SECTOR_ORDER}
 
 _KIND_NOUN = {
     AgentKind.VEHICLE: "vehicle",
@@ -182,13 +196,17 @@ def bearing_sector(bearing: float) -> str:
     return "rear"
 
 
-def _agent_sector_entries(scenario: Scenario) -> dict[str, list[tuple[float, AgentTrack]]]:
-    sectors: dict[str, list[tuple[float, AgentTrack]]] = {s: [] for s in _SECTOR_ORDER}
+def _agent_sector_entries(scenario: Scenario,
+                          frame: EgoFrame) -> dict[str, list[tuple[float, int, AgentKind]]]:
+    """Each sector's (distance, id, kind) entries, nearest first. Ids are
+    unique in a valid scenario, so the sort never compares two kinds."""
+    sectors: dict[str, list[tuple[float, int, AgentKind]]] = {s: [] for s in _SECTOR_ORDER}
     for agent in scenario.agents:
-        x, y = _to_ego_frame(scenario, agent.position)
-        sectors[bearing_sector(math.atan2(y, x))].append((math.hypot(x, y), agent))
+        x, y = _to_ego_frame(frame, agent.position)
+        sectors[bearing_sector(math.atan2(y, x))].append(
+            (math.hypot(x, y), agent.id, agent.kind))
     for entries in sectors.values():
-        entries.sort(key=lambda e: (e[0], e[1].id))
+        entries.sort()
     return sectors
 
 
@@ -196,27 +214,25 @@ def _plural(noun: str, n: int) -> str:
     return noun if n == 1 else noun + "s"
 
 
-def describe_sectors(scenario: Scenario, include_rear: bool = False) -> str:
+def describe_sectors(scenario: Scenario, frame: EgoFrame, include_rear: bool = False) -> str:
     """Fixed-template scene description grouped by camera sector."""
-    sectors = _agent_sector_entries(scenario)
+    sectors = _agent_sector_entries(scenario, frame)
     names = _SECTOR_ORDER if include_rear else _SECTOR_ORDER[:3]
     parts = []
     for name in names:
         entries = sectors[name]
         if not entries:
-            parts.append(f"{name.capitalize()} sector: clear.")
+            parts.append(_SECTOR_HEAD[name] + "clear.")
         else:
-            listing = ", ".join(
-                f"1 {_KIND_NOUN[a.kind]} at {d:.1f} m" for d, a in entries
-            )
-            parts.append(f"{name.capitalize()} sector: {listing}.")
+            listing = ", ".join(f"1 {_KIND_NOUN[kind]} at {d:.1f} m" for d, _, kind in entries)
+            parts.append(f"{_SECTOR_HEAD[name]}{listing}.")
     map_counts: dict[MapKind, int] = {}
     for line in scenario.map:
         map_counts[line.kind] = map_counts.get(line.kind, 0) + 1
     if map_counts:
         listing = ", ".join(
-            f"{map_counts[k]} {_plural(_MAP_NOUN[k], map_counts[k])}"
-            for k in MapKind if k in map_counts
+            f"{map_counts[k]} {_plural(noun, map_counts[k])}"
+            for k, noun in _MAP_NOUN.items() if k in map_counts
         )
         parts.append(f"Map: {listing}.")
     else:
@@ -224,7 +240,7 @@ def describe_sectors(scenario: Scenario, include_rear: bool = False) -> str:
     return " ".join(parts)
 
 
-def _hazard_summary(scenario: Scenario, hazards: list[AgentTrack]) -> tuple[str, float]:
+def _hazard_summary(hazards: list[AgentTrack], frame: EgoFrame) -> tuple[str, float]:
     counts: dict[AgentKind, int] = {}
     for agent in hazards:
         counts[agent.kind] = counts.get(agent.kind, 0) + 1
@@ -233,7 +249,7 @@ def _hazard_summary(scenario: Scenario, hazards: list[AgentTrack]) -> tuple[str,
         for k in (AgentKind.PEDESTRIAN, AgentKind.CYCLIST) if k in counts
     )
     nearest = min(
-        math.hypot(*_to_ego_frame(scenario, a.position)) for a in hazards
+        math.hypot(*_to_ego_frame(frame, a.position)) for a in hazards
     )
     return kinds, nearest
 
@@ -242,6 +258,7 @@ class RuleOracle:
     """Deterministic maneuver oracle implementing the turn-postponement rule."""
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
+        frame = ego_frame(scenario)
         intent = scenario.route_intent
         if intent is MetaAction.GO_STRAIGHT:
             action = MetaAction.GO_STRAIGHT
@@ -249,11 +266,11 @@ class RuleOracle:
             short = ("Continue straight; no turn is requested and "
                      "the route ahead stays on the current lane.")
         else:
-            hazards = corridor_hazards(scenario, intent)
+            hazards = corridor_hazards(scenario, intent, frame)
             side = _TURN_WORD[intent]
             if hazards:
                 action = MetaAction.GO_STRAIGHT
-                kinds, nearest = _hazard_summary(scenario, hazards)
+                kinds, nearest = _hazard_summary(hazards, frame)
                 short = (
                     f"Proceed straight, {POSTPONEMENT_CLAUSE} {side} turn: "
                     f"{kinds} crossing the turn corridor within 3.0 s, "
@@ -266,7 +283,7 @@ class RuleOracle:
                     f"clear of vulnerable road users."
                 )
         if format is Format.LONG:
-            long = f"{describe_sectors(scenario)} {short}"
+            long = f"{describe_sectors(scenario, frame)} {short}"
         else:
             long = short
         decision = MetaDecision(
@@ -285,7 +302,7 @@ def rule_oracle_decide(scenario: Scenario, format: Format = Format.SHORT) -> Met
 
 # --- QA generation -------------------------------------------------------------
 
-class QATask(enum.Enum):
+class QATask(Label):
     PERCEPTION = "PERCEPTION"
     PREDICTION = "PREDICTION"
     PLANNING = "PLANNING"
@@ -342,13 +359,11 @@ def _prediction_answer(agent: AgentTrack) -> str:
 def generate_qa(scenario: Scenario) -> list[QAItem]:
     """Ground-truth QA items: 1 perception + 1 per agent + 1 planning."""
     items: list[QAItem] = []
+    sectors = describe_sectors(scenario, ego_frame(scenario), include_rear=True)
     if scenario.agents:
-        perception_answer = describe_sectors(scenario, include_rear=True)
+        perception_answer = sectors
     else:
-        perception_answer = (
-            f"There are no other road users in the scene. "
-            f"{describe_sectors(scenario, include_rear=True)}"
-        )
+        perception_answer = f"There are no other road users in the scene. {sectors}"
     items.append(QAItem(
         task=QATask.PERCEPTION,
         question=PERCEPTION_QUESTION,

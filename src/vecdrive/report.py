@@ -75,9 +75,10 @@ def render_confusion(confusion: dict[str, dict[str, int]]) -> str:
 
 
 def render_latency_table(rows: dict[str, dict[str, float]]) -> str:
-    header = ["Format", "Mean (s)", "p50 (s)", "p95 (s)"]
+    """Rows of ``bench.json`` (seconds) rendered in milliseconds."""
+    header = ["Format", "Mean (ms)", "p50 (ms)", "p95 (ms)"]
     body = [
-        [name, f"{s['mean']:.3f}", f"{s['p50']:.3f}", f"{s['p95']:.3f}"]
+        [name, *(f"{s[key] * 1e3:.3f}" for key in ("mean", "p50", "p95"))]
         for name, s in rows.items()
     ]
     return _format_table(header, body)

@@ -98,7 +98,21 @@ def _check_member(value: Any, path: str, cls: type[enum.Enum], noun: str) -> Non
         raise ValidationError(path, f"expected {cls.__name__}, got {type(value).__name__}")
 
 
-class MetaAction(enum.Enum):
+class Label(enum.Enum):
+    """Base of the label enums: a member hashes by identity.
+
+    ``enum.Enum.__hash__`` is a Python-level ``hash(self._name_)``; the
+    identity hash runs in C, so every table keyed by a label looks it up
+    in C. Enum equality is already identity, so the two still agree, and
+    a member pickles and deep-copies to itself. Like a str hash, the hash
+    may differ from run to run: code that writes output iterates an enum
+    class or an insertion-ordered dict, never a set of labels.
+    """
+
+    __hash__ = object.__hash__
+
+
+class MetaAction(Label):
     """High-level lateral driving command."""
 
     GO_STRAIGHT = "GO_STRAIGHT"
@@ -113,7 +127,7 @@ class MetaAction(enum.Enum):
         return self.value
 
 
-class AgentKind(enum.Enum):
+class AgentKind(Label):
     VEHICLE = "VEHICLE"
     PEDESTRIAN = "PEDESTRIAN"
     CYCLIST = "CYCLIST"
@@ -123,7 +137,7 @@ class AgentKind(enum.Enum):
 VRU_KINDS = frozenset({AgentKind.PEDESTRIAN, AgentKind.CYCLIST})
 
 
-class MapKind(enum.Enum):
+class MapKind(Label):
     LANE_CENTER = "LANE_CENTER"
     LANE_BOUNDARY = "LANE_BOUNDARY"
     CROSSWALK = "CROSSWALK"

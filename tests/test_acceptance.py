@@ -450,12 +450,13 @@ def test_a10_latency_harness(tmp_path):
             assert 0.050 <= stats["mean"] <= 0.060, (label, stats)
         print(f"  50 ms mock mean: Long {obj['rows']['Long']['mean'] * 1e3:.1f} ms, "
               f"Short {obj['rows']['Short']['mean'] * 1e3:.1f} ms")
-        # Layout fixture: reference inference times render in the
-        # Long/Short rows with mean/p50/p95 columns.
+        # Layout fixture: reference inference times (seconds, as bench.json
+        # holds them) render in milliseconds in the Long/Short rows with
+        # mean/p50/p95 columns.
         fixture = {"Long": {"mean": 3.407, "p50": 3.407, "p95": 3.407},
                    "Short": {"mean": 0.878, "p50": 0.878, "p95": 0.878}}
         table = render_latency_table(fixture)
         lines = table.splitlines()
-        assert lines[0].split() == ["Format", "Mean", "(s)", "p50", "(s)", "p95", "(s)"]
-        assert any(l.startswith("Short") and "0.878" in l for l in lines)
-        assert any(l.startswith("Long") and "3.407" in l for l in lines)
+        assert lines[0].split() == ["Format", "Mean", "(ms)", "p50", "(ms)", "p95", "(ms)"]
+        assert any(l.startswith("Short") and "878.000" in l for l in lines)
+        assert any(l.startswith("Long") and "3407.000" in l for l in lines)

@@ -462,6 +462,20 @@ def test_bench_rule_oracle_fast_and_shaped(workdir):
     assert table.splitlines()[0].startswith("Format")
 
 
+def test_bench_rule_oracle_prints_a_nonzero_p50_in_ms(workdir, capsys):
+    out = gen(workdir, n=10)
+    capsys.readouterr()
+    assert run(["bench-oracle", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (out / "bench.txt").read_text()
+    header, _rule, *rows = printed.splitlines()
+    assert header.split() == ["Format", "Mean", "(ms)", "p50", "(ms)", "p95", "(ms)"]
+    assert [row.split()[0] for row in rows] == ["Long", "Short"]
+    for row in rows:
+        assert float(row.split()[2]) > 0.0     # a rule decision is µs, not 0.000
+
+
 def test_bench_sleepy_mock_mean_in_band(workdir):
     out = gen(workdir, "bench", n=6, suite="CRUISE")
     mock = workdir / "sleep50.py"
@@ -516,9 +530,9 @@ def test_report_renders_paper_style_fixture_rows(workdir, capsys):
     assert row_line.split()[1:] == ["64.60", "73.27", "72.40", "3.71"]
     assert "90.15" in printed          # accuracy column fixture
     short_line = [l for l in printed.splitlines() if l.startswith("Short")][0]
-    assert "0.878" in short_line
+    assert "878.000" in short_line     # bench.json holds seconds, the table ms
     long_line = [l for l in printed.splitlines() if l.startswith("Long")][0]
-    assert "3.407" in long_line
+    assert "3407.000" in long_line
 
 
 def test_report_empty_dir_exit_2(workdir, capsys):

@@ -188,6 +188,18 @@ def test_hazard_ids_must_exist_in_scenario(tmp_path):
             oracle.decide(make_scenario(agents=(make_agent(agent_id=1),)))
 
 
+def test_repeated_hazard_id_is_a_protocol_error_quoting_the_payload():
+    s = make_scenario(agents=(make_agent(agent_id=1), make_agent(agent_id=2, position=(5.0, 3.0))))
+    raw = jsonio.dumps({"v": 1, "action": "GO_STRAIGHT", "rationale": "x",
+                        "hazard_ids": [1, 2, 1]})
+    with pytest.raises(OracleProtocolError, match="more than once") as info:
+        _parse_response(raw, s, Format.SHORT, "exec:mock")
+    assert info.value.payload == raw
+    assert repr(raw) in str(info.value)
+    ok = raw.replace("[1,2,1]", "[2,1]")
+    assert _parse_response(ok, s, Format.SHORT, "exec:mock").hazard_ids == (1, 2)
+
+
 def test_dead_subprocess_reported(tmp_path):
     cmd = write_mock(tmp_path, "quit.py", "import sys; sys.exit(3)\n")
     oracle = ExecOracle(cmd, timeout=5.0)

@@ -1,12 +1,19 @@
+import copy
+import hashlib
 import math
+import pickle
 
 import pytest
 
+from vecdrive import jsonio, planner, simgen
 from vecdrive.oracle import (
     APPROACH_LENGTH,
     CORRIDOR_HALF_WIDTH,
     POSTPONEMENT_CLAUSE,
     TURN_RADIUS,
+    _KIND_NOUN,
+    _MAP_NOUN,
+    _TURN_WORD,
     Format,
     MetaDecision,
     QATask,
@@ -18,10 +25,21 @@ from vecdrive.oracle import (
     point_in_turn_corridor,
     qa_item_from_dict,
     qa_item_to_dict,
+    RuleOracle,
     rule_oracle_decide,
 )
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import AgentKind, MetaAction, Scenario
+from vecdrive.scene import (
+    AgentKind,
+    AgentTrack,
+    EgoState,
+    MapKind,
+    MapPolyline,
+    MetaAction,
+    Scenario,
+    VRU_KINDS,
+    normalize_heading,
+)
 
 from conftest import make_agent, make_scenario
 
@@ -199,6 +217,16 @@ def test_meta_decision_validation():
         MetaDecision(MetaAction.GO_STRAIGHT, "ok", "ok", hazard_ids=(42,)).validate(s)
 
 
+def test_meta_decision_refuses_a_repeated_hazard_id():
+    s = make_scenario(agents=(make_agent(agent_id=1), make_agent(agent_id=2)))
+    MetaDecision(MetaAction.GO_STRAIGHT, "ok", "ok", hazard_ids=(1, 2)).validate(s)
+    for ids in ((1, 1), (1, 2, 1)):
+        with pytest.raises(ValueError, match="more than once"):
+            MetaDecision(MetaAction.GO_STRAIGHT, "ok", "ok", hazard_ids=ids).validate(s)
+        with pytest.raises(ValueError, match="more than once"):
+            MetaDecision(MetaAction.GO_STRAIGHT, "ok", "ok", hazard_ids=ids).validate()
+
+
 def test_bearing_sectors():
     assert bearing_sector(0.0) == "front"
     assert bearing_sector(math.radians(44.9)) == "front"
@@ -298,3 +326,86 @@ def test_accuracy_requires_equal_nonempty():
         planning_accuracy([], [])
     with pytest.raises(ValueError):
         planning_accuracy([MetaAction.TURN_LEFT], [])
+
+
+# --- golden text -------------------------------------------------------------------
+
+def moved_scenario(s: Scenario, dx: float, dy: float, theta: float) -> Scenario:
+    """``s`` rotated by ``theta`` about the origin, then moved by (dx, dy)."""
+    c, sn = math.cos(theta), math.sin(theta)
+
+    def move(p):
+        return (c * p[0] - sn * p[1] + dx, sn * p[0] + c * p[1] + dy)
+
+    moved = Scenario(
+        id=s.id,
+        ego=EgoState(move(s.ego.position), normalize_heading(s.ego.heading + theta),
+                     s.ego.speed, s.ego.accel),
+        agents=tuple(
+            AgentTrack(a.id, a.kind, move(a.position), normalize_heading(a.heading + theta),
+                       a.speed, a.extent, tuple(map(move, a.future)))
+            for a in s.agents
+        ),
+        map=tuple(MapPolyline(m.id, m.kind, tuple(map(move, m.points))) for m in s.map),
+        route_intent=s.route_intent,
+        gt_future=tuple(map(move, s.gt_future)),
+        seed=s.seed,
+    )
+    moved.validate()
+    return moved
+
+
+# simgen puts every ego at the origin with heading 0; these poses move the
+# whole scene so the ego frame is a real rotation and translation.
+GOLDEN_POSES = ((23.5, -41.25, 2.3), (-1000.0, 250.0, -0.9), (0.5, 0.25, math.pi))
+
+#: sha256 of the oracle's text over every suite at densities 0, 0.5 and 1,
+#: at the origin and moved: a change here changes a decision or a QA line.
+ORACLE_TEXT_DIGEST = "8700af83cfdc25e866726b3bfa32b0f8dc8e5a4e9b239c4505c856149a79a043"
+
+
+def test_oracle_text_matches_golden_digest():
+    oracle = RuleOracle()
+    digest = hashlib.sha256()
+    for suite in simgen.Suite:
+        for density in (0.0, 0.5, 1.0):
+            spec = simgen.GenSpec(n_scenarios=40, seed=2024, suite=suite,
+                                  agent_density=density)
+            for i, s in enumerate(simgen.generate(spec)):
+                for scene in (s, moved_scenario(s, *GOLDEN_POSES[i % len(GOLDEN_POSES)])):
+                    lines = [repr(oracle.decide(scene, fmt)) for fmt in (Format.SHORT, Format.LONG)]
+                    lines += [jsonio.dumps(qa_item_to_dict(item)) for item in generate_qa(scene)]
+                    digest.update("".join(line + "\n" for line in lines).encode("utf-8"))
+    assert digest.hexdigest() == ORACLE_TEXT_DIGEST
+
+
+# --- label enums ---------------------------------------------------------------------
+
+LABEL_ENUMS = (MetaAction, AgentKind, MapKind, Format, QATask)
+
+
+@pytest.mark.parametrize("cls", LABEL_ENUMS, ids=lambda cls: cls.__name__)
+def test_labels_hash_by_identity_and_copy_to_themselves(cls):
+    for member in cls:
+        assert hash(member) == object.__hash__(member)
+        assert cls(member.value) is member
+        assert copy.copy(member) is member
+        assert copy.deepcopy(member) is member
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+
+
+def test_every_label_resolves_in_the_tables_keyed_by_it():
+    assert [_KIND_NOUN[kind] for kind in AgentKind] == ["vehicle", "pedestrian", "cyclist"]
+    assert [_MAP_NOUN[kind] for kind in MapKind] == [
+        "lane centerline", "lane boundary", "crosswalk"]
+    assert [_TURN_WORD[a] for a in (MetaAction.TURN_LEFT, MetaAction.TURN_RIGHT)] == [
+        "left", "right"]
+    assert [planner._ONE_HOT[a] for a in MetaAction] == [
+        (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    assert [kind in VRU_KINDS for kind in AgentKind] == [False, True, True]
+    copies = pickle.loads(pickle.dumps((AgentKind.CYCLIST, MapKind.CROSSWALK,
+                                        MetaAction.TURN_LEFT)))
+    assert copies[0] in VRU_KINDS and _KIND_NOUN[copies[0]] == "cyclist"
+    assert _MAP_NOUN[copies[1]] == "crosswalk"
+    assert _TURN_WORD[copies[2]] == "left" and planner._ONE_HOT[copies[2]] == (0.0, 1.0, 0.0)
