@@ -31,16 +31,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
-import math
 import os
 import sys
 import time
 
 from . import jsonio
-from .external import OracleError, open_oracle
+from .external import MAX_TIMEOUT, OracleError, open_oracle
 from .oracle import (
     Format,
     QATask,
+    RuleOracle,
     generate_qa,
     planning_accuracy,
     qa_item_from_dict,
@@ -225,9 +225,9 @@ def _publish(args: argparse.Namespace, stem: str, rows: dict) -> int:
 @contextlib.contextmanager
 def _oracle(args: argparse.Namespace):
     timeout = float(args.timeout)
-    if not (math.isfinite(timeout) and timeout > 0):
-        raise ConfigError(f"--timeout must be a finite number of seconds above 0, "
-                          f"got {timeout!r}")
+    if not (0 < timeout <= MAX_TIMEOUT):
+        raise ConfigError(f"--timeout must be a finite number of seconds above 0 "
+                          f"and at most {MAX_TIMEOUT:g}, got {timeout!r}")
     oracle = open_oracle(args.oracle, timeout=timeout)
     try:
         yield oracle
@@ -361,9 +361,13 @@ def cmd_eval_text(args: argparse.Namespace) -> int:
     scenarios = _eval_scenarios(args)
     candidates, references = [], []
     with _oracle(args) as oracle:
+        # The rule oracle's candidate is its own reference: decisions are deterministic.
+        rule = isinstance(oracle, RuleOracle)
         for scenario in scenarios:
-            candidates.append(oracle.decide(scenario, fmt).rationale(fmt))
-            references.append(rule_oracle_decide(scenario, fmt).rationale(fmt))
+            candidate = oracle.decide(scenario, fmt).rationale(fmt)
+            candidates.append(candidate)
+            references.append(candidate if rule else
+                              rule_oracle_decide(scenario, fmt).rationale(fmt))
     row = evaluate_explanations(candidates, references)
     return _publish(args, "eval_text", {args.oracle: text_row_to_dict(row)})
 
@@ -464,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_oracle(p, help_text):
         p.add_argument("--oracle", help=help_text)
-        p.add_argument("--timeout", type=float, help="external oracle timeout seconds")
+        p.add_argument("--timeout", type=float,
+                       help=f"external oracle timeout seconds, above 0 and at most "
+                            f"{MAX_TIMEOUT:g}")
 
     p = add("simgen", cmd_simgen, "generate scenario datasets", n=100, seed=0,
             suite="MIXED", density=0.5, speed_min=2.0, speed_max=6.0)

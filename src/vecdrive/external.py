@@ -28,6 +28,9 @@ from .oracle import Format, MetaDecision, Oracle
 from .scene import MetaAction, Scenario, ValidationError, scenario_from_dict, scenario_json
 
 DEFAULT_TIMEOUT = 10.0
+#: Longest timeout in seconds, about 31.7 years. Python's clock holds a
+#: wait as int64 nanoseconds, so ``select`` overflows past ~9.2e9 s.
+MAX_TIMEOUT = 1e9
 STDERR_TAIL_BYTES = 2048
 
 

@@ -106,14 +106,15 @@ def evaluate_explanations(candidates: Sequence[str], references: Sequence[str],
     gpt_score = None
     if judge is not None:
         gpt_score = sum(judge(c, r) for c, r in zip(candidates, references)) / n
+    corpus = textmetrics.ngram_corpus(cand_tokens, ref_tokens)
     exact: list[bool] = []
     row = TextEvalRow(
-        bleu=textmetrics.bleu(cand_tokens, ref_tokens),
+        bleu=textmetrics.bleu(corpus),
         meteor=sum(textmetrics.meteor(c, r, exact)
                    for c, r in zip(cand_tokens, ref_tokens)) / n,
         rouge_l=sum(textmetrics.rouge_l(c, r)
                     for c, r in zip(cand_tokens, ref_tokens)) / n,
-        cider=textmetrics.cider(cand_tokens, ref_tokens),
+        cider=textmetrics.cider(corpus),
         gpt_score=gpt_score,
         meteor_inexact_pairs=exact.count(False),
     )

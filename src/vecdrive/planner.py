@@ -96,6 +96,11 @@ class TrainingDiverged(PlannerError):
     pass
 
 
+#: Most parameters a planner may have: 80 MB of float64 weights, ~400 times
+#: the default model. A larger config is refused before anything is allocated.
+MAX_PARAMS = 10_000_000
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     d_model: int = 32
@@ -113,6 +118,10 @@ class PlannerConfig:
             raise PlannerError(
                 f"n_heads={self.n_heads} must divide d_model={self.d_model}"
             )
+        n_params = param_count(self)
+        if n_params > MAX_PARAMS:
+            raise PlannerError(f"{self} has {n_params} parameters, more than "
+                               f"the {MAX_PARAMS} allowed")
 
     def to_dict(self) -> dict:
         return {"d_model": self.d_model, "n_heads": self.n_heads, "hidden": self.hidden}
@@ -150,6 +159,10 @@ def param_layout(config: PlannerConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("plan_head.b2", (T_F * 2,)),
     ]
     return layout
+
+
+def param_count(config: PlannerConfig) -> int:
+    return sum(math.prod(shape) for _, shape in param_layout(config))
 
 
 def _views(config: PlannerConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -214,7 +227,7 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
     config.validate()
     rng = SplitMix64(seed)
     layout = param_layout(config)
-    params = _views(config, np.zeros(sum(math.prod(shape) for _, shape in layout)))
+    params = _views(config, np.zeros(param_count(config)))
     for name, shape in layout:
         if name.endswith(".b1") or name.endswith(".b2"):
             continue
@@ -480,7 +493,7 @@ def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
     The gradients are views into one new flat vector per call.
     """
     config = model.config
-    grads = _views(config, np.zeros(sum(math.prod(shape) for _, shape in param_layout(config))))
+    grads = _views(config, np.zeros(param_count(config)))
     loss = _step(_bind(model.params), _bind(grads), config, _pack(scenario, command, gt))
     return loss, grads
 

@@ -16,19 +16,25 @@ hermetic variants:
 * CIDEr: TF-IDF weighted n-gram cosine for n = 1..4, one reference per
   candidate, scaled by 10.
 
-All scores except CIDEr are on a 0..100 scale.
+BLEU and CIDEr score one ``ngram_corpus`` count, so each sentence's
+n-grams are counted once for both. All scores except CIDEr are on a
+0..100 scale.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from itertools import chain, count, repeat
+from operator import add, mul, truediv
 from typing import Sequence
 
 Tokens = Sequence[str]
 
 _TRAILING_PUNCT = ".,!?;:"
 _BLEU_EPS = 1e-9
+_ZEROS = repeat(0)
 
 #: Search nodes the METEOR chunk minimization may expand per pair. It
 #: counts work, not time, so a score never depends on machine speed.
@@ -48,28 +54,59 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _ngram_counts(tokens: Tokens) -> list[Counter]:
-    """Counts of the 1..4-grams of one sentence, each in first-occurrence order."""
-    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, 5)]
+@dataclass(frozen=True)
+class NgramCorpus:
+    """Candidate/reference pairs counted once, shared by BLEU and CIDEr.
+
+    Each token is an int id, 1..V-1 with V = vocabulary size + 1, and an
+    n-gram is the base-V numeral of its token ids (g_n = g_{n-1} * V + t),
+    so two grams of one order are equal exactly when their tokens are.
+    Per sentence, ``*_grams`` holds one Counter per order 1..4, each in
+    first-occurrence order like a Counter over the token tuples.
+    """
+
+    cand_lens: list[int]
+    ref_lens: list[int]
+    cand_grams: list[list[Counter]]
+    ref_grams: list[list[Counter]]
 
 
-def bleu(candidates: list[Tokens], references: list[Tokens]) -> float:
-    """Corpus BLEU-4 on a 0..100 scale, one reference per candidate."""
+def ngram_corpus(candidates: list[Tokens], references: list[Tokens]) -> NgramCorpus:
+    """Count the 1..4-grams of every sentence, one reference per candidate."""
     if len(candidates) != len(references):
         raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
         raise ValueError("empty corpus")
-    cand_len = sum(len(c) for c in candidates)
-    ref_len = sum(len(r) for r in references)
+    sentences = list(chain.from_iterable(zip(candidates, references)))
+    vocab = dict(zip(dict.fromkeys(chain.from_iterable(sentences)), count(1)))
+    base = repeat(len(vocab) + 1)
+    lookup = vocab.__getitem__
+    grams = []
+    for tokens in sentences:
+        ids = list(map(lookup, tokens))
+        g2 = list(map(add, map(mul, ids, base), ids[1:]))
+        g3 = list(map(add, map(mul, g2, base), ids[2:]))
+        g4 = list(map(add, map(mul, g3, base), ids[3:]))
+        grams.append([Counter(ids), Counter(g2), Counter(g3), Counter(g4)])
+    return NgramCorpus(cand_lens=[len(c) for c in candidates],
+                       ref_lens=[len(r) for r in references],
+                       cand_grams=grams[0::2], ref_grams=grams[1::2])
+
+
+def bleu(corpus: NgramCorpus) -> float:
+    """Corpus BLEU-4 on a 0..100 scale, one reference per candidate."""
+    cand_len = sum(corpus.cand_lens)
+    ref_len = sum(corpus.ref_lens)
     if cand_len == 0:
         return 0.0
     matched = [0] * 4
     total = [0] * 4
-    for cand, ref in zip(candidates, references):
-        for k, (cand_counts, ref_counts) in enumerate(zip(_ngram_counts(cand),
-                                                          _ngram_counts(ref))):
-            total[k] += sum(cand_counts.values())
-            matched[k] += sum(min(count, ref_counts[g]) for g, count in cand_counts.items())
+    for length, cand, ref in zip(corpus.cand_lens, corpus.cand_grams, corpus.ref_grams):
+        for k in range(4):
+            total[k] += max(length - k, 0)
+            # Clipped counts: min(candidate count, reference count or 0).
+            cand_k = cand[k]
+            matched[k] += sum(map(min, cand_k.values(), map(ref[k].get, cand_k, _ZEROS)))
     log_sum = 0.0
     for k in range(4):
         precision = matched[k] / total[k] if total[k] > 0 else 0.0
@@ -220,7 +257,7 @@ def rouge_l(candidate: Tokens, reference: Tokens) -> float:
     return 100.0 * 2.0 * precision * recall / (precision + recall)
 
 
-def cider(candidates: list[Tokens], references: list[Tokens]) -> float:
+def cider(corpus: NgramCorpus) -> float:
     """CIDEr with a single reference per candidate.
 
     For n = 1..4, sentences become TF-IDF vectors over n-grams (TF is the
@@ -229,29 +266,28 @@ def cider(candidates: list[Tokens], references: list[Tokens]) -> float:
     between candidate and reference vectors, zero when either vector is
     zero. The corpus score is the mean over pairs of 10 * mean over n.
     """
-    if len(candidates) != len(references):
-        raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
-    if not candidates:
-        raise ValueError("empty corpus")
-    n_docs = len(references)
-    ref_grams = [_ngram_counts(ref) for ref in references]
+    n_docs = len(corpus.ref_grams)
     doc_freq = [Counter() for _ in range(4)]
-    for grams in ref_grams:
+    for grams in corpus.ref_grams:
         for df, counts in zip(doc_freq, grams):
             df.update(counts.keys())
-    idf = [{g: math.log(n_docs / d) for g, d in df.items()} for df in doc_freq]
-    idf_unseen = math.log(n_docs)   # a gram no reference holds: df floored at 1
+    idf = [dict(zip(df, map(math.log, map(truediv, repeat(n_docs), df.values()))))
+           for df in doc_freq]
+    unseen = repeat(math.log(n_docs))   # a gram no reference holds: df floored at 1
 
     total = 0.0
-    for cand, ref_counts in zip(candidates, ref_grams):
+    for cand_grams, ref_grams in zip(corpus.cand_grams, corpus.ref_grams):
         per_n = 0.0
-        for idf_n, cand_n, ref_n in zip(idf, _ngram_counts(cand), ref_counts):
-            cand_vec = {g: c * idf_n.get(g, idf_unseen) for g, c in cand_n.items()}
-            ref_vec = {g: c * idf_n[g] for g, c in ref_n.items()}
-            dot = sum(w * ref_vec[g] for g, w in cand_vec.items() if g in ref_vec)
-            norm_c = math.sqrt(sum(w * w for w in cand_vec.values()))
-            norm_r = math.sqrt(sum(w * w for w in ref_vec.values()))
+        for idf_n, cand_n, ref_n in zip(idf, cand_grams, ref_grams):
+            cand_idf = list(map(idf_n.get, cand_n, unseen))
+            cand_w = list(map(mul, cand_n.values(), cand_idf))
+            ref_w = list(map(mul, ref_n.values(), map(idf_n.__getitem__, ref_n)))
+            # Summed in candidate order. A gram the reference lacks adds an
+            # exact 0.0, which leaves every partial sum as it was.
+            dot = sum(map(mul, cand_w, map(mul, map(ref_n.get, cand_n, _ZEROS), cand_idf)))
+            norm_c = math.sqrt(sum(map(mul, cand_w, cand_w)))
+            norm_r = math.sqrt(sum(map(mul, ref_w, ref_w)))
             if norm_c > 0 and norm_r > 0:
                 per_n += dot / (norm_c * norm_r)
         total += 10.0 * per_n / 4.0
-    return total / len(candidates)
+    return total / len(corpus.cand_grams)

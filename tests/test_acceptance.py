@@ -44,11 +44,11 @@ from vecdrive.report import render_latency_table
 from vecdrive.rng import SplitMix64
 from vecdrive.scene import EgoState, MetaAction, Scenario, VRU_KINDS
 from vecdrive.simgen import GenSpec, Suite, constant_velocity_future, generate, split
-from vecdrive.textmetrics import bleu, cider, lcs_length, meteor, rouge_l
+from vecdrive.textmetrics import lcs_length, meteor, rouge_l
 
 from helpers_grad import fd_gradients, max_relative_error
 from test_planmetrics import grid_overlap_oracle
-from test_textmetrics import hand_cider_three_pairs
+from test_textmetrics import corpus_bleu, corpus_cider, hand_cider_three_pairs
 
 
 @contextmanager
@@ -227,7 +227,7 @@ def test_a5_metric_oracles():
         # Hand-computed fixtures, to 1e-6.
         eps = 1e-9
         bleu_fixture = 100.0 * math.exp(0.25 * (math.log(0.25) + 3 * math.log(eps)))
-        assert bleu([["the"] * 4], [["the", "cat", "sat", "down"]]) == pytest.approx(
+        assert corpus_bleu([["the"] * 4], [["the", "cat", "sat", "down"]]) == pytest.approx(
             bleu_fixture, abs=1e-6)
         assert meteor(["the", "cat", "sat"], ["the", "cat", "sat"]) == pytest.approx(
             100.0 * (1.0 - 0.5 / 27.0), abs=1e-6)
@@ -239,18 +239,18 @@ def test_a5_metric_oracles():
         refs = [["a", "red", "car", "turns", "right"],
                 ["a", "blue", "truck", "stops", "here"],
                 ["the", "cyclist", "crosses", "a", "road"]]
-        assert cider(cands, refs) == pytest.approx(
+        assert corpus_cider(cands, refs) == pytest.approx(
             hand_cider_three_pairs(cands, refs), abs=1e-6)
 
         # Identity corpus: 100/100/100/10 within 1e-6. Sentences are long
         # (500 distinct tokens), so the METEOR fragmentation penalty
         # 0.5/m^3 falls below the tolerance.
         identity = [[f"s{j}w{i:03d}" for i in range(500)] for j in range(3)]
-        assert bleu(identity, identity) == pytest.approx(100.0, abs=1e-6)
+        assert corpus_bleu(identity, identity) == pytest.approx(100.0, abs=1e-6)
         for sent in identity:
             assert meteor(sent, sent) == pytest.approx(100.0, abs=1e-6)
             assert rouge_l(sent, sent) == pytest.approx(100.0, abs=1e-6)
-        assert cider(identity, identity) == pytest.approx(10.0, abs=1e-6)
+        assert corpus_cider(identity, identity) == pytest.approx(10.0, abs=1e-6)
 
         # LCS vs exhaustive subsequence enumeration: every candidate
         # sequence of length <= 8 over {a, b, c} against fixed references,

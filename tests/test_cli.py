@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import textwrap
@@ -10,16 +11,18 @@ import pytest
 import vecdrive
 from vecdrive import cli, jsonio
 from vecdrive.cli import ConfigError, build_parser, main
-from vecdrive.external import OracleTimeout
+from vecdrive.external import MAX_TIMEOUT, OracleTimeout
+from vecdrive.oracle import Format, RuleOracle, rule_oracle_decide
 from vecdrive.planner import (
+    MAX_PARAMS,
     CheckpointError,
     PlannerConfig,
     TrainingDiverged,
     init_model,
     load_checkpoint,
 )
-from vecdrive.planmetrics import TextEvalRow
-from vecdrive.report import render_text_table
+from vecdrive.planmetrics import TextEvalRow, evaluate_explanations
+from vecdrive.report import render_text_table, text_row_to_dict
 from vecdrive.scene import ScenarioLoadError, ValidationError, load_scenarios
 
 
@@ -341,6 +344,25 @@ def test_eval_text_identity_rule_oracle(workdir):
     assert "gpt_score" not in row
 
 
+def test_eval_text_rule_oracle_decides_each_scene_once(workdir, monkeypatch):
+    out = gen(workdir, n=10)
+    scenarios = load_scenarios(out / "scenarios_eval.jsonl")
+    texts = [rule_oracle_decide(s, Format.LONG).rationale_long for s in scenarios]
+    calls = []
+    decide = RuleOracle.decide
+
+    def counted(self, scenario, format=Format.SHORT):
+        calls.append(scenario.id)
+        return decide(self, scenario, format)
+
+    monkeypatch.setattr(RuleOracle, "decide", counted)
+    assert run(["eval-text", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--format", "long", "--out", str(out)]) == 0
+    assert calls == [s.id for s in scenarios]
+    obj = jsonio.loads((out / "eval_text.json").read_text())
+    assert obj["rows"] == {"rule": text_row_to_dict(evaluate_explanations(texts, texts))}
+
+
 def test_eval_text_external_candidates_scored(workdir):
     out = gen(workdir, n=6)
     mock = workdir / "fixed.py"
@@ -605,6 +627,20 @@ def write_bad_result(directory, stem, obj):
     return path
 
 
+@pytest.mark.parametrize("extra", [["--hidden", "100000000"],
+                                   ["--d-model", "4000000", "--n-heads", "1"]])
+def test_train_oversized_planner_exit_2_before_allocating(workdir, capsys, monkeypatch, extra):
+    out = gen(workdir, n=6)
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was allocated")
+    monkeypatch.setattr(cli, "init_model", no_model)
+    code = run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                "--out", str(out), *extra])
+    assert code == 2
+    assert f"parameters, more than the {MAX_PARAMS} allowed" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("extra", BAD_TRAIN_ARGS)
 def test_train_bad_epochs_or_lr_exit_2_before_writing(workdir, capsys, extra):
     out = gen(workdir, n=6)
@@ -675,7 +711,9 @@ def test_report_accepts_actions_and_bench_rows_at_their_bounds(workdir):
     assert run(["report", "--dir", str(workdir)]) == 0
 
 
-BAD_TIMEOUTS = ["nan", "inf", "-inf", "0", "-1"]
+BAD_TIMEOUTS = ["nan", "inf", "-inf", "0", "-1",
+                # beyond MAX_TIMEOUT: the next float, then far beyond
+                repr(math.nextafter(MAX_TIMEOUT, math.inf)), "1e12", "1e300"]
 
 
 @pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
@@ -691,6 +729,21 @@ def test_bad_timeout_flag_exit_2_before_the_oracle_starts(workdir, capsys, timeo
     assert "error: --timeout must be a finite number of seconds above 0" in (
         capsys.readouterr().err)
     assert not marker.exists()
+
+
+def test_timeout_at_the_bound_reaches_the_oracle(workdir):
+    out = gen(workdir, n=6)
+    qa = out / "qa.jsonl"
+    assert run(["qagen", "--scenarios", str(out / "scenarios.jsonl"), "--out", str(qa)]) == 0
+    endpoint = f"exec:{sys.executable} -m vecdrive.oracle_server"
+    assert run(["eval-actions", "--scenarios", str(out / "scenarios.jsonl"), "--qa", str(qa),
+                "--oracle", endpoint, "--timeout", repr(MAX_TIMEOUT), "--out", str(out)]) == 0
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+    # Nothing listens on the port any more: an oracle error, not a crash.
+    assert run(["eval-actions", "--scenarios", str(out / "scenarios.jsonl"), "--qa", str(qa),
+                "--oracle", f"tcp:127.0.0.1:{port}", "--timeout", repr(MAX_TIMEOUT),
+                "--out", str(out)]) == 5
 
 
 @pytest.mark.parametrize("timeout", [0, -2.5])

@@ -12,6 +12,7 @@ import pytest
 
 from vecdrive import jsonio, oracle_server, simgen
 from vecdrive.external import (
+    MAX_TIMEOUT,
     ExecOracle,
     OracleError,
     OracleProtocolError,
@@ -344,6 +345,12 @@ def test_transport_round_trip(connect):
             d = oracle.decide(make_scenario(route_intent=intent))
             assert d.action is intent
             assert d.rationale_short == "echoing the navigation intent"
+
+
+def test_transport_round_trip_at_the_longest_timeout(connect):
+    with connect(ECHO_INTENT_MOCK, timeout=MAX_TIMEOUT) as oracle:
+        d = oracle.decide(make_scenario(route_intent=MetaAction.TURN_LEFT))
+    assert d.action is MetaAction.TURN_LEFT
 
 
 def test_transport_timeout(connect):

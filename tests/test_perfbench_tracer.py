@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps functions by name; a rename in ``vecdrive``
 would break every ``--trace 1`` run. This test installs it over the
 imported package, as ``perfbench/run.py`` does, and checks one traced
-external decide.
+external decide and one traced explanation evaluation, whose BLEU and
+CIDEr spans the per-layer metrics read.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import vecdrive.cli  # imports every module the tracer wraps
-from vecdrive import external
+from vecdrive import external, planmetrics
 from vecdrive.oracle import Format
 
 from conftest import make_agent, make_scenario
@@ -59,3 +60,20 @@ def test_traced_exec_decide_records_the_encode_span(tracer_module):
     assert parents["external._encode_request"] == tracer_module.DECIDE
     assert parents["external._parse_response"] == tracer_module.DECIDE
     assert list(tracer.decide_wait_s().values())[0] > 0
+
+
+def test_traced_evaluate_explanations_records_one_bleu_and_one_cider_span(tracer_module):
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        planmetrics.evaluate_explanations(["the car turns left now", "stop for the cyclist"],
+                                          ["the car turns right now", "stop for a cyclist"])
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    names = {span_id: name for span_id, name, *_ in tracer.spans}
+    spans = [(name, names.get(parent)) for _, name, _, _, parent, _ in tracer.spans]
+    for metric in ("textmetrics.bleu", "textmetrics.cider"):
+        assert [parent for name, parent in spans if name == metric] == [
+            "planmetrics.evaluate_explanations"]

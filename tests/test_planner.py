@@ -103,6 +103,30 @@ def test_config_validation(tmp_path, capsys):
     PlannerConfig().validate()
 
 
+def test_config_refuses_more_parameters_than_the_cap():
+    # hidden adds the same count per unit, so the largest accepted width
+    # sits where the count crosses MAX_PARAMS.
+    count = planner.param_count
+    per_unit = count(PlannerConfig(hidden=2)) - count(PlannerConfig(hidden=1))
+    widest = 1 + (planner.MAX_PARAMS - count(PlannerConfig(hidden=1))) // per_unit
+    assert count(PlannerConfig(hidden=widest)) <= planner.MAX_PARAMS
+    PlannerConfig(hidden=widest).validate()
+    for config in (PlannerConfig(hidden=widest + 1), PlannerConfig(hidden=100_000_000),
+                   PlannerConfig(d_model=4_000_000, n_heads=1)):
+        with pytest.raises(PlannerError, match="parameters, more than"):
+            config.validate()
+
+
+def test_checkpoint_with_an_oversized_config_is_refused(tmp_path):
+    p = tmp_path / "model.json"
+    save_checkpoint(init_model(TINY, 23), p)
+    obj = json.loads(p.read_text())
+    obj["config"]["hidden"] = 100_000_000
+    p.write_text(json.dumps(obj))
+    with pytest.raises(CheckpointError, match="parameters, more than"):
+        load_checkpoint(p)
+
+
 def test_init_same_seed_identical():
     a = init_model(PlannerConfig(), 42)
     b = init_model(PlannerConfig(), 42)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -15,13 +16,14 @@ from vecdrive.oracle import Format, rule_oracle_decide
 from vecdrive.planmetrics import TextEvalRow, evaluate_explanations
 from vecdrive.report import render_text_table, text_row_from_dict, text_row_to_dict
 from vecdrive.scene import load_scenarios
-from vecdrive.simgen import GenSpec, generate
+from vecdrive.simgen import GenSpec, generate, mirror_scenario
 from vecdrive.textmetrics import (
     _min_chunks,
     bleu,
     cider,
     lcs_length,
     meteor,
+    ngram_corpus,
     rouge_l,
     tokenize,
 )
@@ -41,9 +43,13 @@ def test_tokenize_drops_pure_punctuation():
 
 # --- BLEU --------------------------------------------------------------------
 
+def corpus_bleu(candidates, references):
+    return bleu(ngram_corpus(candidates, references))
+
+
 def test_bleu_identity_is_100():
     corpus = [["the", "car", "turns", "left", "now"]]
-    assert bleu(corpus, corpus) == pytest.approx(100.0, abs=1e-6)
+    assert corpus_bleu(corpus, corpus) == pytest.approx(100.0, abs=1e-6)
 
 
 def test_bleu_repeated_token_hand_value():
@@ -54,11 +60,11 @@ def test_bleu_repeated_token_hand_value():
     expected = 100.0 * math.exp(
         0.25 * (math.log(0.25) + 3 * math.log(eps))
     )  # brevity penalty 1 since c == r
-    assert bleu(cand, ref) == pytest.approx(expected, rel=1e-9)
+    assert corpus_bleu(cand, ref) == pytest.approx(expected, rel=1e-9)
 
 
 def test_bleu_empty_candidate_is_zero():
-    assert bleu([[]], [["a", "b", "c", "d"]]) == 0.0
+    assert corpus_bleu([[]], [["a", "b", "c", "d"]]) == 0.0
 
 
 def test_bleu_brevity_penalty():
@@ -67,7 +73,7 @@ def test_bleu_brevity_penalty():
     # p1 = 1, p2 = 1, p3 = p4 = eps (no trigrams in candidate).
     eps = 1e-9
     expected = 100.0 * math.exp(1 - 4 / 2) * math.exp(0.25 * (2 * math.log(eps)))
-    assert bleu(cand, ref) == pytest.approx(expected, rel=1e-9)
+    assert corpus_bleu(cand, ref) == pytest.approx(expected, rel=1e-9)
 
 
 def test_bleu_is_corpus_level_not_mean_of_sentences():
@@ -79,22 +85,22 @@ def test_bleu_is_corpus_level_not_mean_of_sentences():
     p3 = (0 + 2) / (0 + 2)
     p4 = (0 + 1) / (0 + 1)
     expected = 100.0 * math.exp(sum(0.25 * math.log(p) for p in (p1, p2, p3, p4)))
-    assert bleu(cands, refs) == pytest.approx(expected, rel=1e-12)
+    assert corpus_bleu(cands, refs) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bleu_permutation_equivariant():
     cands = [["a", "b", "c", "d"], ["e", "f", "g", "h"], ["i", "j", "k", "l"]]
     refs = [["a", "b", "x", "d"], ["e", "f", "g", "h"], ["i", "z", "k", "l"]]
-    assert bleu(cands, refs) == pytest.approx(
-        bleu(list(reversed(cands)), list(reversed(refs))), abs=1e-12
+    assert corpus_bleu(cands, refs) == pytest.approx(
+        corpus_bleu(list(reversed(cands)), list(reversed(refs))), abs=1e-12
     )
 
 
 def test_bleu_rejects_mismatched_or_empty():
     with pytest.raises(ValueError):
-        bleu([["a"]], [])
+        ngram_corpus([["a"]], [])
     with pytest.raises(ValueError):
-        bleu([], [])
+        ngram_corpus([], [])
 
 
 # --- METEOR ------------------------------------------------------------------
@@ -350,15 +356,19 @@ def test_bit_parallel_lcs_matches_dynamic_programming(pair):
 
 # --- CIDEr -------------------------------------------------------------------
 
+def corpus_cider(candidates, references):
+    return cider(ngram_corpus(candidates, references))
+
+
 def test_cider_two_distinct_identical_pairs():
     corpus = [["red", "car", "ahead", "now"], ["blue", "bike", "left", "side"]]
-    assert cider(corpus, corpus) == pytest.approx(10.0, abs=1e-9)
+    assert corpus_cider(corpus, corpus) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_cider_no_shared_ngram_is_zero():
     cands = [["x", "y", "z", "w"], ["p", "q", "r", "s"]]
     refs = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
-    assert cider(cands, refs) == 0.0
+    assert corpus_cider(cands, refs) == 0.0
 
 
 def hand_cider_three_pairs(cands, refs):
@@ -401,20 +411,132 @@ def test_cider_three_pair_corpus_matches_hand_computation():
         ["a", "blue", "truck", "stops", "here"],
         ["the", "cyclist", "crosses", "a", "road"],
     ]
-    assert cider(cands, refs) == pytest.approx(hand_cider_three_pairs(cands, refs), abs=1e-12)
+    assert corpus_cider(cands, refs) == pytest.approx(
+        hand_cider_three_pairs(cands, refs), abs=1e-12)
 
 
 def test_cider_permutation_equivariant():
     cands = [["a", "b", "c", "d"], ["e", "f", "g", "h"], ["a", "b", "x", "y"]]
     refs = [["a", "b", "c", "e"], ["e", "f", "g", "h"], ["a", "b", "x", "z"]]
     perm = [2, 0, 1]
-    assert cider(cands, refs) == pytest.approx(
-        cider([cands[i] for i in perm], [refs[i] for i in perm]), abs=1e-12
+    assert corpus_cider(cands, refs) == pytest.approx(
+        corpus_cider([cands[i] for i in perm], [refs[i] for i in perm]), abs=1e-12
     )
 
 
 def test_cider_rejects_empty_or_mismatched():
     with pytest.raises(ValueError):
-        cider([], [])
+        ngram_corpus([], [])
     with pytest.raises(ValueError):
-        cider([["a"]], [["a"], ["b"]])
+        ngram_corpus([["a"]], [["a"], ["b"]])
+
+
+# --- the counted corpus against string-tuple counting ---------------------------
+#
+# The BLEU and CIDEr bodies as they were before a corpus was counted once:
+# each sentence's n-grams counted as tuples of strings, per metric. Scores
+# from ngram_corpus must equal these in every bit.
+
+def tuple_ngram_counts(tokens):
+    return [collections.Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, 5)]
+
+
+def tuple_bleu(candidates, references):
+    cand_len = sum(len(c) for c in candidates)
+    ref_len = sum(len(r) for r in references)
+    if cand_len == 0:
+        return 0.0
+    matched = [0] * 4
+    total = [0] * 4
+    for cand, ref in zip(candidates, references):
+        for k, (cand_counts, ref_counts) in enumerate(zip(tuple_ngram_counts(cand),
+                                                          tuple_ngram_counts(ref))):
+            total[k] += sum(cand_counts.values())
+            matched[k] += sum(min(count, ref_counts[g]) for g, count in cand_counts.items())
+    log_sum = 0.0
+    for k in range(4):
+        precision = matched[k] / total[k] if total[k] > 0 else 0.0
+        if precision == 0.0:
+            precision = 1e-9
+        log_sum += 0.25 * math.log(precision)
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return 100.0 * brevity * math.exp(log_sum)
+
+
+def tuple_cider(candidates, references):
+    n_docs = len(references)
+    ref_grams = [tuple_ngram_counts(ref) for ref in references]
+    doc_freq = [collections.Counter() for _ in range(4)]
+    for grams in ref_grams:
+        for df, counts in zip(doc_freq, grams):
+            df.update(counts.keys())
+    idf = [{g: math.log(n_docs / d) for g, d in df.items()} for df in doc_freq]
+    idf_unseen = math.log(n_docs)
+    total = 0.0
+    for cand, ref_counts in zip(candidates, ref_grams):
+        per_n = 0.0
+        for idf_n, cand_n, ref_n in zip(idf, tuple_ngram_counts(cand), ref_counts):
+            cand_vec = {g: c * idf_n.get(g, idf_unseen) for g, c in cand_n.items()}
+            ref_vec = {g: c * idf_n[g] for g, c in ref_n.items()}
+            dot = sum(w * ref_vec[g] for g, w in cand_vec.items() if g in ref_vec)
+            norm_c = math.sqrt(sum(w * w for w in cand_vec.values()))
+            norm_r = math.sqrt(sum(w * w for w in ref_vec.values()))
+            if norm_c > 0 and norm_r > 0:
+                per_n += dot / (norm_c * norm_r)
+        total += 10.0 * per_n / 4.0
+    return total / len(candidates)
+
+
+# Few words, so sentences repeat grams and share them across pairs; the
+# candidate-only words give grams no reference holds.
+_REF_WORDS = ["car", "left", "turn", "the", "stop", "a"]
+_sentence = st.lists(st.sampled_from(_REF_WORDS + ["cyclist", "now"]), max_size=12)
+_corpus = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(_sentence, min_size=n, max_size=n),
+    st.lists(st.lists(st.sampled_from(_REF_WORDS), max_size=12), min_size=n, max_size=n)))
+
+
+def assert_scores_as_tuples(candidates, references):
+    corpus = ngram_corpus(candidates, references)
+    assert repr(bleu(corpus)) == repr(tuple_bleu(candidates, references))
+    assert repr(cider(corpus)) == repr(tuple_cider(candidates, references))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpus)
+def test_counted_corpus_scores_as_string_tuples(pair):
+    assert_scores_as_tuples(*pair)
+
+
+#: Distinct words of the wide pair: past 2**(63/4), so a 4-gram of words
+#: numbered after them packs into an id above 2**63.
+WIDE_VOCAB = 60_000
+
+
+@settings(max_examples=8, deadline=None)
+@given(_corpus)
+def test_packed_ids_past_2_63_score_as_string_tuples(pair):
+    wide = [f"w{i}" for i in range(WIDE_VOCAB)]
+    candidates, references = [wide[-4:]] + pair[0], [wide] + pair[1]
+    corpus = ngram_corpus(candidates, references)
+    # Words are numbered pair by pair, so every drawn word comes after the wide ones.
+    drawn = corpus.cand_grams[1:] + corpus.ref_grams[1:]
+    assert all(g > 2 ** 63 for counts in drawn for g in counts[3])
+    assert_scores_as_tuples(candidates, references)
+
+
+def test_sentences_of_no_one_or_repeated_tokens_score_as_string_tuples():
+    candidates = [[], ["a"], ["a", "a", "a", "a", "a"], ["b", "a", "b", "a"]]
+    references = [["a"], [], ["a", "a"], ["a", "b", "a", "b", "c"]]
+    assert_scores_as_tuples(candidates, references)
+    assert_scores_as_tuples(references, candidates)
+
+
+def test_counted_corpus_scores_benchmark_like_pairs_as_string_tuples():
+    spec = GenSpec(n_scenarios=40, seed=3, agent_density=1.0)
+    candidates, references = [], []
+    for scenario in generate(spec):
+        mirror = mirror_scenario(scenario, scenario.id + "-mirror")
+        candidates.append(tokenize(rule_oracle_decide(mirror, Format.LONG).rationale_long))
+        references.append(tokenize(rule_oracle_decide(scenario, Format.LONG).rationale_long))
+    assert_scores_as_tuples(candidates, references)
