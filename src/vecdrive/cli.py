@@ -76,6 +76,7 @@ from .report import (
     text_row_from_dict,
     text_row_to_dict,
 )
+from .rng import check_seed
 from .scene import (
     MetaAction,
     ScenarioLoadError,
@@ -306,15 +307,15 @@ def cmd_qagen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     _require(args, ["scenarios", "out"])
     config = _planner_config(args)
+    seed = check_seed(int(args.seed))
     scenarios = load_scenarios(args.scenarios)
     out = _out_dir(args)
-    model = init_model(config, int(args.seed))
+    model = init_model(config, seed)
     log.info("training on %d scenarios for %d epochs (lr=%g, seed=%d)",
-             len(scenarios), int(args.epochs), float(args.lr), int(args.seed))
+             len(scenarios), int(args.epochs), float(args.lr), seed)
     with _oracle(args) as oracle:
         trained, curve = train(model, scenarios, _commands(oracle, scenarios),
-                               epochs=int(args.epochs), lr=float(args.lr),
-                               seed=int(args.seed))
+                               epochs=int(args.epochs), lr=float(args.lr), seed=seed)
     checkpoint_path = os.path.join(out, "checkpoint.json")
     save_checkpoint(trained, checkpoint_path)
     curve_lines = ["epoch,mean_loss"]
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory for checkpoint.json / loss_curve.csv")
     p.add_argument("--epochs", type=int, help="training epochs (default 50)")
     p.add_argument("--lr", type=float, help="SGD learning rate (default 1e-2)")
-    p.add_argument("--seed", type=int, help="init + shuffle seed (default 7)")
+    p.add_argument("--seed", type=int, help="init + shuffle seed in [0, 2^64) (default 7)")
     p.add_argument("--d-model", type=int, dest="d_model", help="model width (default 32)")
     p.add_argument("--n-heads", type=int, dest="n_heads", help="attention heads (default 2)")
     p.add_argument("--hidden", type=int, help="MLP hidden width (default 64)")

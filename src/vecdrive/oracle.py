@@ -196,11 +196,14 @@ def bearing_sector(bearing: float) -> str:
     return "rear"
 
 
-def _agent_sector_entries(scenario: Scenario,
-                          frame: EgoFrame) -> dict[str, list[tuple[float, int, AgentKind]]]:
+#: Per sector, the (distance, id, kind) of each agent in it, nearest first.
+SectorEntries = dict[str, list[tuple[float, int, AgentKind]]]
+
+
+def _agent_sector_entries(scenario: Scenario, frame: EgoFrame) -> SectorEntries:
     """Each sector's (distance, id, kind) entries, nearest first. Ids are
     unique in a valid scenario, so the sort never compares two kinds."""
-    sectors: dict[str, list[tuple[float, int, AgentKind]]] = {s: [] for s in _SECTOR_ORDER}
+    sectors: SectorEntries = {s: [] for s in _SECTOR_ORDER}
     for agent in scenario.agents:
         x, y = _to_ego_frame(frame, agent.position)
         sectors[bearing_sector(math.atan2(y, x))].append(
@@ -214,9 +217,10 @@ def _plural(noun: str, n: int) -> str:
     return noun if n == 1 else noun + "s"
 
 
-def describe_sectors(scenario: Scenario, frame: EgoFrame, include_rear: bool = False) -> str:
-    """Fixed-template scene description grouped by camera sector."""
-    sectors = _agent_sector_entries(scenario, frame)
+def describe_sectors(scenario: Scenario, sectors: SectorEntries,
+                     include_rear: bool = False) -> str:
+    """Fixed-template scene description grouped by camera sector, from
+    the scene's ``_agent_sector_entries``."""
     names = _SECTOR_ORDER if include_rear else _SECTOR_ORDER[:3]
     parts = []
     for name in names:
@@ -259,41 +263,48 @@ class RuleOracle:
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
         frame = ego_frame(scenario)
-        intent = scenario.route_intent
-        if intent is MetaAction.GO_STRAIGHT:
+        sectors = _agent_sector_entries(scenario, frame) if format is Format.LONG else None
+        return _rule_decision(scenario, format, frame, sectors)
+
+
+def _rule_decision(scenario: Scenario, format: Format, frame: EgoFrame,
+                   sectors: SectorEntries | None) -> MetaDecision:
+    """``RuleOracle.decide`` in ``frame``; a LONG decision describes ``sectors``."""
+    intent = scenario.route_intent
+    if intent is MetaAction.GO_STRAIGHT:
+        action = MetaAction.GO_STRAIGHT
+        hazards: list[AgentTrack] = []
+        short = ("Continue straight; no turn is requested and "
+                 "the route ahead stays on the current lane.")
+    else:
+        hazards = corridor_hazards(scenario, intent, frame)
+        side = _TURN_WORD[intent]
+        if hazards:
             action = MetaAction.GO_STRAIGHT
-            hazards: list[AgentTrack] = []
-            short = ("Continue straight; no turn is requested and "
-                     "the route ahead stays on the current lane.")
+            kinds, nearest = _hazard_summary(hazards, frame)
+            short = (
+                f"Proceed straight, {POSTPONEMENT_CLAUSE} {side} turn: "
+                f"{kinds} crossing the turn corridor within 3.0 s, "
+                f"nearest {nearest:.1f} m away."
+            )
         else:
-            hazards = corridor_hazards(scenario, intent, frame)
-            side = _TURN_WORD[intent]
-            if hazards:
-                action = MetaAction.GO_STRAIGHT
-                kinds, nearest = _hazard_summary(hazards, frame)
-                short = (
-                    f"Proceed straight, {POSTPONEMENT_CLAUSE} {side} turn: "
-                    f"{kinds} crossing the turn corridor within 3.0 s, "
-                    f"nearest {nearest:.1f} m away."
-                )
-            else:
-                action = intent
-                short = (
-                    f"Proceed with the {side} turn: the turn corridor is "
-                    f"clear of vulnerable road users."
-                )
-        if format is Format.LONG:
-            long = f"{describe_sectors(scenario, frame)} {short}"
-        else:
-            long = short
-        decision = MetaDecision(
-            action=action,
-            rationale_short=short,
-            rationale_long=long,
-            hazard_ids=tuple(sorted(a.id for a in hazards)),
-        )
-        decision.validate(scenario)
-        return decision
+            action = intent
+            short = (
+                f"Proceed with the {side} turn: the turn corridor is "
+                f"clear of vulnerable road users."
+            )
+    if format is Format.LONG:
+        long = f"{describe_sectors(scenario, sectors)} {short}"
+    else:
+        long = short
+    decision = MetaDecision(
+        action=action,
+        rationale_short=short,
+        rationale_long=long,
+        hazard_ids=tuple(sorted(a.id for a in hazards)),
+    )
+    decision.validate(scenario)
+    return decision
 
 
 def rule_oracle_decide(scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
@@ -359,11 +370,13 @@ def _prediction_answer(agent: AgentTrack) -> str:
 def generate_qa(scenario: Scenario) -> list[QAItem]:
     """Ground-truth QA items: 1 perception + 1 per agent + 1 planning."""
     items: list[QAItem] = []
-    sectors = describe_sectors(scenario, ego_frame(scenario), include_rear=True)
+    frame = ego_frame(scenario)
+    sectors = _agent_sector_entries(scenario, frame)
+    scene = describe_sectors(scenario, sectors, include_rear=True)
     if scenario.agents:
-        perception_answer = sectors
+        perception_answer = scene
     else:
-        perception_answer = f"There are no other road users in the scene. {sectors}"
+        perception_answer = f"There are no other road users in the scene. {scene}"
     items.append(QAItem(
         task=QATask.PERCEPTION,
         question=PERCEPTION_QUESTION,
@@ -380,7 +393,9 @@ def generate_qa(scenario: Scenario) -> list[QAItem]:
             answer=_prediction_answer(agent),
             scenario_id=scenario.id,
         ))
-    decision = rule_oracle_decide(scenario, Format.LONG)
+    # The LONG rationale lists the front, left and right entries of the
+    # perception answer.
+    decision = _rule_decision(scenario, Format.LONG, frame, sectors)
     items.append(QAItem(
         task=QATask.PLANNING,
         question=PLANNING_QUESTION,

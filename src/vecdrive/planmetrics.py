@@ -174,8 +174,20 @@ def separation_margin(a: OrientedBox, b: OrientedBox) -> float:
 
 
 def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """True iff the rotated rectangles intersect; touching counts."""
-    return separation_margin(a, b) <= 0.0
+    """True iff the rotated rectangles intersect; touching counts.
+
+    Equal to ``separation_margin(a, b) <= 0.0``, but stops at the first
+    axis whose gap is positive. A NaN gap separates nothing, as the
+    margin's ``max`` skips it.
+    """
+    corners_a = a.corners()
+    corners_b = b.corners()
+    for ax, ay in _axes(a) + _axes(b):
+        proj_a = [ax * x + ay * y for x, y in corners_a]
+        proj_b = [ax * x + ay * y for x, y in corners_b]
+        if max(min(proj_b) - max(proj_a), min(proj_a) - max(proj_b)) > 0.0:
+            return False
+    return True
 
 
 def ego_headings(pred: Sequence[Point], ego: EgoState) -> list[float]:
@@ -195,18 +207,6 @@ def ego_headings(pred: Sequence[Point], ego: EgoState) -> list[float]:
         headings.append(prev_heading)
         prev_point = point
     return headings
-
-
-def _circles_apart(px: float, py: float, ax: float, ay: float, reach: float) -> bool:
-    """True when two boxes' bounding circles are disjoint beyond a slack.
-
-    ``reach`` is the sum of the two half-diagonals. The slack is relative
-    to the reach and the coordinates, so rounding in ``separation_margin``
-    cannot call a rejected pair overlapping: the prefilter is
-    conservative. A NaN anywhere keeps the pair.
-    """
-    slack = 1e-9 * (1.0 + reach + abs(px) + abs(py) + abs(ax) + abs(ay))
-    return math.hypot(ax - px, ay - py) - reach > slack
 
 
 def collision_horizons(
@@ -239,7 +239,11 @@ def collision_horizons(
         ego_box = None
         for agent, reach in zip(agents, reaches):
             ax, ay = agent.future[k]
-            if _circles_apart(px, py, ax, ay, reach):
+            # Bounding circles apart beyond a slack relative to the reach
+            # and the coordinates, so rounding in the separating-axis test
+            # cannot call a skipped pair overlapping. A NaN keeps the pair.
+            slack = 1e-9 * (1.0 + reach + abs(px) + abs(py) + abs(ax) + abs(ay))
+            if math.hypot(ax - px, ay - py) - reach > slack:
                 continue
             if ego_box is None:
                 ego_box = OrientedBox(pred[k], headings[k], ego_length, ego_width)

@@ -15,6 +15,17 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it lies in [0, 2^64), else a ValueError.
+
+    Streams take seeds mod 2^64, so a seed outside that range would
+    silently stand for one inside it.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside u64 range")
+    return seed
+
+
 def mix64(x: int) -> int:
     """One splitmix64 output for state ``x`` (finalizer only, no increment)."""
     z = (x + _GAMMA) & _MASK64

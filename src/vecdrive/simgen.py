@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .oracle import TURN_RADIUS
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 from .scene import (
     AgentKind,
     AgentTrack,
@@ -73,8 +73,7 @@ class GenSpec:
     def validate(self) -> None:
         if self.n_scenarios <= 0:
             raise ValueError(f"n_scenarios must be positive, got {self.n_scenarios}")
-        if not (0 <= self.seed < (1 << 64)):
-            raise ValueError(f"seed {self.seed} outside u64 range")
+        check_seed(self.seed)
         if not (0.0 <= self.agent_density <= 1.0):
             raise ValueError(f"agent_density {self.agent_density} outside [0, 1]")
         lo, hi = self.speed_range

@@ -11,7 +11,9 @@ hermetic variants:
   "METEOR-exact". Minimizing chunks is NP-hard in general, so the search
   stops after METEOR_BUDGET expansions. It is exact unless it hits that
   budget; past it, the score uses the best alignment found, which never
-  scores above the exact value.
+  scores above the exact value. The search's first descent is walked
+  before its stack is built: when it meets the root lower bound it is
+  optimal and the search would return it, so it is returned at once.
 * ROUGE-L: LCS-based F1, the LCS length computed bit-parallel.
 * CIDEr: TF-IDF weighted n-gram cosine for n = 1..4, one reference per
   candidate, scaled by 10.
@@ -135,20 +137,33 @@ def _min_chunks(candidate: Tokens, reference: Tokens) -> tuple[int, int, bool]:
     lower bound. After METEOR_BUDGET expansions the search stops with
     ``exact`` False and the best chunk count found so far; it starts at
     ``matches``, which any alignment achieves or beats.
-    """
-    cand_counts = Counter(candidate)
-    ref_counts = Counter(reference)
-    quota = {w: min(cand_counts[w], c) for w, c in ref_counts.items() if w in cand_counts}
-    matches = sum(quota.values())
-    if matches == 0:
-        return 0, 0, True
 
-    positions: dict[str, list[int]] = {w: [] for w in quota}
+    Before the stack is built, the search's first descent is walked on
+    its own, when the budget covers its ``n`` expansions. If it ends in
+    an alignment of ``suffix[0]`` chunks, the root bound, that alignment
+    is optimal, and every node the search would still pop is pruned (it
+    holds ``chunks + suffix[slot] >= suffix[0]``: each must-match slot
+    above it that opens a chunk is counted in ``chunks``), so the search
+    would return exactly this. Otherwise the search runs from the root
+    as if the walk had not happened.
+    """
+    cand_counts: dict[str, int] = {}
+    for w in candidate:
+        cand_counts[w] = cand_counts.get(w, 0) + 1
+    positions: dict[str, list[int]] = {}
+    masks: dict[str, int] = {}
     for j, w in enumerate(reference):
-        if w in quota:
+        if w in masks:
             positions[w].append(j)
-    masks = {w: sum(1 << j for j in js) for w, js in positions.items()}
-    spare = {w: cand_counts[w] - quota[w] for w in quota}
+            masks[w] |= 1 << j
+        elif w in cand_counts:
+            positions[w] = [j]
+            masks[w] = 1 << j
+    if not masks:
+        return 0, 0, True
+    quota = {w: min(cand_counts[w], len(js)) for w, js in positions.items()}
+    matches = sum(quota.values())
+    spare = {w: cand_counts[w] - q for w, q in quota.items()}
     ref_bigrams = set(zip(reference, reference[1:]))
 
     # Candidate positions of matchable words; some may stay unmatched when
@@ -156,11 +171,12 @@ def _min_chunks(candidate: Tokens, reference: Tokens) -> tuple[int, int, bool]:
     slots = [i for i, w in enumerate(candidate) if w in quota]
     n = len(slots)
     words = [candidate[i] for i in slots]
-    seen: Counter = Counter()
+    seen: dict[str, int] = {}
     occurrence = []          # earlier slots of the same word
     for w in words:
-        occurrence.append(seen[w])
-        seen[w] += 1
+        c = seen.get(w, 0)
+        occurrence.append(c)
+        seen[w] = c + 1
     # Whether the next slot is the next candidate position.
     adjacent = [k + 1 < n and slots[k + 1] == slots[k] + 1 for k in range(n)]
     suffix = [0] * (n + 1)   # must-match slots from here on that open a chunk
@@ -168,6 +184,29 @@ def _min_chunks(candidate: Tokens, reference: Tokens) -> tuple[int, int, bool]:
         i, w = slots[k], words[k]
         opens = spare[w] == 0 and (i == 0 or (candidate[i - 1], w) not in ref_bigrams)
         suffix[k] = suffix[k + 1] + opens
+
+    # The first descent: at each slot the child the search pops first. A
+    # word with a free reference position has matches left to make; one
+    # without has made all of them, so its slot stays unmatched. The walk
+    # stays on the root bound only while chunks open at must-match slots.
+    if n <= METEOR_BUDGET:
+        used, prev, chunks = 0, -2, 0
+        for k in range(n):
+            free = masks[words[k]] & ~used
+            if prev >= 0 and free >> (prev + 1) & 1:
+                j = prev + 1
+            elif not free:
+                prev = -2
+                continue
+            elif suffix[k] == suffix[k + 1]:
+                break    # a chunk the root bound does not count
+            else:
+                j = (free & -free).bit_length() - 1
+                chunks += 1
+            used |= 1 << j
+            prev = j if adjacent[k] else -2
+        else:
+            return matches, chunks, True
 
     best = matches
     expansions = 0

@@ -641,6 +641,28 @@ def test_train_oversized_planner_exit_2_before_allocating(workdir, capsys, monke
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_train_seed_outside_u64_exit_2_before_the_oracle_starts(workdir, capsys, seed):
+    out = gen(workdir, n=6)
+    marker = workdir / "spawned"
+    mock = workdir / "spawn.py"
+    mock.write_text(f"open({str(marker)!r}, 'w').close()\n")
+    code = run(["train", "--scenarios", str(out / "scenarios_train.jsonl"), "--out", str(out),
+                "--oracle", f"exec:{sys.executable} {mock}", "--seed", str(seed)])
+    assert code == 2
+    assert f"error: seed {seed} outside u64 range" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_train_seed_at_the_u64_bounds_is_accepted(workdir, seed):
+    out = gen(workdir, n=6)
+    assert run(["train", "--scenarios", str(out / "scenarios_train.jsonl"), "--out", str(out),
+                "--epochs", "1", "--seed", str(seed)]) == 0
+    assert (out / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("extra", BAD_TRAIN_ARGS)
 def test_train_bad_epochs_or_lr_exit_2_before_writing(workdir, capsys, extra):
     out = gen(workdir, n=6)

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from vecdrive import jsonio, planner, simgen
+from vecdrive import oracle as oracle_module
 from vecdrive.oracle import (
     APPROACH_LENGTH,
     CORRIDOR_HALF_WIDTH,
@@ -377,6 +378,24 @@ def test_oracle_text_matches_golden_digest():
                     lines += [jsonio.dumps(qa_item_to_dict(item)) for item in generate_qa(scene)]
                     digest.update("".join(line + "\n" for line in lines).encode("utf-8"))
     assert digest.hexdigest() == ORACLE_TEXT_DIGEST
+
+
+def test_generate_qa_builds_the_sector_entries_once(monkeypatch):
+    calls = []
+    entries = oracle_module._agent_sector_entries
+
+    def counted(scenario, frame):
+        calls.append(scenario.id)
+        return entries(scenario, frame)
+
+    monkeypatch.setattr(oracle_module, "_agent_sector_entries", counted)
+    scenes = simgen.generate(simgen.GenSpec(n_scenarios=30, seed=5, agent_density=1.0))
+    scenes += simgen.generate(simgen.GenSpec(n_scenarios=4, seed=5, agent_density=0.0))
+    for s in scenes:
+        calls.clear()
+        items = generate_qa(s)
+        assert calls == [s.id]
+        assert items[-1].answer == RuleOracle().decide(s, Format.LONG).rationale_long
 
 
 # --- label enums ---------------------------------------------------------------------

@@ -19,7 +19,6 @@ from vecdrive.planmetrics import (
     latency_stats,
     mean_rows,
     separation_margin,
-    _circles_apart,
     _with_avg,
 )
 from vecdrive.rng import SplitMix64
@@ -250,7 +249,8 @@ def test_collision_rejects_bad_future():
 
 def all_pairs_collision_horizons(pred, ego, agents):
     """``collision_horizons`` before its prefilter: every (step, agent) pair
-    goes through the separating-axis test. Reference for the tests below."""
+    goes through the full separating-axis margin. Reference for the tests
+    below."""
     if len(pred) != T_F:
         raise ValueError(f"predicted trajectory must have {T_F} waypoints")
     for agent in agents:
@@ -261,11 +261,11 @@ def all_pairs_collision_horizons(pred, ego, agents):
     for k in range(T_F):
         ego_box = OrientedBox(pred[k], headings[k], *EGO_EXTENT)
         hit = any(
-            boxes_overlap(
+            separation_margin(
                 ego_box,
                 OrientedBox(agent.future[k], agent.heading,
                             agent.extent[0], agent.extent[1]),
-            )
+            ) <= 0.0
             for agent in agents
         )
         collided_at_step.append(hit)
@@ -320,6 +320,16 @@ def box_pairs(draw):
     return a, OrientedBox(center, heading, b_length, b_width)
 
 
+def _circles_apart(px, py, ax, ay, reach):
+    """The prefilter ``collision_horizons`` inlines, with the same slack.
+
+    True when two boxes' bounding circles are disjoint beyond a slack;
+    ``reach`` is the sum of the two half-diagonals.
+    """
+    slack = 1e-9 * (1.0 + reach + abs(px) + abs(py) + abs(ax) + abs(ay))
+    return math.hypot(ax - px, ay - py) - reach > slack
+
+
 def test_prefilter_keeps_touching_squares_and_rejects_distant_ones():
     a = OrientedBox((0.0, 0.0), 0.0, 1.0, 1.0)
     touching = OrientedBox((1.0, 0.0), 0.0, 1.0, 1.0)
@@ -337,6 +347,36 @@ def test_prefilter_never_rejects_an_overlapping_pair(pair):
         assert not _circles_apart(*a.center, *b.center, r)
     if separation_margin(b, a) <= 0.0:
         assert not _circles_apart(*b.center, *a.center, r)
+
+
+@st.composite
+def box_pairs_with_nan(draw):
+    """``box_pairs``, with up to two of the numbers that place and size the
+    boxes set to NaN, or a center or an extent set to infinity: an infinite
+    extent gives a box whose projections mix infinities and NaN."""
+    boxes = list(draw(box_pairs()))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, 1))
+        field = draw(st.sampled_from(["x", "y", "heading", "length", "width"]))
+        value = (math.nan if field == "heading"
+                 else draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        if field in ("length", "width"):
+            value = abs(value)
+        box = boxes[i]
+        if field in ("x", "y"):
+            x, y = box.center
+            boxes[i] = replace(box, center=(value, y) if field == "x" else (x, value))
+        else:
+            boxes[i] = replace(box, **{field: value})
+    return tuple(boxes)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(box_pairs_with_nan())
+def test_overlap_is_the_sign_of_the_separation_margin(pair):
+    a, b = pair
+    assert boxes_overlap(a, b) == (separation_margin(a, b) <= 0.0)
+    assert boxes_overlap(b, a) == (separation_margin(b, a) <= 0.0)
 
 
 SPEED_RANGES = [(2.0, 6.0), (0.0, 0.5), (1e5, 1e6), (1e299, 1e300)]

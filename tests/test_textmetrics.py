@@ -1,4 +1,5 @@
 import collections
+from collections import Counter
 import itertools
 import math
 import random
@@ -218,18 +219,220 @@ def test_meteor_on_mismatched_scenes_is_bounded():
     assert slow == []
 
 
-def test_meteor_on_reversed_and_shuffled_candidates_is_bounded():
+def reversed_and_shuffled_pairs():
+    """(candidate, reference) pairs whose candidate reverses or shuffles the
+    reference: 14 to 60 tokens of rule text or of a two- or three-word
+    vocabulary."""
     rng = random.Random(6)
     texts = [t for t in long_rationales(7) if len(t) >= 60][:2]
     texts += [[rng.choice(vocab) for _ in range(60)] for vocab in ("ab", "abc")]
-    slow = []
+    pairs = []
     for length in range(14, 61):
         for text in texts:
             ref = text[:length]
-            for cand in (ref[::-1], rng.sample(ref, length)):
-                if not best_of_3_under_50_ms(cand, ref):
-                    slow.append((length, " ".join(cand)))
+            pairs += [(ref[::-1], ref), (rng.sample(ref, length), ref)]
+    return pairs
+
+
+def test_meteor_on_reversed_and_shuffled_candidates_is_bounded():
+    slow = [(len(ref), " ".join(cand)) for cand, ref in reversed_and_shuffled_pairs()
+            if not best_of_3_under_50_ms(cand, ref)]
     assert slow == []
+
+
+# --- the chunk search against its stack-only form ------------------------------
+#
+# ``_min_chunks`` as it was before the first descent was walked on its own,
+# reading the patched budget from ``textmetrics``. ``_min_chunks`` must
+# return the same (matches, chunks, exact) on every pair and budget.
+
+def reference_min_chunks(candidate, reference):
+    """Exact-match unigram alignment: (matches, chunk count, exact).
+
+    The number of matches per word is fixed (min of the two occurrence
+    counts); which occurrences align is chosen to minimize the number of
+    chunks, i.e. maximal runs contiguous in both sequences. Solved by
+    depth-first branch-and-bound over candidate positions on an explicit
+    stack, trying the run-extending reference position first, so
+    near-monotone alignments (the common case for templated text) finish
+    quickly.
+
+    The bound: a candidate slot whose word has no spare occurrences must
+    be matched, and it can continue a run only if its bigram with the
+    previous candidate token occurs in the reference. Every must-match
+    slot that cannot opens a chunk, so ``chunks + suffix[slot]`` is a
+    lower bound. After METEOR_BUDGET expansions the search stops with
+    ``exact`` False and the best chunk count found so far; it starts at
+    ``matches``, which any alignment achieves or beats.
+    """
+    cand_counts = Counter(candidate)
+    ref_counts = Counter(reference)
+    quota = {w: min(cand_counts[w], c) for w, c in ref_counts.items() if w in cand_counts}
+    matches = sum(quota.values())
+    if matches == 0:
+        return 0, 0, True
+
+    positions = {w: [] for w in quota}
+    for j, w in enumerate(reference):
+        if w in quota:
+            positions[w].append(j)
+    masks = {w: sum(1 << j for j in js) for w, js in positions.items()}
+    spare = {w: cand_counts[w] - quota[w] for w in quota}
+    ref_bigrams = set(zip(reference, reference[1:]))
+
+    # Candidate positions of matchable words; some may stay unmatched when
+    # the candidate has more occurrences than the reference.
+    slots = [i for i, w in enumerate(candidate) if w in quota]
+    n = len(slots)
+    words = [candidate[i] for i in slots]
+    seen = Counter()
+    occurrence = []          # earlier slots of the same word
+    for w in words:
+        occurrence.append(seen[w])
+        seen[w] += 1
+    # Whether the next slot is the next candidate position.
+    adjacent = [k + 1 < n and slots[k + 1] == slots[k] + 1 for k in range(n)]
+    suffix = [0] * (n + 1)   # must-match slots from here on that open a chunk
+    for k in range(n - 1, -1, -1):
+        i, w = slots[k], words[k]
+        opens = spare[w] == 0 and (i == 0 or (candidate[i - 1], w) not in ref_bigrams)
+        suffix[k] = suffix[k + 1] + opens
+
+    best = matches
+    expansions = 0
+    # (slot, used reference positions as bits, reference position matched
+    # at the candidate position before the slot or -2, chunks so far)
+    stack = [(0, 0, -2, 0)]
+    while stack:
+        k, used, prev, chunks = stack.pop()
+        if chunks + suffix[k] >= best:
+            continue
+        if k == n:
+            best = chunks
+            continue
+        if expansions == textmetrics.METEOR_BUDGET:
+            return matches, best, False
+        expansions += 1
+        w = words[k]
+        matched = (used & masks[w]).bit_count()
+        # Children are pushed in reverse order of trial: leaving the slot
+        # unmatched is tried last, the run-extending position first.
+        if occurrence[k] - matched < spare[w]:
+            stack.append((k + 1, used, -2, chunks))
+        if matched < quota[w]:
+            free = masks[w] & ~used
+            extend = prev + 1 if prev >= 0 and free >> (prev + 1) & 1 else -1
+            chain = adjacent[k]
+            # Children that open a chunk are not pushed when the bound
+            # already rules them out: popped, they would be pruned.
+            if chunks + 1 + suffix[k + 1] < best:
+                for j in reversed(positions[w]):
+                    if free >> j & 1 and j != extend:
+                        stack.append((k + 1, used | 1 << j, j if chain else -2, chunks + 1))
+            if extend >= 0:
+                stack.append((k + 1, used | 1 << extend, extend if chain else -2, chunks))
+    return matches, best, True
+
+
+@st.composite
+def search_pair(draw):
+    """A reference over a few words and a candidate drawn apart from it or
+    edited from it: tokens swapped, dropped, inserted or repeated."""
+    vocab = draw(st.sampled_from(["ab", "abc", "abcd", "abcdefgh"]))
+    word = st.sampled_from(vocab)
+    ref = draw(st.lists(word, min_size=1, max_size=24))
+    if draw(st.booleans()):
+        return draw(st.lists(word, max_size=24)), ref
+    cand = list(ref)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(cand)))
+        edit = draw(st.sampled_from(["swap", "drop", "insert", "repeat"]))
+        if edit == "insert" or not cand:
+            cand.insert(i, draw(word))
+        elif edit == "drop":
+            del cand[min(i, len(cand) - 1)]
+        elif edit == "repeat":
+            cand.insert(i, cand[min(i, len(cand) - 1)])
+        elif i + 1 < len(cand):
+            cand[i], cand[i + 1] = cand[i + 1], cand[i]
+    return cand, ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_pair(), st.one_of(st.none(), st.integers(0, 50), st.integers(-2, 2).map(str)))
+def test_chunk_search_equals_the_stack_only_search(pair, budget):
+    """The budget is the default, drawn from 0..50, or given as an offset
+    from the number of matchable candidate tokens: with a budget of that
+    many expansions the search can afford its first descent and no more."""
+    cand, ref = pair
+    if budget is None:
+        budget = textmetrics.METEOR_BUDGET
+    elif isinstance(budget, str):
+        budget = max(0, sum(w in ref for w in cand) + int(budget))
+    with mock.patch.object(textmetrics, "METEOR_BUDGET", budget):
+        assert _min_chunks(cand, ref) == reference_min_chunks(cand, ref)
+
+
+def test_chunk_search_equals_the_stack_only_search_on_every_short_pair():
+    """Every pair of up to 6 tokens over two words or 4 over three, under
+    the default budget and under budgets of the candidate's matchable
+    token count and one less: the search's first descent and no more."""
+    by_slots = collections.defaultdict(list)
+    for vocab, longest in (("ab", 6), ("abc", 4)):
+        sentences = [list(s) for k in range(longest + 1)
+                     for s in itertools.product(vocab, repeat=k)]
+        for cand in sentences:
+            for ref in sentences[1:]:
+                by_slots[sum(w in ref for w in cand)].append((cand, ref))
+    for n, pairs in by_slots.items():
+        for budget in (max(n - 1, 0), n, textmetrics.METEOR_BUDGET):
+            with mock.patch.object(textmetrics, "METEOR_BUDGET", budget):
+                assert_searches_agree(pairs)
+
+
+def assert_searches_agree(pairs):
+    """Equal triples on every pair; returns how many hit the budget."""
+    inexact = 0
+    for cand, ref in pairs:
+        expected = reference_min_chunks(cand, ref)
+        assert _min_chunks(cand, ref) == expected, (cand, ref)
+        inexact += not expected[2]
+    return inexact
+
+
+def test_chunk_search_equals_the_stack_only_search_on_mismatched_scenes():
+    assert_searches_agree(list(zip(long_rationales(8), long_rationales(7))))
+
+
+def test_chunk_search_equals_the_stack_only_search_on_reversed_and_shuffled_text():
+    pairs = reversed_and_shuffled_pairs()
+    assert assert_searches_agree(pairs) > 0     # pairs past the budget keep their result
+    with mock.patch.object(textmetrics, "METEOR_BUDGET", 40):
+        assert_searches_agree(pairs)
+
+
+def near_miss_pairs(n, seed):
+    """The benchmark's text pairs: the LONG rationale of a dense scene's
+    mirror image against that of the scene."""
+    pairs = []
+    for scenario in generate(GenSpec(n_scenarios=n, seed=seed, agent_density=1.0)):
+        mirror = mirror_scenario(scenario, scenario.id + "-mirror")
+        pairs.append((tokenize(rule_oracle_decide(mirror, Format.LONG).rationale_long),
+                      tokenize(rule_oracle_decide(scenario, Format.LONG).rationale_long)))
+    return pairs
+
+
+def test_chunk_search_equals_the_stack_only_search_on_near_miss_pairs():
+    pairs = near_miss_pairs(160, 3)
+    assert_searches_agree(pairs)
+    # Budgets around the pairs' slot counts, where the walk turns on.
+    for budget in (0, *range(30, 61, 2)):
+        with mock.patch.object(textmetrics, "METEOR_BUDGET", budget):
+            assert_searches_agree(pairs)
+    row = evaluate_explanations([" ".join(c) for c, _ in pairs],
+                                [" ".join(r) for _, r in pairs])
+    assert row.meteor_inexact_pairs == sum(
+        not reference_min_chunks(c, r)[2] for c, r in pairs)
 
 
 def test_evaluate_explanations_counts_inexact_pairs():
