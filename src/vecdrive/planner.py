@@ -26,9 +26,26 @@ scene. One inner step (``_step``) runs forward, loss and backward on a
 packed sample. ``forward``, ``backward`` and ``train`` all go through
 it. The step writes each gradient array in place, exactly once, so a
 training step is: run the step, then ``grad *= lr; theta -= grad``, with
-no zero-fill and no temporary. A trajectory is a plain tuple of T_F
-points, and ``train`` takes its commands from the caller, so this module
-does not import the oracle that decides them.
+no zero-fill and no temporary.
+
+The step is bound by per-call overhead on arrays of at most 64 x 64, not
+by arithmetic. So every matrix product goes through ``np.dot``, never
+``@`` or ``np.matmul``: the same BLAS routine and bits at a smaller cost
+per call. Biases are added and tanh applied in place, and the per-head
+outer products are broadcasts, one exact product per element. The four
+einsums that contract (over the head width or the keys) stay: a
+``matmul`` or multiply-and-sum form adds in another order and rounds
+differently. No product is ``np.dot(a, a.T)`` on one buffer, which numpy
+sends to ``syrk``. One exception to "the same bits": with d_model = 1,
+``np.dot`` of two one-element operands returns the bare product, so an
+exact zero keeps its sign where ``matmul``'s one-term sum gives +0.0.
+Only gradient zeros differ, and ``theta -= grad`` never turns a weight
+into -0.0, so training from ``init_model`` gives the same weights, losses
+and predictions.
+
+A trajectory is a plain tuple of T_F points, and ``train`` takes its
+commands from the caller, so this module does not import the oracle that
+decides them.
 
 Everything is float64 and single-threaded; forward, backward and training
 are bit-deterministic. Gradients are hand-written reverse mode, checked
@@ -244,8 +261,11 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
 def _mlp_forward(weights, x: np.ndarray):
     """y = w2 @ tanh(w1 @ x + b1) + b2, rows of x independent."""
     w1, b1, w2, b2 = weights
-    h = np.tanh(x @ w1.T + b1)
-    y = h @ w2.T + b2
+    h = np.dot(x, w1.T)
+    h += b1
+    np.tanh(h, out=h)
+    y = np.dot(h, w2.T)
+    y += b2
     return y, (x, h)
 
 
@@ -256,10 +276,11 @@ def _mlp_backward(weights, grads, grad_y: np.ndarray, cache) -> np.ndarray:
     """
     x, h = cache
     gw1, gb1, gw2, gb2 = grads
-    np.matmul(grad_y.T, h, out=gw2)
+    np.dot(grad_y.T, h, out=gw2)
     np.add.reduce(grad_y, axis=0, out=gb2)
-    gz = (grad_y @ weights[2]) * (1.0 - h * h)
-    np.matmul(gz.T, x, out=gw1)
+    gz = np.dot(grad_y, weights[2])
+    gz *= 1.0 - h * h
+    np.dot(gz.T, x, out=gw1)
     np.add.reduce(gz, axis=0, out=gb1)
     return gz
 
@@ -282,19 +303,21 @@ def _attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
     dh = d // n_heads
     q = q_in + q_pos
     keys = k_src + k_pos
-    qp = wq @ q
-    kp = keys @ wk.T
-    vp = k_src @ wv.T
+    qp = np.dot(wq, q)
+    kp = np.dot(keys, wk.T)
+    vp = np.dot(k_src, wv.T)
     qh = qp.reshape(n_heads, dh)
     kh = kp.reshape(n, n_heads, dh)
     vh = vp.reshape(n, n_heads, dh)
-    logits = np.einsum("nhd,hd->hn", kh, qh) / math.sqrt(dh)
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    weights = expd / np.add.reduce(expd, axis=1, keepdims=True)   # (n_heads, n)
+    # The contracting einsums stay: matmul or mul+sum would add in another order.
+    weights = np.einsum("nhd,hd->hn", kh, qh)                     # (n_heads, n)
+    weights /= math.sqrt(dh)
+    weights -= np.maximum.reduce(weights, axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
     heads_out = np.einsum("hn,nhd->hd", weights, vh)
     cat = heads_out.reshape(d)
-    out = wo @ cat
+    out = np.dot(wo, cat)
     cache = (q, keys, k_src, qp, kp, vp, weights, cat)
     return out, cache
 
@@ -322,12 +345,12 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     dh = d // n_heads
 
     np.multiply.outer(grad_out, cat, out=gwo)
-    g_cat = wo.T @ grad_out
+    g_cat = np.dot(wo.T, grad_out)
     g_heads = g_cat.reshape(n_heads, dh)
 
     vh = vp.reshape(n, n_heads, dh)
     g_weights = np.einsum("hd,nhd->hn", g_heads, vh)
-    g_vh = np.einsum("hn,hd->nhd", attn, g_heads)
+    g_vh = attn.T[:, :, None] * g_heads          # outer product per head, as a broadcast
 
     # Softmax backward per head.
     dot = np.add.reduce(attn * g_weights, axis=1, keepdims=True)
@@ -337,18 +360,19 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     qh = qp.reshape(n_heads, dh)
     scale = 1.0 / math.sqrt(dh)
     g_qh = np.einsum("hn,nhd->hd", g_logits, kh) * scale
-    g_kh = np.einsum("hn,hd->nhd", g_logits, qh) * scale
+    g_kh = (g_logits.T[:, :, None] * qh) * scale
 
     g_qp = g_qh.reshape(d)
     g_kp = g_kh.reshape(n, d)
     g_vp = g_vh.reshape(n, d)
 
     np.multiply.outer(g_qp, q, out=gwq)
-    g_q = wq.T @ g_qp
-    np.matmul(g_kp.T, keys, out=gwk)
-    g_keys = g_kp @ wk
-    np.matmul(g_vp.T, k_src, out=gwv)
-    g_k_src = g_vp @ wv + g_keys
+    g_q = np.dot(wq.T, g_qp)
+    np.dot(g_kp.T, keys, out=gwk)
+    g_keys = np.dot(g_kp, wk)
+    np.dot(g_vp.T, k_src, out=gwv)
+    g_k_src = np.dot(g_vp, wv)
+    g_k_src += g_keys
     return g_q, g_q, g_k_src, g_keys
 
 
@@ -423,13 +447,13 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
 
     diff = pred - gt
     total = 0.0
-    for dx, dy in diff.tolist():      # summed as imitation_loss sums
+    for dx, dy in diff.tolist():      # as tests/helpers_grad.imitation_loss sums
         total += dx * dx + dy * dy
     loss = total / T_F
 
     g_out = (2.0 / T_F) * diff.reshape(1, T_F * 2)
     gz = _mlp_backward(bound["plan_head"], grads["plan_head"], g_out, head_cache)
-    g_head_in = (gz @ bound["plan_head"][0])[0]
+    g_head_in = np.dot(gz, bound["plan_head"][0])[0]
 
     g_q1 = g_head_in[:d]
     g_q2 = g_head_in[d:2 * d]
@@ -475,17 +499,6 @@ def attention_weights(model: PlannerModel, scenario: Scenario,
     return out
 
 
-def imitation_loss(pred: tuple[Point, ...], gt: tuple[Point, ...]) -> float:
-    """Mean squared Euclidean waypoint distance."""
-    if len(pred) != T_F or len(gt) != T_F:
-        raise ValueError(f"trajectories must have {T_F} waypoints")
-    total = 0.0
-    for (px, py), (gx, gy) in zip(pred, gt):
-        dx, dy = px - gx, py - gy
-        total += dx * dx + dy * dy
-    return total / T_F
-
-
 def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
              gt: tuple[Point, ...]) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact reverse-mode gradients for every model parameter.
@@ -510,6 +523,11 @@ def train(model: PlannerModel, scenarios: list[Scenario], commands: Iterable[Met
     per-epoch mean loss curve. Each epoch logs one INFO line to the
     ``vecdrive`` logger: its mean loss, as ``loss_curve.csv`` writes it,
     and its samples per second.
+
+    A non-finite loss, or non-finite weights at the end of an epoch (the
+    last update can overflow after a finite loss), raise
+    ``TrainingDiverged``. The epochs run with numpy's floating-point
+    warnings off, since those two checks report the divergence.
     """
     if not scenarios:
         raise PlannerError("cannot train on an empty scenario list")
@@ -530,23 +548,27 @@ def train(model: PlannerModel, scenarios: list[Scenario], commands: Iterable[Met
     rng = SplitMix64(seed)
     curve: list[float] = []
     order = list(range(len(scenarios)))
-    for epoch in range(epochs):
-        rng.shuffle(order)
-        total = 0.0
-        start = time.perf_counter()
-        for i in order:
-            loss = _step(bound, bound_grads, config, packed[i])
-            if not math.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, scenario {scenarios[i].id!r}; "
-                    f"the learning rate {lr} is likely too high"
-                )
-            grad *= lr
-            theta -= grad
-            total += loss
-        curve.append(total / len(scenarios))
-        log.info("epoch %d: mean loss %.17g, %.0f samples/s", epoch, curve[-1],
-                 len(order) / (time.perf_counter() - start))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epochs):
+            rng.shuffle(order)
+            total = 0.0
+            start = time.perf_counter()
+            for i in order:
+                loss = _step(bound, bound_grads, config, packed[i])
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, scenario {scenarios[i].id!r}; "
+                        f"the learning rate {lr} is likely too high"
+                    )
+                grad *= lr
+                theta -= grad
+                total += loss
+            if not np.isfinite(theta).all():
+                raise TrainingDiverged(f"non-finite weights after epoch {epoch}; "
+                                       f"the learning rate {lr} is likely too high")
+            curve.append(total / len(scenarios))
+            log.info("epoch %d: mean loss %.17g, %.0f samples/s", epoch, curve[-1],
+                     len(order) / (time.perf_counter() - start))
     return trained, curve
 
 

@@ -1,12 +1,19 @@
 """Gradient oracles shared by unit and acceptance tests.
 
-``fd_gradients`` is a finite-difference oracle. ``ref_backward`` and
-``ref_train`` are the training step as it was before gradients were
-written in place: ``_mlp_backward``, ``_attention_forward``,
-``_attention_backward``, ``_run_forward`` and ``_step`` copied verbatim
-(names prefixed ``ref_``), adding every gradient into a zero-filled
-buffer, and ``train``'s loop with ``grad.fill(0.0)`` and
+``imitation_loss`` is the loss on plain point tuples, and
+``fd_gradients`` a finite-difference oracle built on it. ``ref_backward``
+and ``ref_train`` are the training step as it was before gradients were
+written in place and before its products went through ``np.dot``:
+``_mlp_forward``, ``_mlp_backward``, ``_attention_forward``,
+``_attention_backward``, ``_run_forward`` and ``_step`` with ``@`` and
+``einsum`` (names prefixed ``ref_``), adding every gradient into a
+zero-filled buffer, and ``train``'s loop with ``grad.fill(0.0)`` and
 ``theta -= lr * grad``. The package's step must match them bit for bit.
+
+Adding into zeros turns a gradient of -0.0 into +0.0. Adding into a
+buffer of -0.0 instead keeps every value's bits, since -0.0 + x is x
+for every x; a stage with no keys adds its +0.0 weight gradients
+explicitly, as the package's step writes them.
 """
 
 import math
@@ -17,14 +24,23 @@ from vecdrive.planner import (
     PlannerModel,
     _bind,
     _flatten,
-    _mlp_forward,
     _pack,
     _run_forward,
     _views,
-    imitation_loss,
 )
 from vecdrive.rng import SplitMix64
 from vecdrive.scene import T_F
+
+
+def imitation_loss(pred, gt) -> float:
+    """Mean squared Euclidean waypoint distance."""
+    if len(pred) != T_F or len(gt) != T_F:
+        raise ValueError(f"trajectories must have {T_F} waypoints")
+    total = 0.0
+    for (px, py), (gx, gy) in zip(pred, gt):
+        dx, dy = px - gx, py - gy
+        total += dx * dx + dy * dy
+    return total / T_F
 
 
 def fd_gradients(model: PlannerModel, scenario, command, gt, eps=1e-5):
@@ -82,6 +98,13 @@ def max_relative_error(analytic, numeric, loss, eps=1e-5):
 
 # --- the accumulate-into-zeros step --------------------------------------------------
 
+def ref_mlp_forward(weights, x):
+    w1, b1, w2, b2 = weights
+    h = np.tanh(x @ w1.T + b1)
+    y = h @ w2.T + b2
+    return y, (x, h)
+
+
 def ref_mlp_backward(weights, grads, grad_y, cache):
     x, h = cache
     gw1, gb1, gw2, gb2 = grads
@@ -123,6 +146,8 @@ def ref_attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
 def ref_attention_backward(weights, grads, config, grad_out, cache):
     d = config.d_model
     if cache is None:
+        for g in grads:
+            g += 0.0
         zero = np.zeros(d)
         return zero, zero, np.zeros((0, d)), np.zeros((0, d))
     wq, wk, wv, wo = weights
@@ -165,10 +190,10 @@ def ref_attention_backward(weights, grads, config, grad_out, cache):
 
 def ref_run_forward(bound, config, packed):
     a_feat, m_feat, pe1_in, pe2_in, tail, _ = packed
-    q_a, agent_cache = _mlp_forward(bound["agent_enc"], a_feat)
-    q_m, map_cache = _mlp_forward(bound["map_enc"], m_feat)
-    pe1_out, pe1_cache = _mlp_forward(bound["pe1"], pe1_in)
-    pe2_out, pe2_cache = _mlp_forward(bound["pe2"], pe2_in)
+    q_a, agent_cache = ref_mlp_forward(bound["agent_enc"], a_feat)
+    q_m, map_cache = ref_mlp_forward(bound["map_enc"], m_feat)
+    pe1_out, pe1_cache = ref_mlp_forward(bound["pe1"], pe1_in)
+    pe2_out, pe2_cache = ref_mlp_forward(bound["pe2"], pe2_in)
 
     q1, attn1_cache = ref_attention_forward(
         bound["attn1"], config, bound["ego_query"], q_a, pe1_out[0], pe1_out[1:])
@@ -176,7 +201,7 @@ def ref_run_forward(bound, config, packed):
         bound["attn2"], config, q1, q_m, pe2_out[0], pe2_out[1:])
 
     head_in = np.concatenate([q1, q2, tail])[None, :]
-    head_out, head_cache = _mlp_forward(bound["plan_head"], head_in)
+    head_out, head_cache = ref_mlp_forward(bound["plan_head"], head_in)
     pred = head_out.reshape(T_F, 2)
     return pred, (agent_cache, map_cache, pe1_cache, pe2_cache,
                   attn1_cache, attn2_cache, head_cache)

@@ -215,6 +215,34 @@ def test_train_divergence_exit_4(workdir, capsys):
     assert "learning rate" in capsys.readouterr().err
 
 
+def test_train_diverging_in_the_last_update_exits_4_without_a_checkpoint(workdir, capsys):
+    # One scene, one step: its loss is finite, and its update makes the
+    # weights infinite.
+    out = gen(workdir, n=1)
+    code = run(["train", "--scenarios", str(out / "scenarios.jsonl"), "--out", str(out / "t"),
+                "--epochs", "1", "--lr", "1e308"])
+    assert code == 4
+    assert capsys.readouterr().err == ("error: non-finite weights after epoch 0; "
+                                       "the learning rate 1e+308 is likely too high\n")
+    assert not (out / "t" / "checkpoint.json").exists()
+
+
+def test_train_divergence_prints_no_runtime_warning(workdir):
+    # On these scenes a product overflows and inf then meets 0 before the
+    # loss turns non-finite; stderr holds the error line alone.
+    out = gen(workdir, n=40, seed=1)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vecdrive", "train", "--scenarios", str(out / "scenarios.jsonl"),
+         "--out", str(out / "t"), "--epochs", "3", "--lr", "5"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == ("error: non-finite loss at epoch 1, scenario 'mixed-1-00022'; "
+                           "the learning rate 5.0 is likely too high\n")
+    assert not (out / "t" / "checkpoint.json").exists()
+
+
 def train_warnings(workdir, caplog, capsys, speed_max, lr):
     """Train on 40 MIXED scenes for 10 epochs; the exit code, stdout, the
     loss curve and the warnings logged."""

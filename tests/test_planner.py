@@ -5,9 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vecdrive
 from vecdrive import jsonio, planner, simgen
@@ -21,7 +24,6 @@ from vecdrive.planner import (
     attention_weights,
     backward,
     forward,
-    imitation_loss,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -30,10 +32,18 @@ from vecdrive.planner import (
 )
 from vecdrive.oracle import Format, RuleOracle
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import MetaAction, save_scenarios
+from vecdrive.scene import A_MAX, M_MAX, MetaAction, save_scenarios
 
 from conftest import make_agent, make_ego, make_polyline, make_scenario
-from helpers_grad import fd_gradients, max_relative_error, ref_backward, ref_train
+from helpers_grad import (
+    fd_gradients,
+    imitation_loss,
+    max_relative_error,
+    ref_backward,
+    ref_run_forward,
+    ref_step,
+    ref_train,
+)
 
 TINY = PlannerConfig(d_model=2, n_heads=1, hidden=2)
 
@@ -527,6 +537,81 @@ def test_train_and_backward_bit_identical_to_accumulate_into_zeros_step(config):
             assert np.array_equal(grads[name], ref_grads[name]), (s.id, name)
 
 
+@pytest.mark.parametrize("hidden", [1, 5])
+def test_train_at_d_model_1_bit_identical_to_the_reference(hidden):
+    # With d_model = 1, np.dot may give a gradient of -0.0 where the
+    # reference's matmul gives +0.0 (see the planner's docstring). No
+    # weight, loss or prediction may see it.
+    scenarios = keyless_after_keyed_set()
+    commands = rule_commands(scenarios)
+    model = init_model(PlannerConfig(d_model=1, n_heads=1, hidden=hidden), 3)
+    trained, curve = train(model, scenarios, commands, epochs=3, lr=1e-2, seed=5)
+    ref, ref_curve = ref_train(model, scenarios, commands, epochs=3, lr=1e-2, seed=5)
+    assert [c.hex() for c in curve] == [c.hex() for c in ref_curve]
+    for name, value in trained.params.items():
+        assert value.tobytes() == ref.params[name].tobytes(), name
+    for s, command in zip(scenarios, commands):
+        pred = ref_run_forward(planner._bind(trained.params), trained.config,
+                               planner._pack(s, command))[0]
+        assert np.array(forward(trained, s, command)).tobytes() == pred.tobytes(), s.id
+
+
+@cache
+def mixed_scenes():
+    return tuple(s for density in (0.0, 0.5, 1.0)
+                 for s in simgen.generate(simgen.GenSpec(n_scenarios=6, seed=12,
+                                                         agent_density=density)))
+
+
+@st.composite
+def planner_configs(draw):
+    n_heads = draw(st.integers(1, 4))
+    d_model = n_heads * draw(st.integers(1, 48 // n_heads))
+    return PlannerConfig(d_model=d_model, n_heads=n_heads, hidden=draw(st.integers(1, 80)))
+
+
+@st.composite
+def planner_scenes(draw):
+    """A MIXED scene at density 0, 0.5 or 1, or 0..A_MAX agents and 0..M_MAX
+    polylines at drawn poses."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(mixed_scenes()))
+    coord = st.floats(-40.0, 40.0)
+    agents = tuple(
+        make_agent(i + 1, position=(draw(coord), draw(coord)),
+                   heading=draw(st.floats(-math.pi, math.pi)), speed=draw(st.floats(0.0, 15.0)))
+        for i in range(draw(st.integers(0, A_MAX))))
+    lines = tuple(make_polyline(i + 1, y=draw(coord), x0=draw(coord))
+                  for i in range(draw(st.integers(0, M_MAX))))
+    return make_scenario(agents=agents, polylines=lines, speed=draw(st.floats(0.0, 15.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=planner_configs(), scenario=planner_scenes(),
+       command=st.sampled_from(list(MetaAction)), seed=st.integers(0, 1000))
+def test_step_and_forward_bit_identical_to_the_matmul_einsum_step(config, scenario, command,
+                                                                    seed):
+    # np.dot picks gemv, gemm or a scalar product by operand shape, so the
+    # bits are checked over shapes, not at one config.
+    model = init_model(config, seed)
+    bound = planner._bind(model.params)
+    packed = planner._pack(scenario, command, scenario.gt_future)
+    got = planner._views(config, np.full(planner.param_count(config), np.nan))
+    # -0.0 + x is x, so the reference's accumulation keeps every value's bits.
+    want = planner._views(config, np.full(planner.param_count(config), -0.0))
+    loss = planner._step(bound, planner._bind(got), config, packed)
+    assert loss.hex() == ref_step(bound, planner._bind(want), config, packed).hex()
+    for name in want:
+        if config.d_model == 1:
+            # One-element products may give an exact zero the other sign
+            # (see the planner's docstring); every other value keeps its bits.
+            assert np.array_equal(got[name], want[name]), name
+        else:
+            assert got[name].tobytes() == want[name].tobytes(), name
+    pred = ref_run_forward(bound, config, packed)[0]
+    assert np.array(forward(model, scenario, command)).tobytes() == pred.tobytes()
+
+
 def test_train_logs_one_info_line_per_epoch(caplog):
     scenarios = train_set()
     with caplog.at_level(logging.INFO, logger="vecdrive"):
@@ -608,6 +693,17 @@ def test_train_divergence_raises():
         with pytest.raises(TrainingDiverged) as err:
             train(model, train_set(), rule_commands(train_set()), epochs=200, lr=1e6, seed=5)
     assert "learning rate" in str(err.value)
+
+
+def test_train_divergence_raises_no_floating_point_warning():
+    # These scenes overflow a product and then multiply inf by 0 before
+    # the loss turns non-finite.
+    scenarios = simgen.generate(simgen.GenSpec(n_scenarios=32, seed=1, agent_density=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 2"):
+            train(init_model(PlannerConfig(), 0), scenarios, rule_commands(scenarios),
+                  epochs=3, lr=5.0, seed=0)
 
 
 def test_train_rejects_misshapen_parameter():
