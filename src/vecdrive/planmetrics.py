@@ -31,6 +31,13 @@ def _with_avg(values: dict[str, float]) -> dict[str, float]:
     return out
 
 
+#: How far a row's avg may stray from the mean of its horizons, relative to
+#: it. ``mean_rows`` averages the per-sample avgs, and with every term >= 0
+#: the two orders of summation differ by at most about rows * 2.2e-16
+#: relatively: 1e-9 covers four million rows.
+AVG_REL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PlanEvalRow:
     """One row of the displacement/collision table."""
@@ -44,7 +51,7 @@ class PlanEvalRow:
                 if not (math.isfinite(group[key]) and group[key] >= 0):
                     raise ValueError(f"{name}[{key}]={group[key]} is not finite and >= 0")
             mean = sum(group[k] for k in HORIZON_KEYS) / len(HORIZON_KEYS)
-            if abs(group["avg"] - mean) > 1e-12:
+            if not math.isclose(group["avg"], mean, rel_tol=AVG_REL_TOL, abs_tol=1e-12):
                 raise ValueError(f"{name}[avg] {group['avg']} != mean {mean}")
         # Collision flags are cumulative per sample, so the rates cannot
         # exceed 100 or fall from one horizon to the next.

@@ -29,19 +29,28 @@ training step is: run the step, then ``grad *= lr; theta -= grad``, with
 no zero-fill and no temporary.
 
 The step is bound by per-call overhead on arrays of at most 64 x 64, not
-by arithmetic. So every matrix product goes through ``np.dot``, never
-``@`` or ``np.matmul``: the same BLAS routine and bits at a smaller cost
-per call. Biases are added and tanh applied in place, and the per-head
-outer products are broadcasts, one exact product per element. The four
-einsums that contract (over the head width or the keys) stay: a
-``matmul`` or multiply-and-sum form adds in another order and rounds
-differently. No product is ``np.dot(a, a.T)`` on one buffer, which numpy
-sends to ``syrk``. One exception to "the same bits": with d_model = 1,
-``np.dot`` of two one-element operands returns the bare product, so an
-exact zero keeps its sign where ``matmul``'s one-term sum gives +0.0.
-Only gradient zeros differ, and ``theta -= grad`` never turns a weight
-into -0.0, so training from ``init_model`` gives the same weights, losses
-and predictions.
+by arithmetic. So every matrix product is the array's own method,
+``a.dot(b)`` or ``a.dot(b, out)``, never ``@``, ``np.matmul`` or
+``np.dot``: ``ndarray.dot`` runs the same C routine as ``np.dot``, and so
+the same BLAS call and bits, but skips the Python-level
+``__array_function__`` dispatch that ``np.dot`` runs on every call.
+Biases are added and tanh applied in place, and the per-head outer
+products are broadcasts, one exact product per element. The four einsums
+that contract (over the head width or the keys) stay: a ``matmul`` or
+multiply-and-sum form adds in another order and rounds differently. No
+product is ``a.dot(a.T)`` on one buffer, which numpy sends to ``syrk``.
+One exception to "the same bits": with d_model = 1, the product of two
+one-element operands is the bare product, so an exact zero keeps its sign
+where ``matmul``'s one-term sum gives +0.0. Only gradient zeros differ,
+and ``theta -= grad`` never turns a weight into -0.0, so training from
+``init_model`` gives the same weights, losses and predictions.
+
+An MLP over zero rows (the agent encoder of a scene with no agents) runs
+no product: its forward returns a (0, d_model) output and no cache, and
+its backward writes +0.0 into its four gradients, the bytes the empty
+products would give. The attention backward writes the query's and the
+keys' positional gradients into one (n + 1, d_model) array, the rows the
+positional MLP produced, so the step builds no array by concatenation.
 
 A trajectory is a plain tuple of T_F points, and ``train`` takes its
 commands from the caller, so this module does not import the oracle that
@@ -259,28 +268,39 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
 # --- MLP ------------------------------------------------------------------------
 
 def _mlp_forward(weights, x: np.ndarray):
-    """y = w2 @ tanh(w1 @ x + b1) + b2, rows of x independent."""
+    """y = w2 @ tanh(w1 @ x + b1) + b2, rows of x independent.
+
+    Zero rows give a (0, out) output and no cache, and no products run.
+    """
     w1, b1, w2, b2 = weights
-    h = np.dot(x, w1.T)
+    if not x.shape[0]:
+        return np.zeros((0, w2.shape[0])), None
+    h = x.dot(w1.T)
     h += b1
     np.tanh(h, out=h)
-    y = np.dot(h, w2.T)
+    y = h.dot(w2.T)
     y += b2
     return y, (x, h)
 
 
-def _mlp_backward(weights, grads, grad_y: np.ndarray, cache) -> np.ndarray:
+def _mlp_backward(weights, grads, grad_y: np.ndarray, cache) -> np.ndarray | None:
     """Writes the weight gradients into ``grads``; returns the pre-tanh gradient.
 
     The input gradient is ``gz @ w1``, left to the one caller that needs it.
+    With no cache (zero rows) the weight gradients are +0.0, as the empty
+    products would give, and nothing is returned.
     """
+    if cache is None:
+        for g in grads:
+            g.fill(0.0)
+        return None
     x, h = cache
     gw1, gb1, gw2, gb2 = grads
-    np.dot(grad_y.T, h, out=gw2)
+    grad_y.T.dot(h, gw2)
     np.add.reduce(grad_y, axis=0, out=gb2)
-    gz = np.dot(grad_y, weights[2])
+    gz = grad_y.dot(weights[2])
     gz *= 1.0 - h * h
-    np.dot(gz.T, x, out=gw1)
+    gz.T.dot(x, gw1)
     np.add.reduce(gz, axis=0, out=gb1)
     return gz
 
@@ -303,52 +323,44 @@ def _attention_forward(weights, config, q_in, k_src, q_pos, k_pos):
     dh = d // n_heads
     q = q_in + q_pos
     keys = k_src + k_pos
-    qp = np.dot(wq, q)
-    kp = np.dot(keys, wk.T)
-    vp = np.dot(k_src, wv.T)
-    qh = qp.reshape(n_heads, dh)
-    kh = kp.reshape(n, n_heads, dh)
-    vh = vp.reshape(n, n_heads, dh)
+    qh = wq.dot(q).reshape(n_heads, dh)
+    kh = keys.dot(wk.T).reshape(n, n_heads, dh)
+    vh = k_src.dot(wv.T).reshape(n, n_heads, dh)
     # The contracting einsums stay: matmul or mul+sum would add in another order.
     weights = np.einsum("nhd,hd->hn", kh, qh)                     # (n_heads, n)
     weights /= math.sqrt(dh)
     weights -= np.maximum.reduce(weights, axis=1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    heads_out = np.einsum("hn,nhd->hd", weights, vh)
-    cat = heads_out.reshape(d)
-    out = np.dot(wo, cat)
-    cache = (q, keys, k_src, qp, kp, vp, weights, cat)
+    cat = np.einsum("hn,nhd->hd", weights, vh).reshape(d)
+    out = wo.dot(cat)
+    cache = (q, keys, k_src, qh, kh, vh, weights, cat)
     return out, cache
 
 
 def _attention_backward(weights, grads, config, grad_out, cache):
     """Writes the stage's weight gradients into ``grads``; returns
-    (grad_q_in, grad_q_pos, grad_k_src, grad_k_pos).
+    (grad_query, grad_pos, grad_k_src).
 
-    grad_q_in and grad_q_pos are the same array: the query is q_in + q_pos.
-    With no keys (cache None) the weight gradients are zero-filled and the
-    key gradients have zero rows, so callers run the encoder backward
-    without checking the key count.
+    grad_pos is the (n + 1, d_model) gradient of the positional rows, the
+    query's first. The query is q_in + q_pos, so grad_query is its row 0.
+    With no keys (cache None) the weight gradients are zero-filled,
+    grad_pos is one zero row and grad_k_src has zero rows.
     """
     d = config.d_model
     if cache is None:
         for g in grads:
             g.fill(0.0)
-        zero = np.zeros(d)
-        return zero, zero, np.zeros((0, d)), np.zeros((0, d))
+        g_pos = np.zeros((1, d))
+        return g_pos[0], g_pos, np.zeros((0, d))
     wq, wk, wv, wo = weights
     gwq, gwk, gwv, gwo = grads
-    q, keys, k_src, qp, kp, vp, attn, cat = cache
+    q, keys, k_src, qh, kh, vh, attn, cat = cache
     n = k_src.shape[0]
-    n_heads = config.n_heads
-    dh = d // n_heads
 
     np.multiply.outer(grad_out, cat, out=gwo)
-    g_cat = np.dot(wo.T, grad_out)
-    g_heads = g_cat.reshape(n_heads, dh)
+    g_heads = wo.T.dot(grad_out).reshape(qh.shape)
 
-    vh = vp.reshape(n, n_heads, dh)
     g_weights = np.einsum("hd,nhd->hn", g_heads, vh)
     g_vh = attn.T[:, :, None] * g_heads          # outer product per head, as a broadcast
 
@@ -356,24 +368,25 @@ def _attention_backward(weights, grads, config, grad_out, cache):
     dot = np.add.reduce(attn * g_weights, axis=1, keepdims=True)
     g_logits = attn * (g_weights - dot)
 
-    kh = kp.reshape(n, n_heads, dh)
-    qh = qp.reshape(n_heads, dh)
-    scale = 1.0 / math.sqrt(dh)
-    g_qh = np.einsum("hn,nhd->hd", g_logits, kh) * scale
-    g_kh = (g_logits.T[:, :, None] * qh) * scale
+    scale = 1.0 / math.sqrt(qh.shape[1])
+    g_qh = np.einsum("hn,nhd->hd", g_logits, kh)
+    g_qh *= scale
+    g_kh = g_logits.T[:, :, None] * qh
+    g_kh *= scale
 
     g_qp = g_qh.reshape(d)
     g_kp = g_kh.reshape(n, d)
     g_vp = g_vh.reshape(n, d)
 
+    g_pos = np.empty((n + 1, d))
     np.multiply.outer(g_qp, q, out=gwq)
-    g_q = np.dot(wq.T, g_qp)
-    np.dot(g_kp.T, keys, out=gwk)
-    g_keys = np.dot(g_kp, wk)
-    np.dot(g_vp.T, k_src, out=gwv)
-    g_k_src = np.dot(g_vp, wv)
+    wq.T.dot(g_qp, g_pos[0])
+    g_kp.T.dot(keys, gwk)
+    g_keys = g_kp.dot(wk, g_pos[1:])
+    g_vp.T.dot(k_src, gwv)
+    g_k_src = g_vp.dot(wv)
     g_k_src += g_keys
-    return g_q, g_q, g_k_src, g_keys
+    return g_pos[0], g_pos, g_k_src
 
 
 # --- forward / backward --------------------------------------------------------------
@@ -391,7 +404,7 @@ def _pack(scenario: Scenario, command: MetaAction,
     each polyline's first point.
     """
     ego = scenario.ego
-    ego_pos = np.array([ego.position], dtype=float) * INPUT_SCALE         # (1, 2)
+    ego_pos = np.array(ego.position, dtype=float) * INPUT_SCALE
     agents = np.array(
         [(a.position[0], a.position[1], math.cos(a.heading), math.sin(a.heading),
           a.speed, a.extent[0], a.extent[1]) for a in scenario.agents], dtype=float,
@@ -404,11 +417,16 @@ def _pack(scenario: Scenario, command: MetaAction,
         gt_arr = np.array(gt, dtype=float).reshape(-1, 2)
         if gt_arr.shape[0] != T_F:
             raise ValueError(f"trajectories must have {T_F} waypoints")
+    pe1_in = np.empty((agents.shape[0] + 1, 2))
+    pe2_in = np.empty((lines.shape[0] + 1, 2))
+    pe1_in[0] = pe2_in[0] = ego_pos
+    pe1_in[1:] = agents[:, :2]
+    pe2_in[1:] = lines[:, :2]
     return (
         agents,
         lines,
-        np.concatenate([ego_pos, agents[:, :2]]),
-        np.concatenate([ego_pos, lines[:, :2]]),
+        pe1_in,
+        pe2_in,
         np.array([ego.speed * INPUT_SCALE, ego.accel * INPUT_SCALE, 1.0, *_ONE_HOT[command]]),
         gt_arr,
     )
@@ -417,6 +435,7 @@ def _pack(scenario: Scenario, command: MetaAction,
 def _run_forward(bound: dict, config: PlannerConfig, packed: tuple):
     """Predicted (T_F, 2) waypoints and the per-layer caches for backward."""
     a_feat, m_feat, pe1_in, pe2_in, tail, _ = packed
+    d = config.d_model
     q_a, agent_cache = _mlp_forward(bound["agent_enc"], a_feat)
     q_m, map_cache = _mlp_forward(bound["map_enc"], m_feat)
     pe1_out, pe1_cache = _mlp_forward(bound["pe1"], pe1_in)
@@ -427,7 +446,10 @@ def _run_forward(bound: dict, config: PlannerConfig, packed: tuple):
     q2, attn2_cache = _attention_forward(
         bound["attn2"], config, q1, q_m, pe2_out[0], pe2_out[1:])
 
-    head_in = np.concatenate([q1, q2, tail])[None, :]
+    head_in = np.empty((1, 2 * d + tail.shape[0]))          # [q1, q2, tail]
+    head_in[0, :d] = q1
+    head_in[0, d:2 * d] = q2
+    head_in[0, 2 * d:] = tail
     head_out, head_cache = _mlp_forward(bound["plan_head"], head_in)
     pred = head_out.reshape(T_F, 2)
     return pred, (agent_cache, map_cache, pe1_cache, pe2_cache,
@@ -453,25 +475,23 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
 
     g_out = (2.0 / T_F) * diff.reshape(1, T_F * 2)
     gz = _mlp_backward(bound["plan_head"], grads["plan_head"], g_out, head_cache)
-    g_head_in = np.dot(gz, bound["plan_head"][0])[0]
+    g_head_in = gz.dot(bound["plan_head"][0])[0]
 
     g_q1 = g_head_in[:d]
     g_q2 = g_head_in[d:2 * d]
 
-    g_q1_from_attn2, g_qpos2, g_qm, g_kpos2 = _attention_backward(
+    g_q1_from_attn2, g_pos2, g_qm = _attention_backward(
         bound["attn2"], grads["attn2"], config, g_q2, attn2_cache)
     g_q1 += g_q1_from_attn2
 
-    g_ego_query, g_qpos1, g_qa, g_kpos1 = _attention_backward(
+    g_ego_query, g_pos1, g_qa = _attention_backward(
         bound["attn1"], grads["attn1"], config, g_q1, attn1_cache)
     grads["ego_query"][...] = g_ego_query
 
     _mlp_backward(bound["agent_enc"], grads["agent_enc"], g_qa, agent_cache)
-    _mlp_backward(bound["pe1"], grads["pe1"],
-                  np.concatenate([g_qpos1[None, :], g_kpos1]), pe1_cache)
+    _mlp_backward(bound["pe1"], grads["pe1"], g_pos1, pe1_cache)
     _mlp_backward(bound["map_enc"], grads["map_enc"], g_qm, map_cache)
-    _mlp_backward(bound["pe2"], grads["pe2"],
-                  np.concatenate([g_qpos2[None, :], g_kpos2]), pe2_cache)
+    _mlp_backward(bound["pe2"], grads["pe2"], g_pos2, pe2_cache)
     return loss
 
 
@@ -598,16 +618,14 @@ def save_checkpoint(model: PlannerModel, path: str | os.PathLike) -> None:
 def _number_vector(value) -> np.ndarray | None:
     """``value`` as a float64 vector if it is a flat list of numbers, else None.
 
-    numpy's inferred dtype rejects strings, nulls, nested lists and
-    integers past int64 without a Python loop over the values.
+    The set of element types refuses a JSON boolean, a string, a null or a
+    nested list, and numpy's inferred dtype refuses integers past int64,
+    both without a Python loop over the values.
     """
-    if not isinstance(value, list):
+    if not isinstance(value, list) or not set(map(type, value)) <= {float, int}:
         return None
-    try:
-        arr = np.array(value)
-    except ValueError:          # ragged nested lists
-        return None
-    if arr.dtype.kind not in "fi" or arr.ndim != 1:
+    arr = np.array(value)
+    if arr.dtype.kind not in "fi":
         return None
     return arr.astype(float, copy=False)
 

@@ -84,14 +84,24 @@ def render_latency_table(rows: dict[str, dict[str, float]]) -> str:
     return _format_table(header, body)
 
 
+def _refuse_bools(obj: dict) -> None:
+    """A JSON true or false is not a number, though Python's bool is an int."""
+    for key, value in obj.items():
+        if isinstance(value, bool):
+            raise ValueError(f"{key}={value!r} is not a number")
+
+
 def plan_row_from_dict(obj: dict) -> PlanEvalRow:
     row = PlanEvalRow(l2=dict(obj["l2"]), collision=dict(obj["collision"]))
+    _refuse_bools(row.l2)
+    _refuse_bools(row.collision)
     row.validate()
     return row
 
 
 def accuracy_from_dict(obj: dict) -> float:
     """The accuracy of an ``eval_actions`` row; its confusion holds counts."""
+    _refuse_bools(obj)
     accuracy = obj["accuracy"]
     if not (0.0 <= accuracy <= 100.0):
         raise ValueError(f"accuracy={accuracy} outside [0, 100]")
@@ -105,6 +115,7 @@ def accuracy_from_dict(obj: dict) -> float:
 def latency_from_dict(obj: dict) -> dict[str, float]:
     """The mean/p50/p95 of a ``bench`` row: finite, >= 0, and p50 <= p95."""
     stats = {key: obj[key] for key in ("mean", "p50", "p95")}
+    _refuse_bools(stats)
     for key, value in stats.items():
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{key}={value} is not finite and >= 0")
@@ -124,6 +135,7 @@ def text_row_to_dict(row: TextEvalRow) -> dict:
 
 
 def text_row_from_dict(obj: dict) -> TextEvalRow:
+    _refuse_bools(obj)
     row = TextEvalRow(
         bleu=obj["bleu"], meteor=obj["meteor"], rouge_l=obj["rouge_l"],
         cider=obj["cider"], gpt_score=obj.get("gpt_score"),

@@ -20,6 +20,7 @@ from vecdrive.planner import (
     TrainingDiverged,
     init_model,
     load_checkpoint,
+    save_checkpoint,
 )
 from vecdrive.planmetrics import TextEvalRow, evaluate_explanations
 from vecdrive.report import render_text_table, text_row_to_dict
@@ -357,6 +358,41 @@ def test_eval_plan_deterministic(workdir):
     assert read(a / "eval_plan.txt") == read(b / "eval_plan.txt")
 
 
+def test_eval_plan_refuses_a_boolean_weight_exit_2(workdir, capsys):
+    out = gen(workdir, n=6)
+    ckpt = out / "checkpoint.json"
+    save_checkpoint(init_model(PlannerConfig(), 1), ckpt)
+    obj = json.loads(ckpt.read_text())
+    obj["params"]["plan_head.b2"]["data"][0] = True
+    ckpt.write_text(json.dumps(obj))
+    code = run(["eval-plan", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 2
+    assert "plan_head.b2: data is not a list of numbers" in capsys.readouterr().err
+    assert not (out / "eval_plan.json").exists()
+
+
+def test_eval_plan_and_report_accept_an_avg_one_ulp_off_at_a_huge_l2(workdir, capsys):
+    # At ~1e307 m one ULP is far above any absolute tolerance, and the row's
+    # avg (a mean of per-sample avgs) rounds differently from the mean of
+    # its horizons.
+    out = gen(workdir, n=6, seed=1)
+    assert run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                "--out", str(out), "--epochs", "2", "--seed", "5"]) == 0
+    ckpt = out / "checkpoint.json"
+    obj = json.loads(ckpt.read_text())
+    w2 = obj["params"]["plan_head.w2"]
+    w2["data"] = [v * 1e308 for v in w2["data"]]
+    ckpt.write_text(json.dumps(obj))
+    assert run(["eval-plan", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    l2 = json.loads((out / "eval_plan.json").read_text())["rows"]["planner"]["l2"]
+    assert 1e307 < l2["avg"] != (l2["1s"] + l2["2s"] + l2["3s"]) / 3
+    capsys.readouterr()
+    assert run(["report", "--dir", str(out)]) == 0
+    assert f"{l2['avg']:.2f}" in capsys.readouterr().out
+
+
 # --- eval-text ----------------------------------------------------------------
 
 def test_eval_text_identity_rule_oracle(workdir):
@@ -645,6 +681,13 @@ BAD_RESULT_FILES = [
         "1s": r1, "2s": r2, "3s": r3, "avg": (r1 + r2 + r3) / 3}}}})
       for r1, r2, r3 in ((150.0, 150.0, 150.0), (0.0, 50.0, 100.5),
                          (50.0, 25.0, 75.0), (0.0, 75.0, 25.0))],
+    # A JSON boolean where a number belongs, one per reader; each passes the
+    # range checks as 1.
+    ("eval_plan", {"rows": {"planner": {"l2": dict(PLAN_ROW["l2"], **{"1s": True}),
+                                        "collision": PLAN_ROW["l2"]}}}),
+    ("eval_text", {"rows": {"rule": dict(TEXT_ROW, bleu=True)}}),
+    ("eval_actions", {"rows": {"rule": {"accuracy": True, "confusion": {}}}}),
+    ("bench", {"rows": {"Long": dict(LATENCY_ROW, mean=True)}}),
 ]
 
 

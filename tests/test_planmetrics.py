@@ -493,6 +493,17 @@ def test_plan_eval_row_validates_avg():
         bad.validate()
 
 
+def test_plan_eval_row_avg_tolerance_is_relative():
+    # One ULP off at 2e307 m passes; a mean whose sum overflows does not.
+    mean = (1.9e307 + 2.1e307 + 2.2e307) / 3
+    collision = {"1s": 0.0, "2s": 0.0, "3s": 0.0, "avg": 0.0}
+    PlanEvalRow(l2={"1s": 1.9e307, "2s": 2.1e307, "3s": 2.2e307,
+                    "avg": math.nextafter(mean, math.inf)}, collision=collision).validate()
+    with pytest.raises(ValueError):
+        PlanEvalRow(l2={"1s": 1.7e308, "2s": 1.7e308, "3s": 1.7e308, "avg": 1.7e308},
+                    collision=collision).validate()
+
+
 def test_text_eval_row_ranges():
     TextEvalRow(bleu=64.60, meteor=73.27, rouge_l=72.40, cider=3.71).validate()
     with pytest.raises(ValueError):

@@ -612,6 +612,47 @@ def test_step_and_forward_bit_identical_to_the_matmul_einsum_step(config, scenar
     assert np.array(forward(model, scenario, command)).tobytes() == pred.tobytes()
 
 
+@pytest.mark.parametrize("prefix, scenario", [
+    ("agent_enc", make_scenario(agents=(), speed=3.0)),
+    ("map_enc", make_scenario(agents=(make_agent(1),), polylines=())),
+], ids=["no_agents", "no_polylines"])
+def test_step_writes_plus_zero_for_an_encoder_over_no_rows(prefix, scenario):
+    # The encoder's forward and backward are skipped; its gradients must
+    # still be written, as the +0.0 the empty products gave.
+    config = PlannerConfig()
+    model = init_model(config, 3)
+    bound = planner._bind(model.params)
+    packed = planner._pack(scenario, MetaAction.GO_STRAIGHT, scenario.gt_future)
+    got = planner._views(config, np.full(planner.param_count(config), np.nan))
+    want = planner._views(config, np.full(planner.param_count(config), -0.0))
+    loss = planner._step(bound, planner._bind(got), config, packed)
+    assert loss.hex() == ref_step(bound, planner._bind(want), config, packed).hex()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+        if name.startswith(prefix):
+            assert got[name].tobytes() == bytes(got[name].nbytes), name
+
+
+def test_step_and_forward_go_around_numpys_function_dispatch(monkeypatch):
+    # Products are ndarray.dot and the positional gradients one array, so
+    # neither np.dot nor np.concatenate is called, keyed or keyless.
+    config = PlannerConfig()
+    model = init_model(config, 3)
+    bound = planner._bind(model.params)
+    grads = planner._bind(planner._views(config, np.zeros(planner.param_count(config))))
+    scenarios = [grad_scenario(), make_scenario(agents=(), polylines=())]
+    packed = [planner._pack(s, s.route_intent, s.gt_future) for s in scenarios]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy function went through its dispatcher")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    monkeypatch.setattr(np, "concatenate", refuse)
+    for s, sample in zip(scenarios, packed):
+        assert math.isfinite(planner._step(bound, grads, config, sample))
+        assert len(forward(model, s, s.route_intent)) == 6
+
+
 def test_train_logs_one_info_line_per_epoch(caplog):
     scenarios = train_set()
     with caplog.at_level(logging.INFO, logger="vecdrive"):
@@ -774,8 +815,9 @@ def _set(obj, keys, value):
     (("params", "ego_query", "data", 0), 10**400, "ego_query"),
     (("params", "ego_query", "data"), [[0.5], [0.5, 0.5]], "ego_query"),
     (("config", "n_heads"), "1", "n_heads"),
+    (("params", "plan_head.b2", "data", 0), True, "plan_head.b2"),
 ], ids=["entry_not_object", "data_not_numeric", "shape_not_list", "data_out_of_range",
-        "data_ragged", "config_not_integer"])
+        "data_ragged", "config_not_integer", "data_boolean"])
 def test_checkpoint_rejects_malformed_field(tmp_path, keys, value, named):
     p = tmp_path / "model.json"
     save_checkpoint(init_model(TINY, 23), p)
