@@ -31,9 +31,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import jsonio
 from .external import MAX_TIMEOUT, OracleError, open_oracle
@@ -55,6 +58,7 @@ from .planmetrics import (
     mean_rows,
 )
 from .planner import (
+    CheckpointError,
     PlannerConfig,
     PlannerError,
     TrainingDiverged,
@@ -313,9 +317,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = init_model(config, seed)
     log.info("training on %d scenarios for %d epochs (lr=%g, seed=%d)",
              len(scenarios), int(args.epochs), float(args.lr), seed)
-    with _oracle(args) as oracle:
-        trained, curve = train(model, scenarios, _commands(oracle, scenarios),
-                               epochs=int(args.epochs), lr=float(args.lr), seed=seed)
+
+    def commands():
+        # train reads them after its own checks, so a bad --epochs or --lr
+        # is refused before the oracle starts.
+        with _oracle(args) as oracle:
+            yield from _commands(oracle, scenarios)
+
+    trained, curve = train(model, scenarios, commands(),
+                           epochs=int(args.epochs), lr=float(args.lr), seed=seed)
     checkpoint_path = os.path.join(out, "checkpoint.json")
     save_checkpoint(trained, checkpoint_path)
     curve_lines = ["epoch,mean_loss"]
@@ -338,10 +348,14 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint) if use_model else None
     rows_l2 = {"planner": [], "const-velocity": []}
     rows_col = {"planner": [], "const-velocity": []}
-    with _oracle(args) as oracle:
+    # As in train: a non-finite prediction is reported below, not by numpy.
+    with _oracle(args) as oracle, np.errstate(over="ignore", invalid="ignore"):
         for scenario, command in zip(scenarios, _commands(oracle, scenarios)):
             if model is not None:
                 pred = forward(model, scenario, command)
+                if not all(math.isfinite(c) for point in pred for c in point):
+                    raise CheckpointError(f"{args.checkpoint}: non-finite prediction for "
+                                          f"scenario {scenario.id!r}")
             else:
                 pred = scenario.gt_future
             ego = scenario.ego
@@ -399,8 +413,7 @@ def cmd_eval_actions(args: argparse.Namespace) -> int:
         a.value: {b.value: 0 for b in MetaAction} for a in MetaAction
     }
     with _oracle(args) as oracle:
-        for scenario in scenarios:
-            decision = oracle.decide(scenario, Format.SHORT).action
+        for scenario, decision in zip(scenarios, _commands(oracle, scenarios)):
             label = labels[scenario.id]
             decided.append(decision)
             expected.append(label)

@@ -87,7 +87,7 @@ def _parse_response(raw: str, scenario: Scenario, format: Format,
         raise OracleProtocolError(endpoint, f"invalid JSON: {e}", raw) from None
     if not isinstance(obj, dict):
         raise OracleProtocolError(endpoint, "response is not an object", raw)
-    if obj.get("v") != 1:
+    if type(obj.get("v")) is not int or obj["v"] != 1:
         raise OracleProtocolError(endpoint, f"unsupported version {obj.get('v')!r}", raw)
     if "error" in obj:
         raise OracleProtocolError(endpoint, f"oracle error: {obj['error']}", raw)

@@ -16,9 +16,11 @@ never enter the computation, and a stage with no keys returns the zero
 vector, so an empty scene gives its encoder and attention parameters
 exactly zero gradient.
 
-All parameters live in one contiguous float64 vector, laid out in
-param_layout() order; ``model.params`` maps each name to a reshaped view
-into it, and gradients are views into a vector of the same length. A
+A model is ``PlannerModel(config, theta)``: all parameters live in one
+contiguous float64 vector, ``theta``, in param_layout() order. The
+read-only ``model.params`` maps each name to a reshaped view into it, and
+``model.bound`` groups those views per layer, once, when the model is
+built. Gradients are views into a vector of the same length. A
 scenario's inputs are packed into arrays once, in one pass over its
 agents and polylines (``_pack``); the positional-embedding rows are the
 position columns of the agent and map rows, not a second read of the
@@ -69,11 +71,11 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import os
 import time
+import types
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -98,16 +100,6 @@ _ONE_HOT = {
 #: not scaled (a product with 1.0 is exact).
 _AGENT_SCALE = np.array([INPUT_SCALE, INPUT_SCALE, 1.0, 1.0,
                          INPUT_SCALE, INPUT_SCALE, INPUT_SCALE])
-
-_MLPS = ("agent_enc", "map_enc", "pe1", "pe2", "plan_head")
-_STAGES = ("attn1", "attn2")
-# Per-layer getters: an MLP's (w1, b1, w2, b2), a stage's (wq, wk, wv, wo).
-_LAYER_GETTERS = {
-    **{prefix: operator.itemgetter(*(f"{prefix}.{w}" for w in ("w1", "b1", "w2", "b2")))
-       for prefix in _MLPS},
-    **{stage: operator.itemgetter(*(f"{stage}.{w}" for w in ("wq", "wk", "wv", "wo")))
-       for stage in _STAGES},
-}
 
 
 class PlannerError(Exception):
@@ -176,7 +168,7 @@ def param_layout(config: PlannerConfig) -> list[tuple[str, tuple[int, ...]]]:
             (f"{prefix}.w2", (d, h)),
             (f"{prefix}.b2", (d,)),
         ]
-    for stage in _STAGES:
+    for stage in ("attn1", "attn2"):
         layout += [(f"{stage}.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")]
     layout += [
         ("plan_head.w1", (h, head_in)),
@@ -202,43 +194,43 @@ def _views(config: PlannerConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
     return views
 
 
-def _flatten(config: PlannerConfig,
-             params: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Copy ``params`` into a new flat vector; returns it and its views."""
-    flat = np.concatenate([np.ravel(params[name]) for name, _ in param_layout(config)])
-    return flat, _views(config, flat)
+def _bind(arrays: Mapping[str, np.ndarray]) -> dict:
+    """Per-layer tuples of parameter (or gradient) arrays, keeping name
+    lookups out of the per-sample step.
 
-
-def _bind(arrays: dict[str, np.ndarray]) -> dict:
-    """Per-layer tuples of parameter (or gradient) arrays.
-
-    MLPs map to (w1, b1, w2, b2), attention stages to (wq, wk, wv, wo);
-    ``ego_query`` stays a single array. Binding once keeps name lookups
-    out of the per-sample step.
+    ``arrays`` is in param_layout() order, so grouping the names by their
+    layer prefix gives an MLP's (w1, b1, w2, b2) and a stage's (wq, wk,
+    wv, wo); ``ego_query`` stays a single array.
     """
-    bound = {layer: get(arrays) for layer, get in _LAYER_GETTERS.items()}
-    bound["ego_query"] = arrays["ego_query"]
+    bound = {}
+    for name, arr in arrays.items():
+        layer, dot, _ = name.partition(".")
+        bound[layer] = bound.get(layer, ()) + (arr,) if dot else arr
     return bound
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PlannerModel:
+    """A config and its one parameter vector, ``theta``. ``params`` (read-only,
+    name -> view) and ``bound`` (their ``_bind``) are views into it."""
     config: PlannerConfig
-    params: dict[str, np.ndarray] = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    params: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    bound: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        theta, n = self.theta, param_count(self.config)
+        if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+                and theta.shape == (n,) and theta.flags.c_contiguous):
+            raise PlannerError(f"theta must be a 1-D C-contiguous float64 array of {n} values")
+        params = types.MappingProxyType(_views(self.config, theta))
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "bound", _bind(params))
 
     def validate(self) -> None:
         self.config.validate()
-        expected = dict(param_layout(self.config))
-        names = set(self.params)
-        if names != set(expected):
-            missing = sorted(set(expected) - names)
-            extra = sorted(names - set(expected))
-            raise PlannerError(f"parameter set mismatch: missing={missing} extra={extra}")
-        for name, shape in expected.items():
-            arr = self.params[name]
-            if arr.shape != shape:
-                raise PlannerError(f"{name}: shape {arr.shape} != {shape}")
-            if not np.all(np.isfinite(arr)):
+        for name, arr in self.params.items():
+            if not np.isfinite(arr).all():
                 raise PlannerError(f"{name}: non-finite values")
 
 
@@ -252,15 +244,13 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
     """
     config.validate()
     rng = SplitMix64(seed)
-    layout = param_layout(config)
-    params = _views(config, np.zeros(param_count(config)))
-    for name, shape in layout:
+    model = PlannerModel(config, np.zeros(param_count(config)))
+    for name, shape in param_layout(config):
         if name.endswith(".b1") or name.endswith(".b2"):
             continue
         fan_in = shape[-1] if len(shape) > 1 else config.d_model
         bound = math.sqrt(1.0 / fan_in)
-        params[name][...] = rng.uniform_array(math.prod(shape), -bound, bound).reshape(shape)
-    model = PlannerModel(config, params)
+        model.params[name][...] = rng.uniform_array(math.prod(shape), -bound, bound).reshape(shape)
     model.validate()
     return model
 
@@ -498,25 +488,8 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
 def forward(model: PlannerModel, scenario: Scenario,
             command: MetaAction) -> tuple[Point, ...]:
     """Predict the T_F ego waypoints for a scenario and command."""
-    pred, _ = _run_forward(_bind(model.params), model.config, _pack(scenario, command))
+    pred, _ = _run_forward(model.bound, model.config, _pack(scenario, command))
     return tuple(map(tuple, pred.tolist()))
-
-
-def attention_weights(model: PlannerModel, scenario: Scenario,
-                      command: MetaAction) -> dict[str, np.ndarray]:
-    """Introspection hook: per-stage softmax weights over the valid keys.
-
-    Arrays have shape (n_heads, n_valid_keys); empty key sets yield
-    zero-column arrays.
-    """
-    _, caches = _run_forward(_bind(model.params), model.config, _pack(scenario, command))
-    out = {}
-    for stage_cache, name in ((caches[4], "agents"), (caches[5], "map")):
-        if stage_cache is None:
-            out[name] = np.zeros((model.config.n_heads, 0))
-        else:
-            out[name] = stage_cache[6].copy()
-    return out
 
 
 def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
@@ -527,7 +500,7 @@ def backward(model: PlannerModel, scenario: Scenario, command: MetaAction,
     """
     config = model.config
     grads = _views(config, np.zeros(param_count(config)))
-    loss = _step(_bind(model.params), _bind(grads), config, _pack(scenario, command, gt))
+    loss = _step(model.bound, _bind(grads), config, _pack(scenario, command, gt))
     return loss, grads
 
 
@@ -560,10 +533,10 @@ def train(model: PlannerModel, scenarios: list[Scenario], commands: Iterable[Met
     if len(commands) != len(scenarios):
         raise PlannerError(f"{len(commands)} commands for {len(scenarios)} scenarios")
     config = model.config
-    theta, params = _flatten(config, model.params)
-    trained = PlannerModel(config, params)
+    trained = PlannerModel(config, model.theta.copy())
+    theta, bound = trained.theta, trained.bound
     grad = np.zeros_like(theta)
-    bound, bound_grads = _bind(params), _bind(_views(config, grad))
+    bound_grads = _bind(_views(config, grad))
     packed = [_pack(s, command, s.gt_future) for s, command in zip(scenarios, commands)]
     rng = SplitMix64(seed)
     curve: list[float] = []
@@ -636,7 +609,7 @@ def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
             obj = jsonio.loads(fh.read())
         except ValueError as e:
             raise CheckpointError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(obj, dict) or obj.get("version") != 1:
+    if not isinstance(obj, dict) or type(obj.get("version")) is not int or obj["version"] != 1:
         raise CheckpointError(f"{path}: unsupported checkpoint version")
     fields = obj.get("config")
     if not isinstance(fields, dict):
@@ -665,7 +638,8 @@ def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
         if not isinstance(entry, dict):
             raise CheckpointError(f"{path}: {name}: entry is not an object")
         shape_val = entry.get("shape")
-        if not isinstance(shape_val, list) or tuple(shape_val) != shape:
+        if (not isinstance(shape_val, list) or tuple(shape_val) != shape
+                or not all(type(dim) is int for dim in shape_val)):
             raise CheckpointError(f"{path}: {name}: shape {shape_val!r} != {list(shape)}")
         data = _number_vector(entry.get("data"))
         if data is None:
@@ -673,7 +647,7 @@ def load_checkpoint(path: str | os.PathLike) -> PlannerModel:
         if data.size != math.prod(shape):
             raise CheckpointError(f"{path}: {name}: data length {data.size}")
         chunks.append(data)
-    model = PlannerModel(config, _views(config, np.concatenate(chunks)))
+    model = PlannerModel(config, np.concatenate(chunks))
     try:
         model.validate()
     except PlannerError as e:

@@ -1,7 +1,9 @@
 """Gradient oracles shared by unit and acceptance tests.
 
 ``imitation_loss`` is the loss on plain point tuples, and
-``fd_gradients`` a finite-difference oracle built on it. ``ref_backward``
+``fd_gradients`` a finite-difference oracle built on it.
+``attention_weights`` reads each stage's softmax weights from the forward
+pass's caches. ``ref_backward``
 and ``ref_train`` are the training step as it was before gradients were
 written in place and before its products went through ``np.dot``:
 ``_mlp_forward``, ``_mlp_backward``, ``_attention_forward``,
@@ -23,7 +25,6 @@ import numpy as np
 from vecdrive.planner import (
     PlannerModel,
     _bind,
-    _flatten,
     _pack,
     _run_forward,
     _views,
@@ -46,15 +47,15 @@ def imitation_loss(pred, gt) -> float:
 def fd_gradients(model: PlannerModel, scenario, command, gt, eps=1e-5):
     """Central finite differences of the imitation loss w.r.t. every parameter.
 
-    The scenario is packed and the parameters bound once, and each loss
-    runs ``_run_forward``, as the public ``forward`` does. The bound
-    arrays are the model's own, so every perturbation below reaches it.
+    The scenario is packed once, and each loss runs ``_run_forward`` on
+    ``model.bound``, as the public ``forward`` does. The bound arrays are
+    views into the model's ``theta``, so every perturbation below reaches
+    them.
     """
-    bound = _bind(model.params)
     packed = _pack(scenario, command)
 
     def loss():
-        pred, _ = _run_forward(bound, model.config, packed)
+        pred, _ = _run_forward(model.bound, model.config, packed)
         return imitation_loss(pred.tolist(), gt)
 
     grads = {}
@@ -72,6 +73,17 @@ def fd_gradients(model: PlannerModel, scenario, command, gt, eps=1e-5):
             gflat[i] = (hi - lo) / (2.0 * eps)
         grads[name] = g
     return grads
+
+
+def attention_weights(model: PlannerModel, scenario, command) -> dict[str, np.ndarray]:
+    """Per-stage softmax weights over the valid keys, from ``_run_forward``'s caches.
+
+    Arrays have shape (n_heads, n_valid_keys); empty key sets yield
+    zero-column arrays.
+    """
+    _, caches = _run_forward(model.bound, model.config, _pack(scenario, command))
+    return {name: np.zeros((model.config.n_heads, 0)) if cache is None else cache[6].copy()
+            for name, cache in (("agents", caches[4]), ("map", caches[5]))}
 
 
 def max_relative_error(analytic, numeric, loss, eps=1e-5):
@@ -246,17 +258,18 @@ def ref_step(bound, grads, config, packed):
 def ref_backward(model, scenario, command, gt):
     """``planner.backward`` through ``ref_step``: (loss, name -> gradient)."""
     config = model.config
-    grads = _views(config, np.zeros(sum(g.size for g in model.params.values())))
-    loss = ref_step(_bind(model.params), _bind(grads), config, _pack(scenario, command, gt))
+    grads = _views(config, np.zeros_like(model.theta))
+    loss = ref_step(model.bound, _bind(grads), config, _pack(scenario, command, gt))
     return loss, grads
 
 
 def ref_train(model, scenarios, commands, epochs, lr, seed):
     """``planner.train``'s loop through ``ref_step``: zero, step, ``theta -= lr * grad``."""
     config = model.config
-    theta, params = _flatten(config, model.params)
+    trained = PlannerModel(config, model.theta.copy())
+    theta, bound = trained.theta, trained.bound
     grad = np.zeros_like(theta)
-    bound, bound_grads = _bind(params), _bind(_views(config, grad))
+    bound_grads = _bind(_views(config, grad))
     packed = [_pack(s, c, s.gt_future) for s, c in zip(scenarios, commands)]
     rng = SplitMix64(seed)
     order = list(range(len(scenarios)))
@@ -270,4 +283,4 @@ def ref_train(model, scenarios, commands, epochs, lr, seed):
             theta -= lr * grad
             total += loss
         curve.append(total / len(scenarios))
-    return PlannerModel(config, params), curve
+    return trained, curve

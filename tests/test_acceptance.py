@@ -34,7 +34,6 @@ from vecdrive.planmetrics import (
 )
 from vecdrive.planner import (
     PlannerConfig,
-    attention_weights,
     backward,
     forward,
     init_model,
@@ -46,7 +45,7 @@ from vecdrive.scene import EgoState, MetaAction, Scenario, VRU_KINDS
 from vecdrive.simgen import GenSpec, Suite, constant_velocity_future, generate, split
 from vecdrive.textmetrics import lcs_length, meteor, rouge_l
 
-from helpers_grad import fd_gradients, max_relative_error
+from helpers_grad import attention_weights, fd_gradients, max_relative_error
 from test_planmetrics import grid_overlap_oracle
 from test_textmetrics import corpus_bleu, corpus_cider, hand_cider_three_pairs
 

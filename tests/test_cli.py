@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import socket
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vecdrive
 from vecdrive import cli, jsonio
@@ -20,6 +24,7 @@ from vecdrive.planner import (
     TrainingDiverged,
     init_model,
     load_checkpoint,
+    param_count,
     save_checkpoint,
 )
 from vecdrive.planmetrics import TextEvalRow, evaluate_explanations
@@ -372,6 +377,29 @@ def test_eval_plan_refuses_a_boolean_weight_exit_2(workdir, capsys):
     assert not (out / "eval_plan.json").exists()
 
 
+def test_eval_plan_refuses_a_checkpoint_whose_prediction_overflows(workdir):
+    # Every weight stays finite, so the checkpoint loads, but the plan
+    # head's output overflows; stderr holds the error line alone.
+    out = gen(workdir, n=20, seed=7)
+    assert run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                "--out", str(out), "--epochs", "2"]) == 0
+    ckpt = out / "checkpoint.json"
+    obj = json.loads(ckpt.read_text())
+    w2 = obj["params"]["plan_head.w2"]
+    w2["data"] = [v * 1e308 for v in w2["data"]]
+    ckpt.write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vecdrive", "eval-plan", "--scenarios",
+         str(out / "scenarios_eval.jsonl"), "--checkpoint", str(ckpt), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {ckpt}: non-finite prediction for scenario "
+                           "'mixed-7-00011'\n")
+    assert not (out / "eval_plan.json").exists() and not (out / "eval_plan.txt").exists()
+
+
 def test_eval_plan_and_report_accept_an_avg_one_ulp_off_at_a_huge_l2(workdir, capsys):
     # At ~1e307 m one ULP is far above any absolute tolerance, and the row's
     # avg (a mean of per-sample avgs) rounds differently from the mean of
@@ -712,17 +740,36 @@ def test_train_oversized_planner_exit_2_before_allocating(workdir, capsys, monke
     assert not (out / "checkpoint.json").exists()
 
 
+@contextlib.contextmanager
+def oracle_spy():
+    """Endpoints ``cli`` opened inside the block. The marker alone can miss a
+    spawn: a command that fails at once terminates the child before it runs."""
+    opened, real = [], cli.open_oracle
+
+    def spy(endpoint, **kwargs):
+        opened.append(endpoint)
+        return real(endpoint, **kwargs)
+
+    cli.open_oracle = spy
+    try:
+        yield opened
+    finally:
+        cli.open_oracle = real
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_train_seed_outside_u64_exit_2_before_the_oracle_starts(workdir, capsys, seed):
     out = gen(workdir, n=6)
     marker = workdir / "spawned"
     mock = workdir / "spawn.py"
     mock.write_text(f"open({str(marker)!r}, 'w').close()\n")
-    code = run(["train", "--scenarios", str(out / "scenarios_train.jsonl"), "--out", str(out),
-                "--oracle", f"exec:{sys.executable} {mock}", "--seed", str(seed)])
+    with oracle_spy() as opened:
+        code = run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                    "--out", str(out), "--oracle", f"exec:{sys.executable} {mock}",
+                    "--seed", str(seed)])
     assert code == 2
     assert f"error: seed {seed} outside u64 range" in capsys.readouterr().err
-    assert not marker.exists()
+    assert not opened and not marker.exists()
     assert not (out / "checkpoint.json").exists()
 
 
@@ -815,13 +862,14 @@ def test_bad_timeout_flag_exit_2_before_the_oracle_starts(workdir, capsys, timeo
     marker = workdir / "spawned"
     mock = workdir / "spawn.py"
     mock.write_text(f"open({str(marker)!r}, 'w').close()\n")
-    code = run(["eval-text", "--scenarios", str(out / "scenarios_eval.jsonl"),
-                "--oracle", f"exec:{sys.executable} {mock}", f"--timeout={timeout}",
-                "--out", str(out)])
+    with oracle_spy() as opened:
+        code = run(["eval-text", "--scenarios", str(out / "scenarios_eval.jsonl"),
+                    "--oracle", f"exec:{sys.executable} {mock}", f"--timeout={timeout}",
+                    "--out", str(out)])
     assert code == 2
     assert "error: --timeout must be a finite number of seconds above 0" in (
         capsys.readouterr().err)
-    assert not marker.exists()
+    assert not opened and not marker.exists()
 
 
 def test_timeout_at_the_bound_reaches_the_oracle(workdir):
@@ -1057,3 +1105,181 @@ def test_subcommand_options_unchanged():
     for name, parser in sub.choices.items():
         options = {o for a in parser._actions for o in a.option_strings}
         assert options == set(expected[name] + common), name
+
+
+# --- flag ranges ------------------------------------------------------------------
+#
+# Every numeric flag is drawn outside its range (NaN, +-inf, negatives, the
+# next float beyond each bound, huge ints) and inside it (tiny sizes only).
+# A refusal must exit 2 without a traceback, before an exec: oracle is
+# spawned and before a result file is written. --n, --epochs and --warmup
+# have no upper bound, so no large value is ever drawn for them.
+
+U64 = 2 ** 64
+NAN, INF = math.nan, math.inf
+#: The commands that take --oracle and --timeout.
+ORACLE_COMMANDS = ["train", "eval-plan", "eval-text", "eval-actions", "bench-oracle"]
+
+
+def widest(flag):
+    """The largest value of one planner-size flag, the others at their
+    defaults and --n-heads 1, that MAX_PARAMS allows."""
+    lo, hi = 1, MAX_PARAMS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        fields = {"d_model": 32, "n_heads": 1, "hidden": 64, flag: mid}
+        if param_count(PlannerConfig(**fields)) <= MAX_PARAMS:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def beyond(lo=None, hi=None, lo_open=False, hi_open=False):
+    """Floats outside [lo, hi] (an open end refuses the bound itself):
+    NaN, the infinities, the next float past each bound and beyond."""
+    cases = [st.sampled_from([NAN, INF, -INF])]
+    if lo is not None:
+        edge = lo if lo_open else math.nextafter(lo, -INF)
+        cases += [st.just(edge), st.floats(max_value=edge)]
+    if hi is not None:
+        edge = hi if hi_open else math.nextafter(hi, INF)
+        cases += [st.just(edge), st.floats(min_value=edge)]
+    return st.one_of(cases)
+
+
+def int_beyond(lo, hi=None):
+    """Ints below ``lo`` or above ``hi`` (huge ones too), and NaN or inf,
+    which argparse refuses for an int flag."""
+    cases = [st.sampled_from(["nan", "inf", "-inf", "1.5"]), st.integers(max_value=lo - 1)]
+    if hi is not None:
+        cases.append(st.integers(min_value=hi + 1, max_value=hi * 2 ** 64))
+    return st.one_of(cases)
+
+
+def flag(name, values):
+    return values.map(lambda v: [f"--{name}={v!r}" if isinstance(v, float) else f"--{name}={v}"])
+
+
+@st.composite
+def refused_flags(draw):
+    """(command, flags) with exactly one numeric flag out of range."""
+    simgen_cases = st.one_of(
+        flag("n", int_beyond(1)),
+        flag("seed", int_beyond(0, U64 - 1)),
+        flag("density", beyond(0.0, 1.0)),
+        flag("train-frac", beyond(0.0, 1.0, lo_open=True, hi_open=True)),
+        flag("speed-min", beyond(0.0)),
+        flag("speed-max", beyond(0.0)),
+        st.floats(0.0, 1e6).map(lambda v: [f"--speed-min={v!r}",
+                                           f"--speed-max={math.nextafter(v, -INF)!r}"]),
+    )
+    train_cases = st.one_of(
+        flag("seed", int_beyond(0, U64 - 1)),
+        flag("epochs", int_beyond(1)),
+        flag("lr", beyond(0.0)),
+        flag("d-model", int_beyond(1, widest("d_model"))),
+        flag("hidden", int_beyond(1, widest("hidden"))),
+        flag("n-heads", int_beyond(1)),
+        # n_heads must divide d_model (32 by default).
+        flag("n-heads", st.integers(1, 2 ** 70).filter(lambda h: 32 % h)),
+    )
+    command, cases = draw(st.sampled_from([
+        ("simgen", simgen_cases),
+        ("train", train_cases),
+        ("bench-oracle", flag("warmup", int_beyond(0))),
+        (None, flag("timeout", beyond(0.0, MAX_TIMEOUT, lo_open=True))),
+    ]))
+    return command or draw(st.sampled_from(ORACLE_COMMANDS)), draw(cases)
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """Six MIXED scenes, their QA file and a spawn marker's oracle."""
+    root = tmp_path_factory.mktemp("flags")
+    assert main(["simgen", "--out", str(root), "--n", "6", "--seed", "3"]) == 0
+    scenarios = root / "scenarios.jsonl"
+    assert main(["qagen", "--scenarios", str(scenarios), "--out", str(root / "qa.jsonl")]) == 0
+    marker = root / "spawned"
+    (root / "spawn.py").write_text(f"open({str(marker)!r}, 'w').close()\n")
+    return root, marker
+
+
+def run_flags(root, command, flags, oracle, out):
+    """Exit code and stderr of ``command`` over the fixture's inputs."""
+    argv = [command, "--out", str(out), *flags]
+    if command != "simgen":
+        argv += ["--scenarios", str(root / "scenarios.jsonl")]
+    if command in ORACLE_COMMANDS:
+        argv += ["--oracle", oracle]
+    if command == "eval-plan":
+        argv += ["--predict", "gt"]
+    if command == "eval-actions":
+        argv += ["--qa", str(root / "qa.jsonl")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:     # argparse refuses a value that is not a number
+            code = e.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=refused_flags())
+def test_flag_outside_its_range_exits_2_before_spawning_or_writing(flag_inputs, case):
+    root, marker = flag_inputs
+    command, flags = case
+    out = root / "refused"
+    with oracle_spy() as opened:
+        code, err = run_flags(root, command, flags,
+                              f"exec:{sys.executable} {root / 'spawn.py'}", out)
+    assert code == 2, (command, flags, err)
+    assert "Traceback" not in err and ("error: " in err or "usage: " in err), err
+    assert not opened and not marker.exists(), (command, flags)
+    assert not out.exists() or not any(out.iterdir()), (command, flags)
+
+
+@st.composite
+def accepted_flags(draw):
+    """(command, flags, result file) with every numeric flag in range, at
+    tiny sizes; each range's edges (the bound, or the first float inside an
+    open end) are drawn as often as the rest."""
+    def inside(edges, values):
+        return draw(st.one_of(st.sampled_from(edges), values))
+
+    u64 = st.integers(0, U64 - 1)
+    command = draw(st.sampled_from(["simgen", "train", "bench-oracle", *ORACLE_COMMANDS[1:4]]))
+    if command == "simgen":
+        lo = inside([0.0], st.floats(0.0, 30.0))
+        frac = inside([5e-324, math.nextafter(1.0, 0.0)],
+                      st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        flags = [f"--n={draw(st.integers(1, 5))}", f"--seed={inside([0, U64 - 1], u64)}",
+                 f"--density={inside([0.0, 1.0], st.floats(0.0, 1.0))!r}",
+                 f"--train-frac={frac!r}", f"--speed-min={lo!r}",
+                 f"--speed-max={inside([lo], st.floats(lo, 30.0))!r}"]
+        return command, flags, "scenarios_eval.jsonl"
+    timeout = inside([MAX_TIMEOUT, 5e-324], st.floats(0.0, MAX_TIMEOUT, exclude_min=True))
+    flags = [f"--timeout={timeout!r}"]
+    if command == "train":
+        n_heads = draw(st.integers(1, 2))
+        flags += [f"--seed={inside([0, U64 - 1], u64)}", f"--epochs={draw(st.integers(1, 2))}",
+                  f"--lr={inside([0.0], st.floats(0.0, 0.05))!r}", f"--n-heads={n_heads}",
+                  f"--d-model={n_heads * draw(st.integers(1, 2))}",
+                  f"--hidden={draw(st.integers(1, 3))}"]
+        return command, flags, "checkpoint.json"
+    if command == "bench-oracle":
+        return command, flags + [f"--warmup={draw(st.integers(0, 3))}"], "bench.json"
+    return command, flags, command.replace("-", "_") + ".json"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=accepted_flags())
+def test_flag_inside_its_range_is_accepted(flag_inputs, case):
+    root, _ = flag_inputs
+    command, flags, result = case
+    out = root / "accepted"
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = run_flags(root, command, flags, "rule", out)
+    assert code == 0, (command, flags, err)
+    assert (out / result).exists()

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from vecdrive import jsonio, oracle_server, simgen
+from vecdrive.cli import main
 from vecdrive.external import (
     MAX_TIMEOUT,
     ExecOracle,
@@ -199,6 +200,32 @@ def test_repeated_hazard_id_is_a_protocol_error_quoting_the_payload():
     assert repr(raw) in str(info.value)
     ok = raw.replace("[1,2,1]", "[2,1]")
     assert _parse_response(ok, s, Format.SHORT, "exec:mock").hazard_ids == (1, 2)
+
+
+@pytest.mark.parametrize("v", ["true", "1.0", "1e0", "2", '"1"', "null"])
+def test_reply_version_must_be_the_integer_1(v):
+    s = make_scenario()
+    raw = '{"v":%s,"action":"GO_STRAIGHT","rationale":"x"}' % v
+    with pytest.raises(OracleProtocolError, match="unsupported version") as info:
+        _parse_response(raw, s, Format.SHORT, "exec:mock")
+    assert info.value.payload == raw
+    ok = raw.replace(v, "1", 1)
+    assert _parse_response(ok, s, Format.SHORT, "exec:mock").action is MetaAction.GO_STRAIGHT
+
+
+def test_reply_version_true_exits_5(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simgen", "--out", str(out), "--n", "4", "--seed", "1"]) == 0
+    cmd = write_mock(tmp_path, "bool_v.py", """\
+        import sys
+        for line in sys.stdin:
+            print('{"v":true,"action":"GO_STRAIGHT","rationale":"x"}', flush=True)
+        """)
+    code = main(["eval-text", "--scenarios", str(out / "scenarios.jsonl"),
+                 "--oracle", f"exec:{cmd}", "--out", str(out)])
+    assert code == 5
+    assert "unsupported version True" in capsys.readouterr().err
+    assert not (out / "eval_text.json").exists()
 
 
 def test_dead_subprocess_reported(tmp_path):

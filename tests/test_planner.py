@@ -21,7 +21,6 @@ from vecdrive.planner import (
     PlannerConfig,
     PlannerError,
     PlannerModel,
-    attention_weights,
     backward,
     forward,
     init_model,
@@ -36,6 +35,7 @@ from vecdrive.scene import A_MAX, M_MAX, MetaAction, save_scenarios
 
 from conftest import make_agent, make_ego, make_polyline, make_scenario
 from helpers_grad import (
+    attention_weights,
     fd_gradients,
     imitation_loss,
     max_relative_error,
@@ -169,15 +169,50 @@ def test_init_biases_zero():
 
 
 def test_param_layout_closed_set():
+    # params is derived from theta: no name can be added, replaced or removed.
     model = init_model(TINY, 1)
+    assert [(n, a.shape) for n, a in model.params.items()] == planner.param_layout(TINY)
+    with pytest.raises(TypeError):
+        model.params["bogus"] = np.zeros(2)
+    with pytest.raises(TypeError):
+        model.params["ego_query"] = np.zeros(2)
+    with pytest.raises(TypeError):
+        del model.params["ego_query"]
+    assert "bogus" not in model.params and "ego_query" in model.params
     model.validate()
-    model.params["bogus"] = np.zeros(2)
-    with pytest.raises(PlannerError):
-        model.validate()
-    del model.params["bogus"]
-    del model.params["ego_query"]
-    with pytest.raises(PlannerError):
-        model.validate()
+
+
+def test_params_and_bound_are_views_into_theta():
+    model = init_model(TINY, 1)
+    for arr in model.params.values():
+        assert arr.base is model.theta
+    model.theta[0] = 0.5
+    assert model.params["ego_query"][0] == model.bound["ego_query"][0] == 0.5
+    model.params["plan_head.b2"][-1] = 2.0
+    assert model.theta[-1] == model.bound["plan_head"][3][-1] == 2.0
+    stage = [model.params[f"attn1.{w}"] for w in ("wq", "wk", "wv", "wo")]
+    assert all(a is b for a, b in zip(model.bound["attn1"], stage, strict=True))
+
+
+@pytest.mark.parametrize("make_theta", [
+    lambda n: np.zeros(n - 1),
+    lambda n: np.zeros(n + 1),
+    lambda n: np.zeros(n, dtype=np.float32),
+    lambda n: np.zeros((1, n)),
+    lambda n: np.zeros(2 * n)[::2],
+    lambda n: [0.0] * n,
+], ids=["short", "long", "float32", "2d", "non_contiguous", "list"])
+def test_model_refuses_a_theta_that_is_not_one_float64_vector(make_theta):
+    n = planner.param_count(TINY)
+    with pytest.raises(PlannerError, match=f"float64 array of {n} values"):
+        PlannerModel(TINY, make_theta(n))
+
+
+def test_model_attributes_cannot_be_rebound():
+    model = init_model(TINY, 1)
+    for name in ("theta", "params", "bound", "config"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, getattr(model, name))
 
 
 # --- scene encoding --------------------------------------------------------------
@@ -465,7 +500,7 @@ def rule_commands(scenarios):
 
 def reference_train(model, scenarios, commands, epochs, lr, seed):
     """Per-sample SGD through the public backward() and a per-parameter update."""
-    trained = PlannerModel(model.config, {k: v.copy() for k, v in model.params.items()})
+    trained = PlannerModel(model.config, model.theta.copy())
     rng = SplitMix64(seed)
     order = list(range(len(scenarios)))
     curve = []
@@ -475,7 +510,7 @@ def reference_train(model, scenarios, commands, epochs, lr, seed):
         for i in order:
             loss, grads = backward(trained, scenarios[i], commands[i], scenarios[i].gt_future)
             for name, grad in grads.items():
-                trained.params[name] -= lr * grad
+                trained.params[name][...] -= lr * grad
             total += loss
         curve.append(total / len(scenarios))
     return trained, curve
@@ -723,9 +758,15 @@ def test_train_same_seed_bitwise_identical():
 def test_train_does_not_mutate_input_model():
     model = init_model(TINY, 3)
     snapshot = {k: v.copy() for k, v in model.params.items()}
-    train(model, train_set(), rule_commands(train_set()), epochs=2, lr=1e-2, seed=7)
+    before = model.theta.tobytes()
+    trained, _ = train(model, train_set(), rule_commands(train_set()), epochs=2, lr=1e-2,
+                       seed=7)
     for name in snapshot:
         assert np.array_equal(snapshot[name], model.params[name])
+    # The trained model owns a new vector, and its views are into it.
+    assert model.theta.tobytes() == before != trained.theta.tobytes()
+    assert not np.shares_memory(trained.theta, model.theta)
+    assert all(arr.base is trained.theta for arr in trained.params.values())
 
 
 def test_train_divergence_raises():
@@ -748,10 +789,12 @@ def test_train_divergence_raises_no_floating_point_warning():
 
 
 def test_train_rejects_misshapen_parameter():
+    # A misshapen parameter cannot be built: its theta is refused.
     model = init_model(TINY, 3)
-    model.params["agent_enc.w1"] = model.params["agent_enc.w1"].T.copy()
-    with pytest.raises(PlannerError):
-        train(model, train_set(), rule_commands(train_set()), epochs=1, lr=1e-2, seed=5)
+    with pytest.raises(TypeError):
+        model.params["agent_enc.w1"] = model.params["agent_enc.w1"].T.copy()
+    with pytest.raises(PlannerError, match="array of"):
+        PlannerModel(PlannerConfig(d_model=2, n_heads=1, hidden=3), model.theta.copy())
 
 
 def test_train_empty_rejected():
@@ -816,8 +859,13 @@ def _set(obj, keys, value):
     (("params", "ego_query", "data"), [[0.5], [0.5, 0.5]], "ego_query"),
     (("config", "n_heads"), "1", "n_heads"),
     (("params", "plan_head.b2", "data", 0), True, "plan_head.b2"),
+    (("params", "plan_head.w2", "shape"), [12.0, 2.0], "plan_head.w2"),
+    (("params", "ego_query", "shape"), [2.0], "ego_query"),
+    (("version",), True, "version"),
+    (("version",), 1.0, "version"),
 ], ids=["entry_not_object", "data_not_numeric", "shape_not_list", "data_out_of_range",
-        "data_ragged", "config_not_integer", "data_boolean"])
+        "data_ragged", "config_not_integer", "data_boolean", "shape_float",
+        "shape_float_1d", "version_true", "version_float"])
 def test_checkpoint_rejects_malformed_field(tmp_path, keys, value, named):
     p = tmp_path / "model.json"
     save_checkpoint(init_model(TINY, 23), p)
@@ -827,6 +875,17 @@ def test_checkpoint_rejects_malformed_field(tmp_path, keys, value, named):
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(p)
     assert named in str(err.value)
+
+
+def test_checkpoint_refuses_true_for_a_dimension_of_1(tmp_path):
+    p = tmp_path / "model.json"
+    save_checkpoint(init_model(PlannerConfig(d_model=2, n_heads=1, hidden=1), 23), p)
+    obj = json.loads(p.read_text())
+    assert obj["params"]["agent_enc.b1"]["shape"] == [1]
+    obj["params"]["agent_enc.b1"]["shape"] = [True]
+    p.write_text(json.dumps(obj))
+    with pytest.raises(CheckpointError, match=r"agent_enc\.b1: shape \[True\] != \[1\]"):
+        load_checkpoint(p)
 
 
 @pytest.mark.parametrize("module, name", [("jsonio", "dumps"), ("os", "replace")])
