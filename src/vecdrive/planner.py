@@ -58,6 +58,11 @@ A trajectory is a plain tuple of T_F points, and ``train`` takes its
 commands from the caller, so this module does not import the oracle that
 decides them.
 
+This is the one module of the package that imports numpy. ``cli``
+registers it lazily, so only ``train`` and ``eval-plan --predict model``
+load it; its exceptions live in the numpy-free ``planner_errors`` and are
+re-exported here.
+
 Everything is float64 and single-threaded; forward, backward and training
 are bit-deterministic. Gradients are hand-written reverse mode, checked
 against central finite differences in the test suite.
@@ -80,7 +85,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import jsonio
-from .rng import SplitMix64
+from .planner_errors import CheckpointError, PlannerError, TrainingDiverged
+from .rng import GAMMA, MIX1, MIX2, SplitMix64
 from .scene import A_MAX, M_MAX, POLYLINE_POINTS, T_F, MetaAction, Point, Scenario
 
 log = logging.getLogger("vecdrive")
@@ -100,18 +106,6 @@ _ONE_HOT = {
 #: not scaled (a product with 1.0 is exact).
 _AGENT_SCALE = np.array([INPUT_SCALE, INPUT_SCALE, 1.0, 1.0,
                          INPUT_SCALE, INPUT_SCALE, INPUT_SCALE])
-
-
-class PlannerError(Exception):
-    pass
-
-
-class CheckpointError(PlannerError):
-    pass
-
-
-class TrainingDiverged(PlannerError):
-    pass
 
 
 #: Most parameters a planner may have: 80 MB of float64 weights, ~400 times
@@ -250,9 +244,26 @@ def init_model(config: PlannerConfig, seed: int) -> PlannerModel:
             continue
         fan_in = shape[-1] if len(shape) > 1 else config.d_model
         bound = math.sqrt(1.0 / fan_in)
-        model.params[name][...] = rng.uniform_array(math.prod(shape), -bound, bound).reshape(shape)
+        model.params[name][...] = uniform_array(rng, math.prod(shape), -bound, bound).reshape(shape)
     model.validate()
     return model
+
+
+def uniform_array(stream: SplitMix64, n: int, lo: float, hi: float) -> np.ndarray:
+    """The next ``n`` values of ``stream.uniform(lo, hi)`` in one numpy pass.
+
+    Bit-identical to ``n`` calls of ``uniform`` and leaves the stream in
+    the same state; uint64 arithmetic wraps mod 2^64 as the scalar path's
+    masking does.
+    """
+    state = stream.skip(n)
+    with np.errstate(over="ignore"):
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
+    z ^= z >> np.uint64(31)
+    floats = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    return lo + (hi - lo) * floats
 
 
 # --- MLP ------------------------------------------------------------------------
@@ -487,8 +498,13 @@ def _step(bound: dict, grads: dict, config: PlannerConfig, packed: tuple) -> flo
 
 def forward(model: PlannerModel, scenario: Scenario,
             command: MetaAction) -> tuple[Point, ...]:
-    """Predict the T_F ego waypoints for a scenario and command."""
-    pred, _ = _run_forward(model.bound, model.config, _pack(scenario, command))
+    """Predict the T_F ego waypoints for a scenario and command.
+
+    numpy's overflow and invalid warnings are off, as in ``train``: a
+    non-finite prediction is the caller's to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred, _ = _run_forward(model.bound, model.config, _pack(scenario, command))
     return tuple(map(tuple, pred.tolist()))
 
 

@@ -3,16 +3,17 @@
 Every stochastic piece of the system (weight init, training shuffle,
 scenario generation) draws from this generator so that datasets and
 checkpoints are bit-reproducible across runs and across platforms.
+
+The module is pure Python: ``planner.uniform_array`` draws a vector of
+the same values with numpy, from the state ``SplitMix64.skip`` hands it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def check_seed(seed: int) -> int:
@@ -28,9 +29,9 @@ def check_seed(seed: int) -> int:
 
 def mix64(x: int) -> int:
     """One splitmix64 output for state ``x`` (finalizer only, no increment)."""
-    z = (x + _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    z = (x + GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -49,7 +50,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         z = mix64(self._state)
-        self._state = (self._state + _GAMMA) & _MASK64
+        self._state = (self._state + GAMMA) & _MASK64
         return z
 
     def next_float(self) -> float:
@@ -59,22 +60,15 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
-    def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
-        """The next ``n`` values of ``uniform(lo, hi)`` in one numpy pass.
+    def skip(self, n: int) -> int:
+        """Advance the stream past its next ``n`` outputs; return the state they start from.
 
-        Bit-identical to ``n`` calls of ``uniform`` and leaves the stream
-        in the same state; uint64 arithmetic wraps mod 2^64 as the scalar
-        path's masking does.
+        Output ``i`` of the ``n`` (from 1) is ``mix64`` of that state plus
+        ``(i - 1) * GAMMA``, mod 2^64.
         """
-        with np.errstate(over="ignore"):
-            z = (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-                 + np.uint64(self._state))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        floats = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-        return lo + (hi - lo) * floats
+        state = self._state
+        self._state = (state + n * GAMMA) & _MASK64
+        return state
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection, no modulo bias."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vecdrive
-from vecdrive import cli, jsonio
+from vecdrive import cli, jsonio, planner
 from vecdrive.cli import ConfigError, build_parser, main
 from vecdrive.external import MAX_TIMEOUT, OracleTimeout
 from vecdrive.oracle import Format, RuleOracle, rule_oracle_decide
@@ -400,6 +400,33 @@ def test_eval_plan_refuses_a_checkpoint_whose_prediction_overflows(workdir):
     assert not (out / "eval_plan.json").exists() and not (out / "eval_plan.txt").exists()
 
 
+@pytest.mark.parametrize("scale, problem", [
+    (3e307, "l2[avg] of scenario 'mixed-7-00011' overflows to inf"),
+    (1e307, "the mean l2[3s] over 4 scenarios overflows to inf"),
+])
+def test_eval_plan_refuses_a_checkpoint_whose_l2_overflows(workdir, scale, problem):
+    # Every prediction is finite, but its distance to the ground truth (at
+    # 3e307) or the table's mean of the distances (at 1e307) is not. The
+    # error names the checkpoint, and the scenario when one is at fault.
+    out = gen(workdir, n=20, seed=7)
+    assert run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
+                "--out", str(out), "--epochs", "2"]) == 0
+    ckpt = out / "checkpoint.json"
+    obj = json.loads(ckpt.read_text())
+    w2 = obj["params"]["plan_head.w2"]
+    w2["data"] = [v * scale for v in w2["data"]]
+    ckpt.write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vecdrive.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vecdrive", "eval-plan", "--scenarios",
+         str(out / "scenarios_eval.jsonl"), "--checkpoint", str(ckpt), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {ckpt}: {problem}\n"
+    assert not (out / "eval_plan.json").exists() and not (out / "eval_plan.txt").exists()
+
+
 def test_eval_plan_and_report_accept_an_avg_one_ulp_off_at_a_huge_l2(workdir, capsys):
     # At ~1e307 m one ULP is far above any absolute tolerance, and the row's
     # avg (a mean of per-sample avgs) rounds differently from the mean of
@@ -732,7 +759,7 @@ def test_train_oversized_planner_exit_2_before_allocating(workdir, capsys, monke
     out = gen(workdir, n=6)
     def no_model(*args, **kwargs):
         raise AssertionError("the model was allocated")
-    monkeypatch.setattr(cli, "init_model", no_model)
+    monkeypatch.setattr(planner, "init_model", no_model)
     code = run(["train", "--scenarios", str(out / "scenarios_train.jsonl"),
                 "--out", str(out), *extra])
     assert code == 2

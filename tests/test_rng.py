@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vecdrive.planner import uniform_array
 from vecdrive.rng import SplitMix64, mix64
 
 MASK = (1 << 64) - 1
@@ -48,7 +49,7 @@ def test_uniform_range():
 def test_uniform_array_matches_scalar_draws(seed):
     vec, scalar = SplitMix64(seed), SplitMix64(seed)
     for n, lo, hi in ((0, 0.0, 1.0), (1, -0.5, 0.5), (257, -0.125, 3.0), (40, -2.5, 4.0)):
-        got = vec.uniform_array(n, lo, hi)
+        got = uniform_array(vec, n, lo, hi)
         expected = np.array([scalar.uniform(lo, hi) for _ in range(n)], dtype=float)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert np.array_equal(got, expected)
