@@ -19,11 +19,13 @@ explanation quality, planning accuracy and oracle latency.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
 divergence during training, 5 external-oracle failure.
 
-``--config FILE`` supplies defaults for any flag (JSON object keyed by
-the long flag name with dashes replaced by underscores); explicit flags
-win. The ``--oracle`` endpoint is ``rule``, ``exec:CMD`` or
-``tcp:HOST:PORT``. ``VLAD_LOG=debug|info|warn`` controls diagnostics on
-stderr; results go to stdout and ``--out`` files only.
+``vecdrive CMD --help`` shows each flag's default or "(required)".
+``--config FILE`` supplies defaults for any flag: a JSON object keyed by
+long flag names, where a key named after a command holds its section.
+Explicit flags win; a key that names no flag, or two keys of one object
+that name one flag, are configuration errors. The ``--oracle`` endpoint
+is ``rule``, ``exec:CMD`` or ``tcp:HOST:PORT``. ``VLAD_LOG=debug|info|warn``
+controls diagnostics on stderr; results go to stdout and ``--out`` files only.
 
 Importing this module does not import numpy. ``planner``, the one module
 that needs it, is registered lazily (``_lazy_module``) and called through
@@ -44,7 +46,7 @@ import sys
 import time
 
 from . import jsonio
-from .external import MAX_TIMEOUT, OracleError, open_oracle
+from .external import DEFAULT_TIMEOUT, MAX_TIMEOUT, OracleError, open_oracle
 from .oracle import (
     Format,
     QATask,
@@ -158,68 +160,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-#: Flag ``type`` (None for a string) -> the JSON values a config file may
-#: give that flag, and their description; a bool is never a number.
-_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-                 None: (str, "a string")}
-
-
-def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse ``type`` of each flag of one subcommand, --help aside."""
-    sub = next(a for a in parser._actions if a.dest == "command")
-    return {a.dest: a.type for a in sub.choices[command]._actions
-            if a.option_strings and a.default != argparse.SUPPRESS}
-
-
-def _apply_config_file(args: argparse.Namespace, flag_types: dict) -> None:
-    """Fill None-valued flags from the --config JSON object.
-
-    A key named after the subcommand may hold a section of
-    command-specific values; it is applied before the top-level keys, so
-    one config file can drive the whole pipeline. Explicit flags always
-    win. A value must have the JSON type its flag parses to (``null``
-    leaves the flag unset); float flags take ints.
-    """
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = jsonio.loads(fh.read())
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    except ValueError as e:
-        raise ConfigError(f"config {path}: invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    section = obj.get(args.command, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config {path}: section {args.command!r} must be an object")
-    for source in (section, obj):
-        for key, value in source.items():
-            attr = key.replace("-", "_")
-            if attr not in flag_types or getattr(args, attr) is not None or value is None:
-                continue
-            accepted, kind = _CONFIG_TYPES[flag_types[attr]]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(f"config {path}: {key!r} must be {kind}, "
-                                  f"got {type(value).__name__}")
-            if flag_types[attr] is float:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    raise ConfigError(f"config {path}: {key!r} is outside the float "
-                                      "range") from None
-            setattr(args, attr, value)
-
-
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"missing required option {flag}")
-
-
 def _out_dir(args: argparse.Namespace) -> str:
     out = args.out
     try:
@@ -229,9 +169,8 @@ def _out_dir(args: argparse.Namespace) -> str:
     return out
 
 
-def _eval_scenarios(args: argparse.Namespace, *extra_required: str) -> list:
-    """Check ``--scenarios``, the extra flags and ``--out``; load a non-empty set."""
-    _require(args, ["scenarios", *extra_required, "out"])
+def _eval_scenarios(args: argparse.Namespace) -> list:
+    """The ``--scenarios`` set, refused if it is empty."""
     scenarios = load_scenarios(args.scenarios)
     if not scenarios:
         raise ConfigError(f"{args.scenarios} holds no scenarios")
@@ -250,11 +189,10 @@ def _publish(args: argparse.Namespace, stem: str, rows: dict) -> int:
 
 @contextlib.contextmanager
 def _oracle(args: argparse.Namespace):
-    timeout = float(args.timeout)
-    if not (0 < timeout <= MAX_TIMEOUT):
+    if not (0 < args.timeout <= MAX_TIMEOUT):
         raise ConfigError(f"--timeout must be a finite number of seconds above 0 "
-                          f"and at most {MAX_TIMEOUT:g}, got {timeout!r}")
-    oracle = open_oracle(args.oracle, timeout=timeout)
+                          f"and at most {MAX_TIMEOUT:g}, got {args.timeout!r}")
+    oracle = open_oracle(args.oracle, timeout=args.timeout)
     try:
         yield oracle
     finally:
@@ -264,18 +202,15 @@ def _oracle(args: argparse.Namespace):
 
 
 def _gen_spec(args: argparse.Namespace) -> GenSpec:
-    spec = GenSpec(
-        n_scenarios=int(args.n), seed=int(args.seed), suite=Suite.parse(args.suite),
-        agent_density=float(args.density),
-        speed_range=(float(args.speed_min), float(args.speed_max)),
-    )
+    spec = GenSpec(n_scenarios=args.n, seed=args.seed, suite=Suite.parse(args.suite),
+                   agent_density=args.density, speed_range=(args.speed_min, args.speed_max))
     spec.validate()
     return spec
 
 
 def _planner_config(args: argparse.Namespace) -> planner.PlannerConfig:
-    config = planner.PlannerConfig(d_model=int(args.d_model), n_heads=int(args.n_heads),
-                                   hidden=int(args.hidden))
+    config = planner.PlannerConfig(d_model=args.d_model, n_heads=args.n_heads,
+                                   hidden=args.hidden)
     config.validate()
     return config
 
@@ -293,9 +228,8 @@ def _non_finite_key(row: dict[str, float]) -> str | None:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_simgen(args: argparse.Namespace) -> int:
-    _require(args, ["out"])
     spec = _gen_spec(args)
-    frac = None if args.train_frac is None else float(args.train_frac)
+    frac = args.train_frac
     if frac is not None and not (0.0 < frac < 1.0):
         raise ConfigError(f"--train-frac {frac} outside (0, 1)")
     out = _out_dir(args)
@@ -313,7 +247,6 @@ def cmd_simgen(args: argparse.Namespace) -> int:
 
 
 def cmd_qagen(args: argparse.Namespace) -> int:
-    _require(args, ["scenarios", "out"])
     scenarios = load_scenarios(args.scenarios)
     counts = {task: 0 for task in QATask}
     actions = {action: 0 for action in MetaAction}
@@ -335,14 +268,13 @@ def cmd_qagen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _require(args, ["scenarios", "out"])
     config = _planner_config(args)
-    seed = check_seed(int(args.seed))
+    seed = check_seed(args.seed)
     scenarios = load_scenarios(args.scenarios)
     out = _out_dir(args)
     model = planner.init_model(config, seed)
     log.info("training on %d scenarios for %d epochs (lr=%g, seed=%d)",
-             len(scenarios), int(args.epochs), float(args.lr), seed)
+             len(scenarios), args.epochs, args.lr, seed)
 
     def commands():
         # train reads them after its own checks, so a bad --epochs or --lr
@@ -351,7 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             yield from _commands(oracle, scenarios)
 
     trained, curve = planner.train(model, scenarios, commands(),
-                                   epochs=int(args.epochs), lr=float(args.lr), seed=seed)
+                                   epochs=args.epochs, lr=args.lr, seed=seed)
     checkpoint_path = os.path.join(out, "checkpoint.json")
     planner.save_checkpoint(trained, checkpoint_path)
     curve_lines = ["epoch,mean_loss"]
@@ -370,7 +302,9 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
     if args.predict not in ("model", "gt"):
         raise ConfigError(f"--predict must be model|gt, got {args.predict!r}")
     use_model = args.predict == "model"
-    scenarios = _eval_scenarios(args, *(["checkpoint"] if use_model else []))
+    if use_model and args.checkpoint is None:
+        raise ConfigError("missing required option --checkpoint")
+    scenarios = _eval_scenarios(args)
     model = planner.load_checkpoint(args.checkpoint) if use_model else None
     rows_l2 = {"planner": [], "const-velocity": []}
     rows_col = {"planner": [], "const-velocity": []}
@@ -423,7 +357,7 @@ def cmd_eval_text(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_actions(args: argparse.Namespace) -> int:
-    scenarios = _eval_scenarios(args, "qa")
+    scenarios = _eval_scenarios(args)
     labels = {}
     with open(args.qa, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -460,7 +394,7 @@ def cmd_eval_actions(args: argparse.Namespace) -> int:
 
 def cmd_bench_oracle(args: argparse.Namespace) -> int:
     scenarios = _eval_scenarios(args)
-    warmup = int(args.warmup)
+    warmup = args.warmup
     if warmup < 0:
         raise ConfigError(f"--warmup must be 0 or more, got {warmup}")
     rows = {}
@@ -478,7 +412,6 @@ def cmd_bench_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    _require(args, ["dir"])
     found = False
     for stem, render in _TABLES.items():
         path = os.path.join(args.dir, f"{stem}.json")
@@ -499,101 +432,165 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# --- parser ----------------------------------------------------------------------
+# --- flags -----------------------------------------------------------------------
+
+#: Every flag once: dest -> (argparse ``type``, None for a string; help).
+#: The flag is ``--`` + dest with dashes for underscores. Range checks
+#: stay with the code that consumes the value.
+FLAGS = {
+    "config": (None, "JSON file supplying defaults for any flag"),
+    "scenarios": (None, "scenario JSONL input"),
+    "out": (None, "output directory (for qagen, the QA JSONL file)"),
+    "n": (int, "number of scenarios"),
+    "seed": (int, "random seed in [0, 2^64)"),
+    "suite": (None, "CRUISE|TURNS|HAZARD_VRU|SYMMETRIC_FORK|MIXED"),
+    "density": (float, "agent density in [0,1]"),
+    "speed_min": (float, "min ego speed m/s"),
+    "speed_max": (float, "max ego speed m/s"),
+    "train_frac": (float, "also write a train/eval split with this train fraction"),
+    "epochs": (int, "training epochs"),
+    "lr": (float, "SGD learning rate"),
+    "d_model": (int, "model width"),
+    "n_heads": (int, "attention heads"),
+    "hidden": (int, "MLP hidden width"),
+    "checkpoint": (None, "planner checkpoint, needed for --predict model"),
+    "predict": (None, "model | gt"),
+    "format": (None, "short | long"),
+    "qa": (None, "QA JSONL holding planning labels"),
+    "oracle": (None, "oracle endpoint: rule | exec:CMD | tcp:HOST:PORT"),
+    "timeout": (float, f"external oracle timeout seconds, above 0 and at most {MAX_TIMEOUT:g}"),
+    "warmup": (int, "warm-up calls excluded"),
+    "dir": (None, "directory holding eval_*.json / bench.json"),
+}
+
+#: The default of a flag the command cannot run without.
+REQUIRED = object()
+
+_ORACLE = {"oracle": "rule", "timeout": DEFAULT_TIMEOUT}
+
+#: Subcommand -> (help, dest -> default or REQUIRED of each of its flags but
+#: --config, in --help order); ``main`` runs ``cmd_<name>``. The planner sizes
+#: are literals, so importing this module does not import numpy.
+COMMANDS = {
+    "simgen": ("generate scenario datasets", {
+        "out": REQUIRED, "n": 100, "seed": 0, "suite": "MIXED", "density": 0.5,
+        "speed_min": 2.0, "speed_max": 6.0, "train_frac": None}),
+    "qagen": ("generate the ground-truth QA dataset", {"scenarios": REQUIRED, "out": REQUIRED}),
+    "train": ("train the planner with a frozen oracle", {
+        "scenarios": REQUIRED, "out": REQUIRED, "epochs": 50, "lr": 1e-2, "seed": 7,
+        "d_model": 32, "n_heads": 2, "hidden": 64, **_ORACLE}),
+    "eval-plan": ("displacement and collision table", {
+        "scenarios": REQUIRED, "checkpoint": None, "predict": "model", **_ORACLE, "out": REQUIRED}),
+    "eval-text": ("explanation-quality table", {
+        "scenarios": REQUIRED, **_ORACLE, "format": "long", "out": REQUIRED}),
+    "eval-actions": ("planning accuracy vs stored labels", {
+        "scenarios": REQUIRED, "qa": REQUIRED, **_ORACLE, "out": REQUIRED}),
+    "bench-oracle": ("oracle latency per rationale format", {
+        "scenarios": REQUIRED, **_ORACLE, "warmup": 3, "out": REQUIRED}),
+    "report": ("render stored evaluation JSON as tables", {"dir": REQUIRED}),
+}
+
+
+def command_flags(command: str) -> dict:
+    """dest -> default (or REQUIRED) of each flag of ``command``, ``--config`` first."""
+    return {"config": None, **COMMANDS[command][1]}
+
+
+#: Flag ``type`` (None for a string) -> the JSON values a config file may
+#: give that flag, and their description; a bool is never a number.
+_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                 None: (str, "a string")}
+
+
+def _apply_config_file(args: argparse.Namespace, flags: dict) -> None:
+    """Fill None-valued ``flags`` of the command from the --config JSON object.
+
+    The command's section is applied before the top-level keys; explicit
+    flags win. A value must have its flag's JSON type (``null`` leaves the
+    flag unset; float flags take ints). A key that names no flag (in the
+    section, no flag of the command) and two keys of one object that name
+    one flag (``n`` twice, ``speed-min`` and ``speed_min``) are refused.
+    """
+    path = args.config
+    if not path:
+        return
+
+    def unique_flags(pairs: list) -> dict:
+        seen = {}
+        for key, _ in pairs:
+            attr = key.replace("-", "_")
+            if attr in seen:
+                raise ConfigError(f"config {path}: {seen[attr]!r} and {key!r} name the same flag")
+            seen[attr] = key
+        return dict(pairs)
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = jsonio.loads(fh.read(), object_pairs_hook=unique_flags)
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"config {path}: invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
+    section = obj.get(args.command, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {path}: section {args.command!r} must be an object")
+    top = {key: value for key, value in obj.items() if key not in COMMANDS}
+    for source, known, scope in ((section, flags, f"a flag of {args.command}"),
+                                 (top, FLAGS, "a flag or a command")):
+        for key, value in source.items():
+            attr = key.replace("-", "_")
+            if attr not in known:
+                raise ConfigError(f"config {path}: {key!r} is not {scope}")
+            if attr not in flags or getattr(args, attr) is not None or value is None:
+                continue
+            flag_type = FLAGS[attr][0]
+            accepted, kind = _CONFIG_TYPES[flag_type]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"config {path}: {key!r} must be {kind}, "
+                                  f"got {type(value).__name__}")
+            if flag_type is float:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"config {path}: {key!r} is outside the float "
+                                      "range") from None
+            setattr(args, attr, value)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; each flag parses to None when it is not given."""
     parser = argparse.ArgumentParser(
         prog="vecdrive",
         description="Synthetic-scene trajectory planning pipeline: generation, "
                     "QA data, training, and the open-loop evaluation battery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, **defaults):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, command_defaults=defaults)
-        p.add_argument("--config", help="JSON file supplying defaults for any flag")
-        return p
-
-    def add_oracle(p, help_text):
-        p.add_argument("--oracle", help=help_text)
-        p.add_argument("--timeout", type=float,
-                       help=f"external oracle timeout seconds, above 0 and at most "
-                            f"{MAX_TIMEOUT:g}")
-
-    p = add("simgen", cmd_simgen, "generate scenario datasets", n=100, seed=0,
-            suite="MIXED", density=0.5, speed_min=2.0, speed_max=6.0)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--n", type=int, help="number of scenarios (default 100)")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p.add_argument("--suite", help="CRUISE|TURNS|HAZARD_VRU|SYMMETRIC_FORK|MIXED")
-    p.add_argument("--density", type=float, help="agent density in [0,1] (default 0.5)")
-    p.add_argument("--speed-min", type=float, dest="speed_min", help="min ego speed m/s")
-    p.add_argument("--speed-max", type=float, dest="speed_max", help="max ego speed m/s")
-    p.add_argument("--train-frac", type=float, dest="train_frac",
-                   help="also write a train/eval split with this train fraction")
-
-    p = add("qagen", cmd_qagen, "generate the ground-truth QA dataset")
-    p.add_argument("--scenarios", help="scenario JSONL input")
-    p.add_argument("--out", help="QA JSONL output path")
-
-    p = add("train", cmd_train, "train the planner with a frozen oracle", epochs=50,
-            lr=1e-2, seed=7, d_model=32, n_heads=2, hidden=64, oracle="rule", timeout=10.0)
-    p.add_argument("--scenarios", help="training scenario JSONL")
-    p.add_argument("--out", help="output directory for checkpoint.json / loss_curve.csv")
-    p.add_argument("--epochs", type=int, help="training epochs (default 50)")
-    p.add_argument("--lr", type=float, help="SGD learning rate (default 1e-2)")
-    p.add_argument("--seed", type=int, help="init + shuffle seed in [0, 2^64) (default 7)")
-    p.add_argument("--d-model", type=int, dest="d_model", help="model width (default 32)")
-    p.add_argument("--n-heads", type=int, dest="n_heads", help="attention heads (default 2)")
-    p.add_argument("--hidden", type=int, help="MLP hidden width (default 64)")
-    add_oracle(p, "rule | exec:CMD | tcp:HOST:PORT (default rule)")
-
-    p = add("eval-plan", cmd_eval_plan, "displacement and collision table",
-            oracle="rule", predict="model", timeout=10.0)
-    p.add_argument("--scenarios", help="evaluation scenario JSONL")
-    p.add_argument("--checkpoint", help="planner checkpoint (for --predict model)")
-    p.add_argument("--predict", help="model | gt (default model)")
-    add_oracle(p, "oracle endpoint supplying commands")
-    p.add_argument("--out", help="output directory")
-
-    p = add("eval-text", cmd_eval_text, "explanation-quality table",
-            oracle="rule", format="long", timeout=10.0)
-    p.add_argument("--scenarios", help="evaluation scenario JSONL")
-    add_oracle(p, "oracle under test (default rule)")
-    p.add_argument("--format", help="short | long (default long)")
-    p.add_argument("--out", help="output directory")
-
-    p = add("eval-actions", cmd_eval_actions, "planning accuracy vs stored labels",
-            oracle="rule", timeout=10.0)
-    p.add_argument("--scenarios", help="evaluation scenario JSONL")
-    p.add_argument("--qa", help="QA JSONL holding planning labels")
-    add_oracle(p, "oracle under test (default rule)")
-    p.add_argument("--out", help="output directory")
-
-    p = add("bench-oracle", cmd_bench_oracle, "oracle latency per rationale format",
-            oracle="rule", timeout=10.0, warmup=3)
-    p.add_argument("--scenarios", help="evaluation scenario JSONL")
-    add_oracle(p, "oracle to benchmark (default rule)")
-    p.add_argument("--warmup", type=int, help="warm-up calls excluded (default 3)")
-    p.add_argument("--out", help="output directory")
-
-    p = add("report", cmd_report, "render stored evaluation JSON as tables")
-    p.add_argument("--dir", help="directory holding eval_*.json / bench.json")
-
+        for dest, default in command_flags(name).items():
+            flag_type, flag_help = FLAGS[dest]
+            shown = ("required" if default is REQUIRED
+                     else f"default {'none' if default is None else default}")
+            p.add_argument("--" + dest.replace("_", "-"), type=flag_type,
+                           help=f"{flag_help} ({shown})")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    flags = command_flags(args.command)
     try:
         _setup_logging()
-        _apply_config_file(args, _flag_types(parser, args.command))
-        for name, value in args.command_defaults.items():
-            if getattr(args, name) is None:
-                setattr(args, name, value)
-        return args.func(args)
+        _apply_config_file(args, flags)
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                if default is REQUIRED:
+                    raise ConfigError(f"missing required option --{dest.replace('_', '-')}")
+                setattr(args, dest, default)
+        # Looked up on each call, so a patched or traced command is the one that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Exception as e:
         for types, code in _EXIT_CODES:
             if isinstance(e, types):

@@ -100,11 +100,12 @@ _EMITTERS: dict[type, Callable[[Any, list[str]], None]] = {
 }
 
 
-def loads(text: str) -> Any:
-    """``json.loads``; nesting too deep to parse is a ``ValueError`` like any
-    other malformed input, so every reader's decode-error handling covers it."""
+def loads(text: str, object_pairs_hook=None) -> Any:
+    """``json.loads``, with its ``object_pairs_hook``; nesting too deep to parse
+    is a ``ValueError`` like any other malformed input, so every reader's
+    decode-error handling covers it."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 

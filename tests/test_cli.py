@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -1046,6 +1047,91 @@ def test_config_null_is_unset_and_float_flags_take_ints(workdir):
             == read(workdir / "flags" / "scenarios.jsonl"))
 
 
+def required_argv(command, workdir, skip=None):
+    """Every required flag of ``command`` but ``skip``, each naming a path under ``workdir``."""
+    return [arg for dest, default in cli.COMMANDS[command][1].items()
+            if default is cli.REQUIRED and dest != skip
+            for arg in ("--" + dest.replace("_", "-"), str(workdir / dest))]
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for command, (_, flags) in cli.COMMANDS.items()
+    for dest, default in flags.items() if default is cli.REQUIRED])
+def test_missing_required_flag_exit_2_before_the_command_runs(workdir, monkeypatch, capsys,
+                                                              command, dest):
+    def ran(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), ran)
+    assert run([command, *required_argv(command, workdir, skip=dest)]) == 2
+    flag = "--" + dest.replace("_", "-")
+    assert capsys.readouterr().err == f"error: missing required option {flag}\n"
+
+
+def test_help_shows_each_default_or_required(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")   # one line per help text
+    for command in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0, command
+        text = capsys.readouterr().out
+        for dest, default in cli.command_flags(command).items():
+            shown = ("required" if default is cli.REQUIRED
+                     else f"default {'none' if default is None else default}")
+            line = (rf"--{dest.replace('_', '-')} {dest.upper()}\s+"
+                    + re.escape(f"{cli.FLAGS[dest][1]} ({shown})") + "\n")
+            assert re.search(line, text), (command, dest, text)
+
+
+def test_every_default_has_its_flag_type():
+    for command, (_, flags) in cli.COMMANDS.items():
+        for dest, default in flags.items():
+            if default is not None and default is not cli.REQUIRED:
+                assert type(default) is (cli.FLAGS[dest][0] or str), (command, dest)
+    used = {dest for name in cli.COMMANDS for dest in cli.command_flags(name)}
+    assert used == set(cli.FLAGS)
+    # The table holds literals, so importing cli does not import numpy.
+    train = cli.COMMANDS["train"][1]
+    assert {k: train[k] for k in ("d_model", "n_heads", "hidden")} == PlannerConfig().to_dict()
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("simgen", '{"speed-min": 1.0, "speed_min": 5.0, "n": 3}', ["'speed-min'", "'speed_min'"]),
+    ("simgen", '{"n": 3, "n": 5}', ["'n' and 'n'"]),
+    ("simgen", '{"simgen": {"train_frac": 0.5, "train-frac": 0.5}}',
+     ["'train_frac'", "'train-frac'"]),
+    ("simgen", '{"train": {"lr": 0.5, "lr": 0.1}}', ["'lr' and 'lr'"]),
+    ("train", '{"learning_rate": 5}', ["'learning_rate'"]),
+    ("train", '{"eval_plan": {"predict": "gt"}}', ["'eval_plan'"]),
+    ("train", '{"train": {"n": 5}}', ["'n'", "train"]),
+    ("qagen", '{"qagen": {"seed": 5}}', ["'seed'", "qagen"]),
+])
+def test_config_unknown_or_doubled_key_exit_2(workdir, capsys, command, text, named):
+    out = gen(workdir, n=6)
+    config = workdir / "cfg.json"
+    config.write_text(text)
+    result = workdir / "result"
+    argv = [command, "--config", str(config), "--out", str(result)]
+    if command != "simgen":
+        argv += ["--scenarios", str(out / "scenarios.jsonl")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config}: ") and all(n in err for n in named), err
+    assert not result.exists()
+
+
+def test_config_keys_of_other_commands_are_accepted(workdir):
+    """A top-level flag of another command and another command's section
+    are left to that command, so one file still drives the pipeline."""
+    config = workdir / "cfg.json"
+    config.write_text(json.dumps({"n": 4, "warmup": 1, "config": "ignored.json",
+                                  "train": {"learning_rate": 5}, "simgen": {"seed": 2}}))
+    assert run(["simgen", "--config", str(config), "--out", str(workdir / "cfg")]) == 0
+    assert run(["simgen", "--n", "4", "--seed", "2", "--out", str(workdir / "flags")]) == 0
+    assert (read(workdir / "cfg" / "scenarios.jsonl")
+            == read(workdir / "flags" / "scenarios.jsonl"))
+
+
 @pytest.mark.parametrize("error, code", [
     (ConfigError("bad flag"), 2),
     (ValidationError("agents[0]", "bad value"), 2),
@@ -1056,12 +1142,16 @@ def test_config_null_is_unset_and_float_flags_take_ints(workdir):
     (OracleTimeout("exec:slow", 0.5), 5),
 ])
 def test_exit_code_table(workdir, monkeypatch, capsys, error, code):
+    """Each command's error maps to its exit code, and ``main`` runs the
+    module's current ``cmd_*``, so a patched or traced command is the one
+    that runs."""
     def fail(args):
         raise error
 
-    monkeypatch.setattr(cli, "cmd_report", fail)
-    assert run(["report", "--dir", str(workdir)]) == code
-    assert capsys.readouterr().err == f"error: {error}\n"
+    for command in cli.COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), fail)
+        assert run([command, *required_argv(command, workdir)]) == code, command
+        assert capsys.readouterr().err == f"error: {error}\n", command
 
 
 def test_unmapped_exception_propagates(workdir, monkeypatch):
