@@ -317,8 +317,7 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
                                           f"scenario {scenario.id!r}")
             else:
                 pred = scenario.gt_future
-            ego = scenario.ego
-            baseline = constant_velocity_future(ego.position, ego.heading, ego.speed)
+            baseline = constant_velocity_future((0.0, 0.0), 0.0, scenario.ego.speed)
             l2 = l2_horizons(pred, scenario.gt_future)
             # A finite prediction far enough out overflows the distance;
             # under --predict gt it is 0.
@@ -328,9 +327,8 @@ def cmd_eval_plan(args: argparse.Namespace) -> int:
                                       f"{scenario.id!r} overflows to {l2[key]}")
             rows_l2["planner"].append(l2)
             rows_l2["const-velocity"].append(l2_horizons(baseline, scenario.gt_future))
-            rows_col["planner"].append(collision_horizons(pred, ego, scenario.agents))
-            rows_col["const-velocity"].append(
-                collision_horizons(baseline, ego, scenario.agents))
+            rows_col["planner"].append(collision_horizons(pred, scenario.agents))
+            rows_col["const-velocity"].append(collision_horizons(baseline, scenario.agents))
     rows = {name: {"l2": mean_rows(rows_l2[name]), "collision": mean_rows(rows_col[name])}
             for name in ("planner", "const-velocity")}
     key = _non_finite_key(rows["planner"]["l2"])

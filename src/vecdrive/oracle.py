@@ -12,6 +12,8 @@ centerline) along a quarter-circle arc of radius 8 m curving from the
 ego position toward the turn side, together with a 10 m straight
 approach segment ahead of the ego. Both pieces start at the ego
 position, matching the turn trajectories the scenario generator emits.
+A scenario is in the ego's frame (``scene``), so every point is read as
+it is stored.
 
 All rationale text comes from fixed templates with numeric slots, so the
 text-quality metrics have deterministic references. The LONG format adds
@@ -91,23 +93,6 @@ class Oracle(Protocol):
 
 # --- corridor geometry --------------------------------------------------------
 
-#: A scenario's ego frame: the ego position and the cos and sin of -heading.
-EgoFrame = tuple[float, float, float, float]
-
-
-def ego_frame(scenario: Scenario) -> EgoFrame:
-    """The ego frame of ``scenario``; a decision builds it once."""
-    ex, ey = scenario.ego.position
-    heading = scenario.ego.heading
-    return ex, ey, math.cos(-heading), math.sin(-heading)
-
-
-def _to_ego_frame(frame: EgoFrame, p: Point) -> Point:
-    ex, ey, c, s = frame
-    dx, dy = p[0] - ex, p[1] - ey
-    return (c * dx - s * dy, s * dx + c * dy)
-
-
 def _segment_distance(p: Point, a: Point, b: Point) -> float:
     ax, ay = a
     bx, by = b
@@ -121,7 +106,7 @@ def _segment_distance(p: Point, a: Point, b: Point) -> float:
 
 
 def corridor_centerline_distance(p: Point, side: MetaAction) -> float:
-    """Distance from an ego-frame point to the turn-corridor centerline.
+    """Distance from a point to the turn-corridor centerline.
 
     The centerline is the union of the straight approach segment
     (0,0)-(APPROACH_LENGTH,0) and the quarter arc of radius TURN_RADIUS
@@ -150,15 +135,14 @@ def point_in_turn_corridor(p: Point, side: MetaAction) -> bool:
     return corridor_centerline_distance(p, side) <= CORRIDOR_HALF_WIDTH
 
 
-def corridor_hazards(scenario: Scenario, side: MetaAction,
-                     frame: EgoFrame) -> list[AgentTrack]:
+def corridor_hazards(scenario: Scenario, side: MetaAction) -> list[AgentTrack]:
     """VRUs whose ground-truth future enters the turn corridor within 3 s."""
     hazards = []
     for agent in scenario.agents:
         if agent.kind not in VRU_KINDS:
             continue
         for p in agent.future:
-            if point_in_turn_corridor(_to_ego_frame(frame, p), side):
+            if point_in_turn_corridor(p, side):
                 hazards.append(agent)
                 break
     return hazards
@@ -200,12 +184,12 @@ def bearing_sector(bearing: float) -> str:
 SectorEntries = dict[str, list[tuple[float, int, AgentKind]]]
 
 
-def _agent_sector_entries(scenario: Scenario, frame: EgoFrame) -> SectorEntries:
+def _agent_sector_entries(scenario: Scenario) -> SectorEntries:
     """Each sector's (distance, id, kind) entries, nearest first. Ids are
     unique in a valid scenario, so the sort never compares two kinds."""
     sectors: SectorEntries = {s: [] for s in _SECTOR_ORDER}
     for agent in scenario.agents:
-        x, y = _to_ego_frame(frame, agent.position)
+        x, y = agent.position
         sectors[bearing_sector(math.atan2(y, x))].append(
             (math.hypot(x, y), agent.id, agent.kind))
     for entries in sectors.values():
@@ -244,7 +228,7 @@ def describe_sectors(scenario: Scenario, sectors: SectorEntries,
     return " ".join(parts)
 
 
-def _hazard_summary(hazards: list[AgentTrack], frame: EgoFrame) -> tuple[str, float]:
+def _hazard_summary(hazards: list[AgentTrack]) -> tuple[str, float]:
     counts: dict[AgentKind, int] = {}
     for agent in hazards:
         counts[agent.kind] = counts.get(agent.kind, 0) + 1
@@ -252,9 +236,7 @@ def _hazard_summary(hazards: list[AgentTrack], frame: EgoFrame) -> tuple[str, fl
         f"{counts[k]} {_plural(_KIND_NOUN[k], counts[k])}"
         for k in (AgentKind.PEDESTRIAN, AgentKind.CYCLIST) if k in counts
     )
-    nearest = min(
-        math.hypot(*_to_ego_frame(frame, a.position)) for a in hazards
-    )
+    nearest = min(math.hypot(*a.position) for a in hazards)
     return kinds, nearest
 
 
@@ -262,14 +244,13 @@ class RuleOracle:
     """Deterministic maneuver oracle implementing the turn-postponement rule."""
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
-        frame = ego_frame(scenario)
-        sectors = _agent_sector_entries(scenario, frame) if format is Format.LONG else None
-        return _rule_decision(scenario, format, frame, sectors)
+        sectors = _agent_sector_entries(scenario) if format is Format.LONG else None
+        return _rule_decision(scenario, format, sectors)
 
 
-def _rule_decision(scenario: Scenario, format: Format, frame: EgoFrame,
+def _rule_decision(scenario: Scenario, format: Format,
                    sectors: SectorEntries | None) -> MetaDecision:
-    """``RuleOracle.decide`` in ``frame``; a LONG decision describes ``sectors``."""
+    """``RuleOracle.decide``; a LONG decision describes ``sectors``."""
     intent = scenario.route_intent
     if intent is MetaAction.GO_STRAIGHT:
         action = MetaAction.GO_STRAIGHT
@@ -277,11 +258,11 @@ def _rule_decision(scenario: Scenario, format: Format, frame: EgoFrame,
         short = ("Continue straight; no turn is requested and "
                  "the route ahead stays on the current lane.")
     else:
-        hazards = corridor_hazards(scenario, intent, frame)
+        hazards = corridor_hazards(scenario, intent)
         side = _TURN_WORD[intent]
         if hazards:
             action = MetaAction.GO_STRAIGHT
-            kinds, nearest = _hazard_summary(hazards, frame)
+            kinds, nearest = _hazard_summary(hazards)
             short = (
                 f"Proceed straight, {POSTPONEMENT_CLAUSE} {side} turn: "
                 f"{kinds} crossing the turn corridor within 3.0 s, "
@@ -370,8 +351,7 @@ def _prediction_answer(agent: AgentTrack) -> str:
 def generate_qa(scenario: Scenario) -> list[QAItem]:
     """Ground-truth QA items: 1 perception + 1 per agent + 1 planning."""
     items: list[QAItem] = []
-    frame = ego_frame(scenario)
-    sectors = _agent_sector_entries(scenario, frame)
+    sectors = _agent_sector_entries(scenario)
     scene = describe_sectors(scenario, sectors, include_rear=True)
     if scenario.agents:
         perception_answer = scene
@@ -395,7 +375,7 @@ def generate_qa(scenario: Scenario) -> list[QAItem]:
         ))
     # The LONG rationale lists the front, left and right entries of the
     # perception answer.
-    decision = _rule_decision(scenario, Format.LONG, frame, sectors)
+    decision = _rule_decision(scenario, Format.LONG, sectors)
     items.append(QAItem(
         task=QATask.PLANNING,
         question=PLANNING_QUESTION,

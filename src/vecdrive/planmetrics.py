@@ -4,7 +4,8 @@ Displacement and collision are reported at the 1 s / 2 s / 3 s horizons
 (waypoint indices 2, 4, 6 of the 2 Hz trajectory) plus their mean.
 Collision per sample is binary up to each horizon; dataset-level rates
 average those binaries, so rates are monotone over horizons by
-construction.
+construction. Trajectories are in the scenario's frame, where the ego
+starts at the origin with heading 0 (``scene``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import textmetrics
-from .scene import AgentTrack, EgoState, Point, T_F
+from .scene import AgentTrack, Point, T_F
 
 HORIZON_KEYS = ("1s", "2s", "3s")
 #: 1-based waypoint index per horizon at 0.5 s per step.
@@ -197,16 +198,16 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
     return True
 
 
-def ego_headings(pred: Sequence[Point], ego: EgoState) -> list[float]:
+def ego_headings(pred: Sequence[Point]) -> list[float]:
     """Per-step ego heading from consecutive waypoint segments.
 
-    The segment before waypoint 1 starts at the ego's position. Segments
-    shorter than 1e-6 m reuse the previous heading, which before the first
-    longer segment is the ego's own.
+    The segment before waypoint 1 starts at the origin, where the ego is.
+    Segments shorter than 1e-6 m reuse the previous heading, which before
+    the first longer segment is the ego's own, 0.
     """
     headings = []
-    prev_point = ego.position
-    prev_heading = ego.heading
+    prev_point = (0.0, 0.0)
+    prev_heading = 0.0
     for point in pred:
         dx, dy = point[0] - prev_point[0], point[1] - prev_point[1]
         if math.hypot(dx, dy) >= 1e-6:
@@ -216,26 +217,21 @@ def ego_headings(pred: Sequence[Point], ego: EgoState) -> list[float]:
     return headings
 
 
-def collision_horizons(
-    pred: Sequence[Point],
-    ego: EgoState,
-    agents: Sequence[AgentTrack],
-) -> dict[str, float]:
+def collision_horizons(pred: Sequence[Point], agents: Sequence[AgentTrack]) -> dict[str, float]:
     """Binary collision (0 or 100) up to each horizon for one sample.
 
     At step k an ``EGO_EXTENT`` box sits on pred[k] with the heading
-    ``ego_headings(pred, ego)`` gives, so the chain starts at the ego's
-    pose; each agent box sits on its ground-truth future point with its
-    fixed current heading. Pairs whose bounding circles are apart skip the
-    separating-axis test, and the scan stops at the first colliding
-    step; the flags are those of testing every pair.
+    ``ego_headings(pred)`` gives; each agent box sits on its ground-truth
+    future point with its fixed current heading. Pairs whose bounding
+    circles are apart skip the separating-axis test, and the scan stops at
+    the first colliding step; the flags are those of testing every pair.
     """
     if len(pred) != T_F:
         raise ValueError(f"predicted trajectory must have {T_F} waypoints")
     for agent in agents:
         if len(agent.future) != T_F:
             raise ValueError(f"agent {agent.id} future has {len(agent.future)} points")
-    headings = ego_headings(pred, ego)
+    headings = ego_headings(pred)
     ego_length, ego_width = EGO_EXTENT
     ego_reach = 0.5 * math.hypot(ego_length, ego_width)
     reaches = [ego_reach + 0.5 * math.hypot(agent.extent[0], agent.extent[1])

@@ -400,12 +400,12 @@ def _pack(scenario: Scenario, command: MetaAction,
     [ego; map], ego state + one-hot command, gt waypoints or None). An
     agent row is x, y, cos/sin heading, speed, length, width; a map row is
     the polyline's four points flattened; positions, speeds and extents
-    are scaled by INPUT_SCALE. The positional rows after the ego's are the
-    first two columns of the agent and map rows: each agent's position and
-    each polyline's first point.
+    are scaled by INPUT_SCALE. The ego's positional row is the origin,
+    where every scenario puts it; the rows after it are the first two
+    columns of the agent and map rows: each agent's position and each
+    polyline's first point.
     """
     ego = scenario.ego
-    ego_pos = np.array(ego.position, dtype=float) * INPUT_SCALE
     agents = np.array(
         [(a.position[0], a.position[1], math.cos(a.heading), math.sin(a.heading),
           a.speed, a.extent[0], a.extent[1]) for a in scenario.agents], dtype=float,
@@ -420,7 +420,7 @@ def _pack(scenario: Scenario, command: MetaAction,
             raise ValueError(f"trajectories must have {T_F} waypoints")
     pe1_in = np.empty((agents.shape[0] + 1, 2))
     pe2_in = np.empty((lines.shape[0] + 1, 2))
-    pe1_in[0] = pe2_in[0] = ego_pos
+    pe1_in[0] = pe2_in[0] = 0.0
     pe1_in[1:] = agents[:, :2]
     pe2_in[1:] = lines[:, :2]
     return (

@@ -1,9 +1,12 @@
 """Vectorized driving-scene types and their deterministic JSONL serialization.
 
-A scenario is a ground-truth snapshot in an ego-centric frame (ego at the
-origin at t=0, +x forward by convention): the ego state, up to A_MAX agent
-tracks with 3 s futures, up to M_MAX fixed-size map polylines, the
-navigation-level intended maneuver, and the ground-truth ego future.
+A scenario is a ground-truth snapshot in the ego's frame at t=0, as VAD's
+planner sees the scene: the ego state, up to A_MAX agent tracks with 3 s
+futures, up to M_MAX fixed-size map polylines, the navigation-level
+intended maneuver, and the ground-truth ego future. The ego sits at the
+origin with heading 0 (+x forward): ``validate()`` and the decoder refuse
+any other ego ``x``, ``y`` or ``heading`` (-0.0 counts as 0), so every
+reader takes a point as it is stored.
 
 A trajectory, ground truth or predicted, is a plain ``tuple[Point, ...]``
 of T_F points 0.5 s apart, as an agent's future is.
@@ -15,9 +18,9 @@ known-good.
 
 ``validate()`` and the JSONL decoder's checked path call the same check
 for each kind of field (``_as_float``, ``_as_int``, ``_as_member``,
-``_check_pose``, ``_check_id_and_seed``), so ``validate()`` refuses
-exactly the types the loader refuses and ``save_scenarios`` never writes
-a file that ``load_scenarios`` rejects.
+``_check_pose``, ``_check_origin``, ``_check_id_and_seed``), so
+``validate()`` refuses exactly the types the loader refuses and
+``save_scenarios`` never writes a file that ``load_scenarios`` rejects.
 
 ``scenario_from_dict`` decodes a line in one pass and keeps the checked,
 per-field path for the lines that pass defers, so every error names its field.
@@ -227,6 +230,13 @@ def _check_pose(path: str, position: Point, heading: float, speed: float) -> Non
         raise ValidationError(path + ".speed", f"negative speed {speed}")
 
 
+def _check_origin(path: str, value: float) -> None:
+    """An ego coordinate or heading must be 0: a scenario is in the ego's frame."""
+    if value != 0:
+        raise ValidationError(path, f"{value!r} is not 0: the ego sits at the origin "
+                                    "with heading 0")
+
+
 def _check_id_and_seed(scenario_id: Any, seed: Any) -> None:
     if not isinstance(scenario_id, str):
         raise ValidationError("id", "expected string")
@@ -238,14 +248,17 @@ def _check_id_and_seed(scenario_id: Any, seed: Any) -> None:
 
 @dataclass(frozen=True)
 class EgoState:
-    position: Point
-    heading: float      # radians in (-pi, pi]
+    position: Point     # (0, 0): the file's "x" and "y"
+    heading: float      # 0
     speed: float        # m/s, >= 0
     accel: float        # m/s^2
 
     def validate(self, path: str = "ego") -> None:
         _check_pose(path, self.position, self.heading, self.speed)
         _check_finite(path + ".accel", self.accel)
+        for value in self.position[0], self.position[1]:
+            _check_origin(path + ".position", value)
+        _check_origin(path + ".heading", self.heading)
 
 
 @dataclass(frozen=True)
@@ -517,7 +530,7 @@ def _scenario_fast(obj: Any) -> Scenario | None:
         lines = tuple(MapPolyline(m["id"], _MAP_KINDS[m["kind"]], pts)
                       for m, pts in zip(polylines, point_tuples[len(agents):]))
         scenario_id, seed, gt_future = obj["id"], obj["seed"], point_tuples[-1]
-        if (not -math.pi < heading <= math.pi or speed < 0
+        if (x != 0 or y != 0 or heading != 0 or speed < 0
                 or any(type(t.id) is not int or not -math.pi < t.heading <= math.pi or t.speed < 0
                        or min(t.extent) <= 0 or len(t.future) != T_F for t in tracks)
                 or len({t.id for t in tracks}) != len(tracks)
@@ -544,6 +557,8 @@ def _scenario_checked(obj: Any) -> Scenario:
         speed=_number(ego_obj, "speed", "ego"),
         accel=_number(ego_obj, "accel", "ego"),
     )
+    for key, value in zip(("x", "y", "heading"), (*ego.position, ego.heading)):
+        _check_origin("ego." + key, value)
     agents = []
     agents_obj = _get(obj, "agents", "")
     if not isinstance(agents_obj, list):

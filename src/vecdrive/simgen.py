@@ -280,8 +280,9 @@ def _build_fork(rng: SplitMix64, spec: GenSpec, scenario_id: str, seed: int,
 
 
 def mirror_scenario(s: Scenario, new_id: str) -> Scenario:
-    """Negate every y coordinate and heading and swap left/right intents.
-    ``0.0 - v`` is ``-v`` for any nonzero v, and +0.0, not -0.0, for a zero."""
+    """Negate every y coordinate and heading and swap left/right intents; the
+    ego, at the origin with heading 0, stays. ``0.0 - v`` is ``-v`` for any
+    nonzero v, and +0.0, not -0.0, for a zero."""
     flip = {
         MetaAction.TURN_LEFT: MetaAction.TURN_RIGHT,
         MetaAction.TURN_RIGHT: MetaAction.TURN_LEFT,
@@ -289,8 +290,7 @@ def mirror_scenario(s: Scenario, new_id: str) -> Scenario:
     }
     return Scenario(
         id=new_id,
-        ego=EgoState((s.ego.position[0], 0.0 - s.ego.position[1]),
-                     normalize_heading(0.0 - s.ego.heading), s.ego.speed, s.ego.accel),
+        ego=s.ego,
         agents=tuple(
             AgentTrack(a.id, a.kind, (a.position[0], 0.0 - a.position[1]),
                        normalize_heading(0.0 - a.heading), a.speed, a.extent,

@@ -41,7 +41,7 @@ from vecdrive.planner import (
 )
 from vecdrive.report import render_latency_table
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import EgoState, MetaAction, Scenario, VRU_KINDS
+from vecdrive.scene import MetaAction, Scenario, VRU_KINDS
 from vecdrive.simgen import GenSpec, Suite, constant_velocity_future, generate, split
 from vecdrive.textmetrics import lcs_length, meteor, rouge_l
 
@@ -61,7 +61,7 @@ def criterion(label):
 
 
 def constant_velocity_baseline(s: Scenario) -> tuple:
-    return constant_velocity_future(s.ego.position, s.ego.heading, s.ego.speed)
+    return constant_velocity_future((0.0, 0.0), 0.0, s.ego.speed)
 
 
 # --- shared trained model (A3 protocol) ----------------------------------------
@@ -163,10 +163,8 @@ def test_a3_planning_efficacy(trained_setup):
         model_col, base_col = [], []
         for s in hazard:
             command = oracle.decide(s, Format.SHORT).action
-            model_col.append(collision_horizons(
-                forward(trained, s, command), s.ego, s.agents))
-            base_col.append(collision_horizons(
-                constant_velocity_baseline(s), s.ego, s.agents))
+            model_col.append(collision_horizons(forward(trained, s, command), s.agents))
+            base_col.append(collision_horizons(constant_velocity_baseline(s), s.agents))
         model_rate = mean_rows(model_col)["avg"]
         base_rate = mean_rows(base_col)["avg"]
         print(f"  hazard collision avg: planner {model_rate:.1f}%, "
@@ -292,7 +290,6 @@ def test_a6_collision_geometry():
         assert tested > 800
 
         scen_rng = SplitMix64(707)
-        ego = EgoState((0.0, 0.0), 0.0, 0.0, 0.0)
         for _ in range(1000):
             pred = tuple(
                 (scen_rng.uniform(0.0, 2.5) * k, scen_rng.uniform(-1.5, 1.5))
@@ -310,7 +307,7 @@ def test_a6_collision_geometry():
                 agents.append(AgentTrack(
                     id=i + 1, kind=AgentKind.VEHICLE, position=pos, heading=0.0,
                     speed=speed, extent=(2.0, 1.0), future=future))
-            out = collision_horizons(pred, ego, agents)
+            out = collision_horizons(pred, agents)
             assert out["1s"] <= out["2s"] <= out["3s"]
 
 

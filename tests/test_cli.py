@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import vecdrive
 from vecdrive import cli, jsonio, planner
-from vecdrive.cli import ConfigError, build_parser, main
+from vecdrive.cli import ConfigError, main
 from vecdrive.external import MAX_TIMEOUT, OracleTimeout
 from vecdrive.oracle import Format, RuleOracle, rule_oracle_decide
 from vecdrive.planner import (
@@ -1014,10 +1014,9 @@ def test_non_utf8_input_names_its_file(workdir, capsys, case, code, named):
 
 
 def every_flag():
-    """(subcommand, dest, argparse type) for each flag a config file may set."""
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    return [(name, a.dest, a.type) for name, parser in sub.choices.items()
-            for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+    """(subcommand, dest, flag type) for each flag a config file may set."""
+    return [(name, dest, cli.FLAGS[dest][0])
+            for name, (_, flags) in cli.COMMANDS.items() for dest in flags]
 
 
 WRONG_CONFIG_VALUES = {
@@ -1202,7 +1201,16 @@ def test_failed_result_write_keeps_previous_file(workdir, monkeypatch):
     assert not [f.name for f in out.iterdir() if f.name.endswith(".tmp")]
 
 
-def test_subcommand_options_unchanged():
+def help_text(capsys, argv):
+    """What ``vecdrive *argv --help`` prints, one line per option."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_subcommand_options_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")   # one line per option
     common = ["--config", "-h", "--help"]
     expected = {
         "simgen": ["--out", "--n", "--seed", "--suite", "--density", "--speed-min",
@@ -1217,10 +1225,11 @@ def test_subcommand_options_unchanged():
         "bench-oracle": ["--scenarios", "--oracle", "--timeout", "--warmup", "--out"],
         "report": ["--dir"],
     }
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    assert list(sub.choices) == list(expected)
-    for name, parser in sub.choices.items():
-        options = {o for a in parser._actions for o in a.option_strings}
+    assert help_text(capsys, []).split("{", 1)[1].split("}", 1)[0].split(",") == list(expected)
+    for name in expected:
+        # Each option line of --help starts with its flags, "-h, --help" or "--out OUT".
+        options = {option.split()[0] for line in help_text(capsys, [name]).splitlines()
+                   if line.startswith("  -") for option in line.split("  ")[1].split(", ")}
         assert options == set(expected[name] + common), name
 
 

@@ -22,10 +22,10 @@ from vecdrive.planmetrics import (
     _with_avg,
 )
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import T_F
+from vecdrive.scene import T_F, ValidationError
 from vecdrive.simgen import GenSpec, Suite, constant_velocity_future, generate
 
-from conftest import make_agent, make_ego
+from conftest import make_agent, make_ego, make_scenario
 
 
 def traj(points):
@@ -33,7 +33,6 @@ def traj(points):
 
 
 STRAIGHT = traj([(0.5 * k, 0.0) for k in range(1, 7)])
-EGO = make_ego()   # at the origin with heading 0, as every simgen ego
 
 
 # --- l2_horizons -------------------------------------------------------------
@@ -152,7 +151,7 @@ def test_overlap_agrees_with_grid_oracle_sample():
 # --- collision_horizons ------------------------------------------------------
 
 def test_no_agents_no_collision():
-    out = collision_horizons(STRAIGHT, EGO, [])
+    out = collision_horizons(STRAIGHT, [])
     assert out == {"1s": 0.0, "2s": 0.0, "3s": 0.0, "avg": 0.0}
 
 
@@ -161,7 +160,7 @@ def test_agent_parked_on_second_waypoint():
     spot = STRAIGHT[1]
     agent = make_agent(agent_id=1, position=spot, speed=0.0,
                        future=tuple(spot for _ in range(6)))
-    out = collision_horizons(STRAIGHT, EGO, [agent])
+    out = collision_horizons(STRAIGHT, [agent])
     assert out["1s"] == out["2s"] == out["3s"] == 100.0
 
 
@@ -176,14 +175,14 @@ def test_collision_monotone_over_horizons_random():
             future = tuple((pos[0] + vel[0] * 0.5 * k, pos[1] + vel[1] * 0.5 * k)
                            for k in range(1, 7))
             agents.append(make_agent(agent_id=i + 1, position=pos, future=future))
-        out = collision_horizons(pred, EGO, agents)
+        out = collision_horizons(pred, agents)
         assert out["1s"] <= out["2s"] <= out["3s"]
         assert out["avg"] == pytest.approx((out["1s"] + out["2s"] + out["3s"]) / 3)
 
 
 def test_ego_headings_follow_segments():
     pred = traj([(1.0, 0.0), (1.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
-    hs = ego_headings(pred, EGO)
+    hs = ego_headings(pred)
     assert hs[0] == pytest.approx(0.0)
     assert hs[1] == pytest.approx(math.pi / 2)
     assert hs[2] == pytest.approx(math.pi / 2)   # zero-length segment reuses heading
@@ -192,27 +191,30 @@ def test_ego_headings_follow_segments():
     assert hs[5] == pytest.approx(-math.pi / 2)
 
 
-def test_ego_headings_start_from_the_ego_pose():
-    ego = make_ego(position=(2.0, 3.0), heading=1.0, speed=0.0)
-    assert ego_headings(traj([(2.0, 3.0)] * T_F), ego) == [1.0] * T_F
-    pred = traj([(2.0 + k, 3.0) for k in range(1, 7)])
-    assert ego_headings(pred, ego) == [0.0] * T_F
+def test_ego_headings_start_at_the_origin_with_heading_0():
+    assert ego_headings(traj([(0.0, 0.0)] * T_F)) == [0.0] * T_F
+    assert ego_headings(traj([(0.0, -0.0)] * T_F)) == [0.0] * T_F
+    pred = traj([(0.0, float(k)) for k in range(1, 7)])
+    assert ego_headings(pred) == [math.pi / 2] * T_F
 
 
-def pedestrian_beside_the_ego():
-    """An ego driving along y = 5 and a pedestrian 2 m to its left. Read
-    from the origin, the first segment would turn the ego box by 78.7
-    degrees into the pedestrian."""
-    pedestrian = make_agent(position=(1.0, 7.0), speed=0.0, extent=(0.5, 0.5),
-                            future=((1.0, 7.0),) * T_F)
-    pred = traj([(float(k), 5.0) for k in range(1, 7)])
-    return make_ego(position=(0.0, 5.0)), pred, [pedestrian]
+def pedestrian_beside_the_ego(dy=0.0):
+    """An ego driving along y = dy and a pedestrian 2 m to its left."""
+    pedestrian = make_agent(position=(1.0, dy + 2.0), speed=0.0, extent=(0.5, 0.5),
+                            future=((1.0, dy + 2.0),) * T_F)
+    pred = traj([(float(k), dy) for k in range(1, 7)])
+    return pred, [pedestrian]
 
 
-def test_collision_starts_at_the_ego_pose():
-    ego, pred, agents = pedestrian_beside_the_ego()
-    out = collision_horizons(pred, ego, agents)
-    assert out == {"1s": 0.0, "2s": 0.0, "3s": 0.0, "avg": 0.0}
+def test_collision_starts_at_the_ego_at_the_origin():
+    pred, agents = pedestrian_beside_the_ego()
+    assert collision_horizons(pred, agents) == {"1s": 0.0, "2s": 0.0, "3s": 0.0, "avg": 0.0}
+    # The same scene with the ego at y = 5: no scenario holds it, so no
+    # collision check reads it from the origin.
+    pred, agents = pedestrian_beside_the_ego(dy=5.0)
+    with pytest.raises(ValidationError) as err:
+        make_scenario(ego=make_ego(position=(0.0, 5.0)), agents=agents, gt_future=pred)
+    assert err.value.field == "ego.position"
 
 
 def shifted(points, offset):
@@ -220,34 +222,34 @@ def shifted(points, offset):
 
 
 @pytest.mark.parametrize("offset", [(64.0, -32.0), (-0.5, 1024.0)])
-def test_collision_flags_do_not_move_with_the_scene(offset):
-    samples = [pedestrian_beside_the_ego()]
-    for scenario in generate(GenSpec(n_scenarios=60, seed=11, suite=Suite.MIXED,
-                                     agent_density=1.0)):
+def test_a_moved_scene_never_reaches_collision_checking(offset):
+    scenarios = generate(GenSpec(n_scenarios=60, seed=11, suite=Suite.MIXED,
+                                 agent_density=1.0))
+    for scenario in scenarios:
         ego = scenario.ego
-        samples += [(ego, pred, scenario.agents) for pred in (
-            scenario.gt_future, constant_velocity_future(ego.position, ego.heading, ego.speed))]
-    flagged = 0
-    for ego, pred, agents in samples:
-        out = collision_horizons(pred, ego, agents)
-        moved_ego = replace(ego, position=shifted([ego.position], offset)[0])
-        moved_agents = [replace(a, position=shifted([a.position], offset)[0],
-                                future=shifted(a.future, offset)) for a in agents]
-        assert collision_horizons(shifted(pred, offset), moved_ego, moved_agents) == out
-        flagged += out["3s"] > 0
-    assert flagged > 0
+        moved = replace(
+            scenario, ego=replace(ego, position=shifted([ego.position], offset)[0]),
+            agents=tuple(replace(a, position=shifted([a.position], offset)[0],
+                                 future=shifted(a.future, offset)) for a in scenario.agents),
+            gt_future=shifted(scenario.gt_future, offset))
+        with pytest.raises(ValidationError) as err:
+            moved.validate()
+        assert err.value.field == "ego.position"
+    # The unmoved scenes are checked, and some collide.
+    assert any(collision_horizons(pred, s.agents)["3s"] > 0 for s in scenarios
+               for pred in (s.gt_future, constant_velocity_future((0.0, 0.0), 0.0, s.ego.speed)))
 
 
 def test_collision_rejects_bad_future():
     bad = make_agent(future=((0.0, 0.0),) * 6)
     object.__setattr__(bad, "future", ((0.0, 0.0),) * 5)
     with pytest.raises(ValueError):
-        collision_horizons(STRAIGHT, EGO, [bad])
+        collision_horizons(STRAIGHT, [bad])
 
 
 # --- bounding-circle prefilter ----------------------------------------------
 
-def all_pairs_collision_horizons(pred, ego, agents):
+def all_pairs_collision_horizons(pred, agents):
     """``collision_horizons`` before its prefilter: every (step, agent) pair
     goes through the full separating-axis margin. Reference for the tests
     below."""
@@ -256,7 +258,7 @@ def all_pairs_collision_horizons(pred, ego, agents):
     for agent in agents:
         if len(agent.future) != T_F:
             raise ValueError(f"agent {agent.id} future has {len(agent.future)} points")
-    headings = ego_headings(pred, ego)
+    headings = ego_headings(pred)
     collided_at_step = []
     for k in range(T_F):
         ego_box = OrientedBox(pred[k], headings[k], *EGO_EXTENT)
@@ -391,8 +393,8 @@ def test_collision_matches_all_pairs_loop_on_dense_scenes(speed_range):
         ego = scenario.ego
         for pred in (scenario.gt_future,
                      constant_velocity_future(ego.position, ego.heading, ego.speed)):
-            out = collision_horizons(pred, ego, scenario.agents)
-            assert out == all_pairs_collision_horizons(pred, ego, scenario.agents)
+            out = collision_horizons(pred, scenario.agents)
+            assert out == all_pairs_collision_horizons(pred, scenario.agents)
             flagged += out["3s"] > 0
     if speed_range[1] < 1e6:
         assert flagged > 0
@@ -400,15 +402,12 @@ def test_collision_matches_all_pairs_loop_on_dense_scenes(speed_range):
 
 @st.composite
 def near_touching_samples(draw):
-    """A random ego pose and trajectory, and agents whose future points sit
-    near the bounding-circle or face-to-face distance of the ego box at
-    each step."""
+    """A random ego trajectory, and agents whose future points sit near the
+    bounding-circle or face-to-face distance of the ego box at each step."""
     scale = magnitude(draw, -3, 300)
-    ego = make_ego(position=(scale * draw(st.floats(-3, 3)), scale * draw(st.floats(-3, 3))),
-                   heading=draw(st.floats(-math.pi, math.pi)))
     pred = traj([(scale * draw(st.floats(-3, 3)), scale * draw(st.floats(-3, 3)))
                  for _ in range(T_F)])
-    headings = ego_headings(pred, ego)
+    headings = ego_headings(pred)
     ego_reach = 0.5 * math.hypot(*EGO_EXTENT)
     agents = []
     for i in range(draw(st.integers(0, 4))):
@@ -427,15 +426,14 @@ def near_touching_samples(draw):
                            pred[k][1] + distance * math.sin(direction)))
         agents.append(make_agent(agent_id=i + 1, heading=heading, extent=extent,
                                  future=future))
-    return ego, pred, agents
+    return pred, agents
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(near_touching_samples())
 def test_collision_matches_all_pairs_loop_near_touching(sample):
-    ego, pred, agents = sample
-    assert (collision_horizons(pred, ego, agents)
-            == all_pairs_collision_horizons(pred, ego, agents))
+    pred, agents = sample
+    assert collision_horizons(pred, agents) == all_pairs_collision_horizons(pred, agents)
 
 
 @pytest.mark.parametrize("pred_len, future_len", [(5, 6), (6, 5), (7, 7)])
@@ -444,9 +442,9 @@ def test_collision_raises_the_same_error_as_all_pairs_loop(pred_len, future_len)
     agent = make_agent(future=((0.0, 0.0),) * 6)
     object.__setattr__(agent, "future", ((0.0, 0.0),) * future_len)
     with pytest.raises(ValueError) as expected:
-        all_pairs_collision_horizons(pred, EGO, [agent])
+        all_pairs_collision_horizons(pred, [agent])
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-        collision_horizons(pred, EGO, [agent])
+        collision_horizons(pred, [agent])
 
 
 # --- latency -----------------------------------------------------------------
