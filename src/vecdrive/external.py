@@ -14,6 +14,15 @@ late reply answers a later request: each later ``decide`` raises
 validation, an error object or bytes that are not UTF-8 included, leaves
 it usable; its error quotes the first 2 KB of the line. Errors that close
 an ``exec:`` channel end with the last 2 KB the subprocess wrote to stderr.
+
+Each end remembers the one scene it handled last. The client sends a
+``Scenario`` object it sent last without encoding it again, if it holds no
+list (it hashes), so it cannot have changed. The server end
+(``_ServerEnd``) decodes the scenario of a request once and reuses it for a
+later request of the same shape with the same scenario bytes; the oracle
+is still asked every time. A SHORT then a LONG question about one scene
+thus pays for one encode and one decode, and a model wired into
+``oracle_server``'s template gets this for free.
 """
 
 from __future__ import annotations
@@ -64,11 +73,15 @@ class OracleProtocolError(OracleError):
         self.payload = payload
 
 
+#: Per format, the bytes of a request before its scenario; ``}\n`` follows it.
+_REQUEST_HEAD = {f: ('{"v":1,"format":' + jsonio.encode_str(f.value) + ',"scenario":').encode()
+                 for f in Format}
+
+
 def _encode_request(scenario: Scenario, format: Format) -> bytes:
     """``jsonio.dumps({"v": 1, "format": ..., "scenario": scenario_to_dict(scenario)})``
     and a newline, with the scenario written by ``scenario_json``."""
-    return ('{"v":1,"format":' + jsonio.encode_str(format.value) + ',"scenario":'
-            + scenario_json(scenario) + "}\n").encode("utf-8")
+    return _REQUEST_HEAD[format] + scenario_json(scenario).encode("utf-8") + b"}\n"
 
 
 def _decode_reply(line: bytes, endpoint: str) -> str:
@@ -126,10 +139,54 @@ def _reply(raw: bytes, oracle: Oracle) -> str:
         scenario = scenario_from_dict(obj["scenario"])
     except (ValueError, ValidationError) as e:
         return jsonio.dumps({"v": 1, "error": f"invalid request: {e}"}) + "\n"
+    return _answer(oracle, scenario, format)
+
+
+def _answer(oracle: Oracle, scenario: Scenario, format: Format) -> str:
     decision = oracle.decide(scenario, format)
     return jsonio.dumps({"v": 1, "action": decision.action.value,
                          "rationale": decision.rationale(format),
                          "hazard_ids": list(decision.hazard_ids)}) + "\n"
+
+
+class _ServerEnd:
+    """Server end of one stream: ``_reply`` to each line, with the scene it
+    decoded last remembered.
+
+    A line ``_REQUEST_HEAD[format] + S + b"}\n"`` whose ``S`` alone is one
+    JSON object, and a valid scenario, is answered from the ``Scenario`` it
+    holds; the ``Scenario`` of the last such ``S`` is reused when the same
+    bytes come again. Any other line, and any failure, goes to ``_reply``,
+    so every reply and error object is the one ``_reply`` writes.
+    """
+
+    def __init__(self, oracle: Oracle):
+        self.oracle = oracle
+        self._scene: bytes | None = None
+        self._scenario: Scenario | None = None
+
+    def reply(self, raw: bytes) -> str:
+        for format, head in _REQUEST_HEAD.items():
+            if raw.startswith(head) and raw.endswith(b"}\n"):
+                scenario = self._scenario_of(raw[len(head):-2])
+                if scenario is not None:
+                    return _answer(self.oracle, scenario, format)
+                break
+        return _reply(raw, self.oracle)
+
+    def _scenario_of(self, scene: bytes) -> Scenario | None:
+        if scene == self._scene:
+            return self._scenario
+        try:
+            # In brackets, the scene nests as deep as in the whole line, and
+            # anything after its one value (a second "format" or "scenario"
+            # member) fails to parse or to unpack.
+            (obj,) = jsonio.loads("[" + scene.decode("utf-8") + "]")
+            scenario = scenario_from_dict(obj)
+        except (ValueError, ValidationError):
+            return None
+        self._scene, self._scenario = scene, scenario
+        return scenario
 
 
 class _LineOracle:
@@ -140,6 +197,7 @@ class _LineOracle:
         self._read_fd, self._write_fd = read_fd, write_fd
         self._buffer = b""
         self._failure: str | None = None
+        self._sent: tuple[Scenario, bytes] | None = None   # the scene sent last, and its JSON
 
     def _check_alive(self) -> None:
         """Raise OracleError when the far end is known to be gone."""
@@ -170,7 +228,7 @@ class _LineOracle:
         deadline = time.monotonic() + self.timeout
         try:
             self._check_alive()
-            request = memoryview(_encode_request(scenario, format))
+            request = memoryview(self._request(scenario, format))
             while request:
                 request = request[os.write(self._write_fd, request):]
             raw = self._read_line(deadline)
@@ -185,6 +243,20 @@ class _LineOracle:
         self._failure = str(error)
         self.close()
         raise error
+
+    def _request(self, scenario: Scenario, format: Format) -> bytes:
+        """``_encode_request(scenario, format)``; the scene sent last is not encoded
+        again if it holds no list, the one container in a scene that can change."""
+        if self._sent is not None and scenario is self._sent[0]:
+            try:
+                hash(scenario)      # raises for a list anywhere inside
+            except TypeError:
+                pass
+            else:
+                return _REQUEST_HEAD[format] + self._sent[1] + b"}\n"
+        request = _encode_request(scenario, format)
+        self._sent = scenario, request[len(_REQUEST_HEAD[format]):-2]
+        return request
 
     def close(self) -> None:
         if self._failure is None:

@@ -186,11 +186,16 @@ SectorEntries = dict[str, list[tuple[float, int, AgentKind]]]
 
 def _agent_sector_entries(scenario: Scenario) -> SectorEntries:
     """Each sector's (distance, id, kind) entries, nearest first. Ids are
-    unique in a valid scenario, so the sort never compares two kinds."""
+    unique in a valid scenario, so the sort never compares two kinds.
+
+    An agent at the ego's own spot is in front, whatever the signs of its
+    zeros: adding +0.0 turns -0.0 into +0.0 and keeps every other value,
+    and the wire writes -0.0 as ``-0``, which reads back as +0.0.
+    """
     sectors: SectorEntries = {s: [] for s in _SECTOR_ORDER}
     for agent in scenario.agents:
         x, y = agent.position
-        sectors[bearing_sector(math.atan2(y, x))].append(
+        sectors[bearing_sector(math.atan2(y + 0.0, x + 0.0))].append(
             (math.hypot(x, y), agent.id, agent.kind))
     for entries in sectors.values():
         entries.sort()
