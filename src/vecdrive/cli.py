@@ -229,16 +229,17 @@ def _non_finite_key(row: dict[str, float]) -> str | None:
 
 def cmd_simgen(args: argparse.Namespace) -> int:
     spec = _gen_spec(args)
-    frac = args.train_frac
-    if frac is not None and not (0.0 < frac < 1.0):
-        raise ConfigError(f"--train-frac {frac} outside (0, 1)")
-    out = _out_dir(args)
     scenarios = generate(spec)     # validated, with distinct ids
+    if args.train_frac is not None:
+        try:    # before any write, so a refused split leaves --out as it was
+            train_set, eval_set = split(scenarios, args.train_frac, spec.seed)
+        except ValueError as e:
+            raise ConfigError(f"--train-frac: {e}") from None
+    out = _out_dir(args)
     lines = {s.id: scenario_json(s) + "\n" for s in scenarios}
     jsonio.write_atomic(os.path.join(out, "scenarios.jsonl"), "".join(lines.values()))
     print(f"wrote {len(scenarios)} scenarios to {out}/scenarios.jsonl")
-    if frac is not None:
-        train_set, eval_set = split(scenarios, frac, spec.seed)
+    if args.train_frac is not None:
         for name, part in (("train", train_set), ("eval", eval_set)):
             jsonio.write_atomic(os.path.join(out, f"scenarios_{name}.jsonl"),
                                 "".join(lines[s.id] for s in part))

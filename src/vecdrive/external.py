@@ -6,14 +6,17 @@
                "rationale":"...", "hazard_ids":[...]}
     error   : {"v":1, "error":"<message>"}   (the request was not valid)
 
+Each end refuses a "v" other than the JSON integer 1.
+
 One line channel serves a subprocess kept alive on stdin/stdout
-(``exec:CMD``) and a TCP stream (``tcp:HOST:PORT``). A timeout or a broken
-stream (end of stream, failed write, exited subprocess) closes it, so no
-late reply answers a later request: each later ``decide`` raises
-``OracleProtocolError`` naming that failure. A reply line that fails
-validation, an error object or bytes that are not UTF-8 included, leaves
-it usable; its error quotes the first 2 KB of the line. Errors that close
-an ``exec:`` channel end with the last 2 KB the subprocess wrote to stderr.
+(``exec:CMD``) and a TCP stream (``tcp:HOST:PORT``). A timeout, a reply
+line over ``MAX_REPLY_BYTES`` or a broken stream (end of stream, failed
+write, exited subprocess) closes it, so no late reply answers a later
+request: each later ``decide`` raises ``OracleProtocolError`` naming that
+failure. A reply line that fails validation, an error object or bytes
+that are not UTF-8 included, leaves it usable; its error quotes the first
+2 KB of the line. Errors that close an ``exec:`` channel end with the last
+2 KB the subprocess wrote to stderr.
 
 Each end remembers the one scene it handled last. The client sends a
 ``Scenario`` object it sent last without encoding it again, if it holds no
@@ -41,6 +44,8 @@ DEFAULT_TIMEOUT = 10.0
 #: wait as int64 nanoseconds, so ``select`` overflows past ~9.2e9 s.
 MAX_TIMEOUT = 1e9
 STDERR_TAIL_BYTES = 2048
+#: Longest reply line the client reads; a reply for any simgen scene is under 3 KB.
+MAX_REPLY_BYTES = 1 << 20
 
 
 class OracleError(Exception):
@@ -135,6 +140,8 @@ def _reply(raw: bytes, oracle: Oracle) -> str:
         obj = jsonio.loads(line)
         if not isinstance(obj, dict) or not isinstance(obj.get("scenario"), dict):
             raise ValueError("request is not an object with a scenario object")
+        if type(obj.get("v")) is not int or obj["v"] != 1:
+            raise ValueError(f"unsupported version {obj.get('v')!r}")
         format = Format.parse(str(obj.get("format", "short")))
         scenario = scenario_from_dict(obj["scenario"])
     except (ValueError, ValidationError) as e:
@@ -206,21 +213,21 @@ class _LineOracle:
         return ""
 
     def _read_line(self, deadline: float) -> bytes:
-        # Only each new chunk is searched and the pieces are joined once,
-        # so a long line costs time linear in its length.
-        pieces, chunk = [], self._buffer
-        while b"\n" not in chunk:
-            if chunk:
-                pieces.append(chunk)
+        # A line holds at most MAX_REPLY_BYTES, so searching the whole
+        # buffer after each read costs a bounded time.
+        while (end := self._buffer.find(b"\n")) < 0 and len(self._buffer) <= MAX_REPLY_BYTES:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([self._read_fd], [], [], remaining)[0]:
                 raise OracleTimeout(self.endpoint, self.timeout)
             chunk = os.read(self._read_fd, 65536)
             if not chunk:
                 raise OracleProtocolError(self.endpoint, "the oracle closed the stream")
-        line, self._buffer = chunk.split(b"\n", 1)
-        pieces.append(line)
-        return b"".join(pieces)
+            self._buffer += chunk
+        if not 0 <= end <= MAX_REPLY_BYTES:
+            raise OracleProtocolError(
+                self.endpoint, f"reply line longer than MAX_REPLY_BYTES={MAX_REPLY_BYTES} bytes")
+        line, self._buffer = self._buffer[:end], self._buffer[end + 1:]
+        return line
 
     def decide(self, scenario: Scenario, format: Format = Format.SHORT) -> MetaDecision:
         if self._failure is not None:

@@ -4,9 +4,10 @@ A scenario is a ground-truth snapshot in the ego's frame at t=0, as VAD's
 planner sees the scene: the ego state, up to A_MAX agent tracks with 3 s
 futures, up to M_MAX fixed-size map polylines, the navigation-level
 intended maneuver, and the ground-truth ego future. The ego sits at the
-origin with heading 0 (+x forward): ``validate()`` and the decoder refuse
-any other ego ``x``, ``y`` or ``heading`` (-0.0 counts as 0), so every
-reader takes a point as it is stored.
+origin with heading 0 (+x forward), so ``EgoState`` holds only its speed
+and acceleration and every reader takes a point as it is stored. A file
+still writes the ego's ``x``, ``y`` and ``heading`` as 0, and the decoder
+refuses any other value (-0.0 counts as 0).
 
 A trajectory, ground truth or predicted, is a plain ``tuple[Point, ...]``
 of T_F points 0.5 s apart, as an agent's future is.
@@ -18,7 +19,7 @@ known-good.
 
 ``validate()`` and the JSONL decoder's checked path call the same check
 for each kind of field (``_as_float``, ``_as_int``, ``_as_member``,
-``_check_pose``, ``_check_origin``, ``_check_id_and_seed``), so
+``_check_id_and_seed``), so
 ``validate()`` refuses exactly the types the loader refuses and
 ``save_scenarios`` never writes a file that ``load_scenarios`` rejects.
 
@@ -220,18 +221,8 @@ def _check_points(path: str, points: Sequence[Sequence[float]]) -> None:
         _check_point(f"{path}[{k}]", p)
 
 
-def _check_pose(path: str, position: Point, heading: float, speed: float) -> None:
-    """A finite position, a heading in (-pi, pi] and a non-negative speed."""
-    _check_point(path + ".position", position)
-    h = _check_finite(path + ".heading", heading)
-    if not (-math.pi < h <= math.pi):
-        raise ValidationError(path + ".heading", f"{h} outside (-pi, pi]")
-    if _check_finite(path + ".speed", speed) < 0:
-        raise ValidationError(path + ".speed", f"negative speed {speed}")
-
-
 def _check_origin(path: str, value: float) -> None:
-    """An ego coordinate or heading must be 0: a scenario is in the ego's frame."""
+    """A file's ego coordinate or heading must be 0: a scenario is in the ego's frame."""
     if value != 0:
         raise ValidationError(path, f"{value!r} is not 0: the ego sits at the origin "
                                     "with heading 0")
@@ -248,17 +239,15 @@ def _check_id_and_seed(scenario_id: Any, seed: Any) -> None:
 
 @dataclass(frozen=True)
 class EgoState:
-    position: Point     # (0, 0): the file's "x" and "y"
-    heading: float      # 0
+    """The ego at the origin with heading 0; a file writes its x, y and heading as 0."""
+
     speed: float        # m/s, >= 0
     accel: float        # m/s^2
 
-    def validate(self, path: str = "ego") -> None:
-        _check_pose(path, self.position, self.heading, self.speed)
-        _check_finite(path + ".accel", self.accel)
-        for value in self.position[0], self.position[1]:
-            _check_origin(path + ".position", value)
-        _check_origin(path + ".heading", self.heading)
+    def validate(self) -> None:
+        if _check_finite("ego.speed", self.speed) < 0:
+            raise ValidationError("ego.speed", f"negative speed {self.speed}")
+        _check_finite("ego.accel", self.accel)
 
 
 @dataclass(frozen=True)
@@ -274,7 +263,12 @@ class AgentTrack:
     def validate(self, path: str) -> None:
         _as_int(self.id, path + ".id", "integer id")
         _check_member(self.kind, path + ".kind", AgentKind, "agent kind")
-        _check_pose(path, self.position, self.heading, self.speed)
+        _check_point(path + ".position", self.position)
+        heading = _check_finite(path + ".heading", self.heading)
+        if not (-math.pi < heading <= math.pi):
+            raise ValidationError(path + ".heading", f"{heading} outside (-pi, pi]")
+        if _check_finite(path + ".speed", self.speed) < 0:
+            raise ValidationError(path + ".speed", f"negative speed {self.speed}")
         length, width = _pair(path + ".extent", self.extent, "length and width")
         if not (_check_finite(path + ".length", length) > 0):
             raise ValidationError(path + ".length", f"non-positive length {length}")
@@ -321,7 +315,7 @@ class Scenario:
 
     def validate(self) -> None:
         _check_id_and_seed(self.id, self.seed)
-        self.ego.validate("ego")
+        self.ego.validate()
         if len(self.agents) > A_MAX:
             raise ValidationError("agents", f"{len(self.agents)} agents exceed A_MAX={A_MAX}")
         seen: set[int] = set()
@@ -343,7 +337,7 @@ class Scenario:
 
 # --- JSONL schema -----------------------------------------------------------
 # One object per line:
-# {"id", "seed", "ego":{"x","y","heading","speed","accel"},
+# {"id", "seed", "ego":{"x","y","heading" (all 0),"speed","accel"},
 #  "agents":[{"id","kind","x","y","heading","speed","length","width",
 #             "future":[[x,y]*6]}],
 #  "map":[{"id","kind","points":[[x,y]*4]}],
@@ -355,9 +349,9 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
         "id": s.id,
         "seed": s.seed,
         "ego": {
-            "x": s.ego.position[0],
-            "y": s.ego.position[1],
-            "heading": s.ego.heading,
+            "x": 0.0,
+            "y": 0.0,
+            "heading": 0.0,
             "speed": s.ego.speed,
             "accel": s.ego.accel,
         },
@@ -392,8 +386,8 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 _XY = operator.itemgetter(0, 1)
 _SEQUENCES = (tuple, list)
 _FLOATS = {float}
-_HEAD = ('{"id":%s,"seed":%d,"ego":{"x":%.17g,"y":%.17g,"heading":%.17g,"speed":%.17g,'
-         '"accel":%.17g},"agents":[')
+_HEAD = ('{"id":%s,"seed":%d,"ego":{"x":0,"y":0,"heading":0,"speed":%.17g,"accel":%.17g},'
+         '"agents":[')
 _AGENT = ('{"id":%d,"kind":"%s","x":%.17g,"y":%.17g,"heading":%.17g,"speed":%.17g,'
           '"length":%.17g,"width":%.17g,"future":%s}')
 _POLYLINE = '{"id":%d,"kind":"%s","points":%s}'
@@ -437,8 +431,7 @@ def _scenario_line(s: Scenario) -> str | None:
     if (type(s.seed) is not int or type(s.route_intent) is not MetaAction
             or type(agents) not in _SEQUENCES or type(polylines) not in _SEQUENCES):
         return None     # a generator is not read here: the generic emitter reads it
-    ego = s.ego
-    numbers = [*_XY(ego.position), ego.heading, ego.speed, ego.accel]
+    numbers = [s.ego.speed, s.ego.accel]
     head = _HEAD % (jsonio.encode_str(s.id), s.seed, *numbers)
     records = []
     for a in agents:
@@ -539,7 +532,7 @@ def _scenario_fast(obj: Any) -> Scenario | None:
                 or type(scenario_id) is not str or not scenario_id or type(seed) is not int
                 or not 0 <= seed < 1 << 64 or len(gt_future) != T_F):
             return None
-        return Scenario(scenario_id, EgoState((x, y), heading, speed, accel), tracks, lines,
+        return Scenario(scenario_id, EgoState(speed, accel), tracks, lines,
                         _INTENTS[obj["route_intent"]], gt_future, seed)
     except (ArithmeticError, LookupError, TypeError, ValueError):
         return None     # a sum that overflows, a missing key, an unknown or unhashable label
@@ -551,14 +544,11 @@ def _scenario_checked(obj: Any) -> Scenario:
     ego_obj = _get(obj, "ego", "")
     if not isinstance(ego_obj, dict):
         raise ValidationError("ego", "expected object")
-    ego = EgoState(
-        position=(_number(ego_obj, "x", "ego"), _number(ego_obj, "y", "ego")),
-        heading=_number(ego_obj, "heading", "ego"),
-        speed=_number(ego_obj, "speed", "ego"),
-        accel=_number(ego_obj, "accel", "ego"),
-    )
-    for key, value in zip(("x", "y", "heading"), (*ego.position, ego.heading)):
+    ego_keys = ("x", "y", "heading", "speed", "accel")
+    *pose, speed, accel = [_number(ego_obj, key, "ego") for key in ego_keys]
+    for key, value in zip(ego_keys, pose):
         _check_origin("ego." + key, value)
+    ego = EgoState(speed, accel)
     agents = []
     agents_obj = _get(obj, "agents", "")
     if not isinstance(agents_obj, list):

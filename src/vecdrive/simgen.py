@@ -229,7 +229,7 @@ def _build_cruise(rng: SplitMix64, spec: GenSpec, scenario_id: str, seed: int) -
     agents = _adjacent_lane_vehicles(rng, spec, 1, (LANE_WIDTH, -LANE_WIDTH))
     return Scenario(
         id=scenario_id,
-        ego=EgoState((0.0, 0.0), 0.0, speed, 0.0),
+        ego=EgoState(speed, 0.0),
         agents=tuple(agents),
         map=cruise_map(),
         route_intent=MetaAction.GO_STRAIGHT,
@@ -253,7 +253,7 @@ def _build_turn(rng: SplitMix64, spec: GenSpec, scenario_id: str, seed: int,
         gt = turn_future(speed, side)
     return Scenario(
         id=scenario_id,
-        ego=EgoState((0.0, 0.0), 0.0, speed, 0.0),
+        ego=EgoState(speed, 0.0),
         agents=tuple(agents),
         map=turn_map(side),
         route_intent=intent,
@@ -270,7 +270,7 @@ def _build_fork(rng: SplitMix64, spec: GenSpec, scenario_id: str, seed: int,
     intent = MetaAction.TURN_LEFT if side > 0 else MetaAction.TURN_RIGHT
     return Scenario(
         id=scenario_id,
-        ego=EgoState((0.0, 0.0), 0.0, speed, 0.0),
+        ego=EgoState(speed, 0.0),
         agents=(),
         map=fork_map(),
         route_intent=intent,
@@ -347,12 +347,13 @@ def generate(spec: GenSpec) -> list[Scenario]:
 
 def split(scenarios: list[Scenario], train_frac: float,
           seed: int) -> tuple[list[Scenario], list[Scenario]]:
-    """Seeded shuffle then prefix split: disjoint, exhaustive, deterministic."""
-    if not scenarios:
-        raise ValueError("cannot split an empty scenario list")
+    """Seeded shuffle then prefix split: disjoint, exhaustive, deterministic, both nonempty."""
     if not (0.0 < train_frac < 1.0):
         raise ValueError(f"train_frac {train_frac} outside (0, 1)")
     shuffled = list(scenarios)
-    SplitMix64(seed).shuffle(shuffled)
     cut = int(train_frac * len(shuffled) + 1e-9)
+    if not 0 < cut < len(shuffled):
+        raise ValueError(f"train_frac {train_frac} of {len(shuffled)} scenarios leaves the "
+                         f"{'train' if cut == 0 else 'eval'} part empty")
+    SplitMix64(seed).shuffle(shuffled)
     return shuffled[:cut], shuffled[cut:]

@@ -10,11 +10,34 @@ from vecdrive.scene import (
     MapPolyline,
     MetaAction,
     Scenario,
+    normalize_heading,
+    scenario_to_dict,
 )
 
 
-def make_ego(speed=4.0, accel=0.0, heading=0.0, position=(0.0, 0.0)):
-    return EgoState(position=position, heading=heading, speed=speed, accel=accel)
+def make_ego(speed=4.0, accel=0.0):
+    return EgoState(speed=speed, accel=accel)
+
+
+def moved_scene_dict(s, dx, dy, theta=0.0):
+    """``scenario_to_dict(s)`` rotated by ``theta`` about the origin, then moved by
+    (dx, dy): the ego's x, y and heading keys, which no ``EgoState`` holds, and
+    every agent, map and gt point."""
+    c, sn = math.cos(theta), math.sin(theta)
+
+    def move(p):
+        return [c * p[0] - sn * p[1] + dx, sn * p[0] + c * p[1] + dy]
+
+    obj = scenario_to_dict(s)
+    for record in (obj["ego"], *obj["agents"]):
+        record["x"], record["y"] = move((record["x"], record["y"]))
+        record["heading"] = normalize_heading(record["heading"] + theta)
+    for a in obj["agents"]:
+        a["future"] = [move(p) for p in a["future"]]
+    for m in obj["map"]:
+        m["points"] = [move(p) for p in m["points"]]
+    obj["gt_future"] = [move(p) for p in obj["gt_future"]]
+    return obj
 
 
 def make_agent(agent_id=1, kind=AgentKind.VEHICLE, position=(10.0, 3.5),

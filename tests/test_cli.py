@@ -88,6 +88,17 @@ def test_simgen_invalid_frac_exit_2(workdir, capsys):
     assert read(out / "scenarios.jsonl") == b"kept\n"
 
 
+def test_simgen_refuses_an_empty_split_before_writing(workdir, capsys):
+    # One scene split 0.5 would write an empty train file that `train` refuses.
+    out = workdir / "x"
+    code = run(["simgen", "--out", str(out), "--n", "1", "--train-frac", "0.5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--train-frac: train_frac 0.5 of 1 scenarios leaves the train part empty" \
+        in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_simgen_invalid_density_exit_2_names_field(workdir, capsys):
     code = run(["simgen", "--out", str(workdir / "x"), "--n", "5", "--seed", "1",
                 "--density", "2.0"])
@@ -224,8 +235,9 @@ def test_train_divergence_exit_4(workdir, capsys):
 
 def test_train_diverging_in_the_last_update_exits_4_without_a_checkpoint(workdir, capsys):
     # One scene, one step: its loss is finite, and its update makes the
-    # weights infinite.
-    out = gen(workdir, n=1)
+    # weights infinite. One scene cannot be split, so simgen writes no split.
+    out = workdir / "base"
+    assert run(["simgen", "--out", str(out), "--n", "1", "--seed", "7", "--suite", "MIXED"]) == 0
     code = run(["train", "--scenarios", str(out / "scenarios.jsonl"), "--out", str(out / "t"),
                 "--epochs", "1", "--lr", "1e308"])
     assert code == 4
@@ -1378,9 +1390,11 @@ def accepted_flags(draw):
     command = draw(st.sampled_from(["simgen", "train", "bench-oracle", *ORACLE_COMMANDS[1:4]]))
     if command == "simgen":
         lo = inside([0.0], st.floats(0.0, 30.0))
-        frac = inside([5e-324, math.nextafter(1.0, 0.0)],
-                      st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        flags = [f"--n={draw(st.integers(1, 5))}", f"--seed={inside([0, U64 - 1], u64)}",
+        # Each split part must hold a scene: at n scenes the fraction's edges
+        # are 1/n and 1 - 1/n, and 1 - 1/n rounds down to n - 1 scenes.
+        n = draw(st.integers(2, 5))
+        frac = inside([1 / n, 1 - 1 / n], st.floats(1 / n, 1 - 1 / n))
+        flags = [f"--n={n}", f"--seed={inside([0, U64 - 1], u64)}",
                  f"--density={inside([0.0, 1.0], st.floats(0.0, 1.0))!r}",
                  f"--train-frac={frac!r}", f"--speed-min={lo!r}",
                  f"--speed-max={inside([lo], st.floats(lo, 30.0))!r}"]

@@ -13,6 +13,7 @@ import pytest
 from vecdrive import jsonio, oracle_server, simgen
 from vecdrive.cli import main
 from vecdrive.external import (
+    MAX_REPLY_BYTES,
     MAX_TIMEOUT,
     ExecOracle,
     OracleError,
@@ -142,18 +143,37 @@ def test_huge_reply_is_quoted_up_to_2_kb(tmp_path):
 
 
 def test_long_reply_line_is_read_in_linear_time(tmp_path):
-    # Searching and copying the whole buffer for each 64 KB chunk made the
-    # read quadratic, and a line this long timed out instead of failing to parse.
-    cmd = write_mock(tmp_path, "long.py", """\
+    # A line of the longest length the client reads is read in full, well
+    # inside the timeout, and fails to parse.
+    cmd = write_mock(tmp_path, "long.py", f"""\
         import sys
         for line in sys.stdin:
-            sys.stdout.write("x" * 40_000_000 + "\\n")
+            sys.stdout.write("x" * {MAX_REPLY_BYTES} + "\\n")
             sys.stdout.flush()
     """)
     with ExecOracle(cmd, timeout=5.0) as oracle:
         with pytest.raises(OracleProtocolError, match="invalid JSON") as err:
             oracle.decide(make_scenario())
-    assert len(err.value.payload) == 40_000_000
+    assert len(err.value.payload) == MAX_REPLY_BYTES
+
+
+def test_a_reply_line_over_the_limit_is_refused_and_closes_the_channel(tmp_path):
+    # Unbounded, the client read all 2 MiB and waited for a newline until the timeout.
+    cmd = write_mock(tmp_path, "endless.py", """\
+        import sys, time
+        for line in sys.stdin:
+            sys.stdout.write("x" * (2 << 20))
+            sys.stdout.flush()
+            time.sleep(60)
+    """)
+    with ExecOracle(cmd, timeout=30.0) as oracle:
+        start = time.monotonic()
+        with pytest.raises(OracleProtocolError,
+                           match=f"longer than MAX_REPLY_BYTES={MAX_REPLY_BYTES} bytes"):
+            oracle.decide(make_scenario())
+        assert time.monotonic() - start < 10.0
+        with pytest.raises(OracleProtocolError, match="stream is closed"):
+            oracle.decide(make_scenario())
 
 
 def test_read_line_joins_chunks_and_keeps_what_follows():
@@ -510,6 +530,23 @@ def test_benchmark_fault_server_alters_every_kth_reply():
     assert_rule_oracle_reply(intact, s)
     rationale = RuleOracle().decide(s, Format.LONG).rationale_long
     assert jsonio.loads(altered)["rationale"] == rationale + " (injected fault)"
+
+
+@pytest.mark.parametrize("v, shown", [
+    (None, "None"), ("2", "2"), ("true", "True"), ("1.0", "1.0"), ('"1"', "'1'"),
+    ("null", "None"),
+], ids=["missing", "2", "true", "1.0", "str-1", "null"])
+def test_server_refuses_a_request_version_other_than_the_integer_1(v, shown):
+    s = make_scenario(agents=(make_agent(),))
+    request = request_line(scenario_to_dict(s))
+    other = request.replace('"v":1,', "" if v is None else f'"v":{v},', 1)
+    assert other != request
+    out = io.StringIO()
+    oracle_server.serve(io.BytesIO(f"{other}\n{request}\n".encode("utf-8")), stdout=out)
+    error, reply = out.getvalue().splitlines()
+    assert jsonio.loads(error) == {"v": 1,
+                                   "error": f"invalid request: unsupported version {shown}"}
+    assert_rule_oracle_reply(reply, s)
 
 
 def test_server_replies_error_object_per_bad_request():

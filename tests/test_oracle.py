@@ -33,7 +33,6 @@ from vecdrive.rng import SplitMix64
 from vecdrive.scene import (
     AgentKind,
     AgentTrack,
-    EgoState,
     MapKind,
     MapPolyline,
     MetaAction,
@@ -66,8 +65,7 @@ def mirror_scenario(s: Scenario) -> Scenario:
     }
     return Scenario(
         id=s.id + "_mirror",
-        ego=EgoState((s.ego.position[0], -s.ego.position[1]),
-                     normalize_heading(-s.ego.heading), s.ego.speed, s.ego.accel),
+        ego=s.ego,      # at the origin with heading 0, its own mirror image
         agents=tuple(
             AgentTrack(a.id, a.kind, (a.position[0], -a.position[1]),
                        normalize_heading(-a.heading), a.speed, a.extent,

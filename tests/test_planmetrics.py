@@ -22,10 +22,10 @@ from vecdrive.planmetrics import (
     _with_avg,
 )
 from vecdrive.rng import SplitMix64
-from vecdrive.scene import T_F, ValidationError
+from vecdrive.scene import T_F, ValidationError, scenario_from_dict
 from vecdrive.simgen import GenSpec, Suite, constant_velocity_future, generate
 
-from conftest import make_agent, make_ego, make_scenario
+from conftest import make_agent, make_scenario, moved_scene_dict
 
 
 def traj(points):
@@ -198,27 +198,23 @@ def test_ego_headings_start_at_the_origin_with_heading_0():
     assert ego_headings(pred) == [math.pi / 2] * T_F
 
 
-def pedestrian_beside_the_ego(dy=0.0):
-    """An ego driving along y = dy and a pedestrian 2 m to its left."""
-    pedestrian = make_agent(position=(1.0, dy + 2.0), speed=0.0, extent=(0.5, 0.5),
-                            future=((1.0, dy + 2.0),) * T_F)
-    pred = traj([(float(k), dy) for k in range(1, 7)])
+def pedestrian_beside_the_ego():
+    """An ego driving along the x axis and a pedestrian 2 m to its left."""
+    pedestrian = make_agent(position=(1.0, 2.0), speed=0.0, extent=(0.5, 0.5),
+                            future=((1.0, 2.0),) * T_F)
+    pred = traj([(float(k), 0.0) for k in range(1, 7)])
     return pred, [pedestrian]
 
 
 def test_collision_starts_at_the_ego_at_the_origin():
     pred, agents = pedestrian_beside_the_ego()
     assert collision_horizons(pred, agents) == {"1s": 0.0, "2s": 0.0, "3s": 0.0, "avg": 0.0}
-    # The same scene with the ego at y = 5: no scenario holds it, so no
-    # collision check reads it from the origin.
-    pred, agents = pedestrian_beside_the_ego(dy=5.0)
+    # The same scene with the ego at y = 5: no scenario holds it, and a file
+    # that does is refused, so no collision check reads it from the origin.
+    obj = moved_scene_dict(make_scenario(agents=agents, gt_future=pred), 0.0, 5.0)
     with pytest.raises(ValidationError) as err:
-        make_scenario(ego=make_ego(position=(0.0, 5.0)), agents=agents, gt_future=pred)
-    assert err.value.field == "ego.position"
-
-
-def shifted(points, offset):
-    return tuple((x + offset[0], y + offset[1]) for x, y in points)
+        scenario_from_dict(obj)
+    assert err.value.field == "ego.y"
 
 
 @pytest.mark.parametrize("offset", [(64.0, -32.0), (-0.5, 1024.0)])
@@ -226,15 +222,9 @@ def test_a_moved_scene_never_reaches_collision_checking(offset):
     scenarios = generate(GenSpec(n_scenarios=60, seed=11, suite=Suite.MIXED,
                                  agent_density=1.0))
     for scenario in scenarios:
-        ego = scenario.ego
-        moved = replace(
-            scenario, ego=replace(ego, position=shifted([ego.position], offset)[0]),
-            agents=tuple(replace(a, position=shifted([a.position], offset)[0],
-                                 future=shifted(a.future, offset)) for a in scenario.agents),
-            gt_future=shifted(scenario.gt_future, offset))
         with pytest.raises(ValidationError) as err:
-            moved.validate()
-        assert err.value.field == "ego.position"
+            scenario_from_dict(moved_scene_dict(scenario, *offset))
+        assert err.value.field == "ego.x"
     # The unmoved scenes are checked, and some collide.
     assert any(collision_horizons(pred, s.agents)["3s"] > 0 for s in scenarios
                for pred in (s.gt_future, constant_velocity_future((0.0, 0.0), 0.0, s.ego.speed)))
@@ -390,9 +380,8 @@ def test_collision_matches_all_pairs_loop_on_dense_scenes(speed_range):
                    speed_range=speed_range)
     flagged = 0
     for scenario in generate(spec):
-        ego = scenario.ego
         for pred in (scenario.gt_future,
-                     constant_velocity_future(ego.position, ego.heading, ego.speed)):
+                     constant_velocity_future((0.0, 0.0), 0.0, scenario.ego.speed)):
             out = collision_horizons(pred, scenario.agents)
             assert out == all_pairs_collision_horizons(pred, scenario.agents)
             flagged += out["3s"] > 0

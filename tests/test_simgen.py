@@ -213,3 +213,18 @@ def test_split_rejects_bad_inputs():
         split(scenarios, 1.5, seed=1)
     with pytest.raises(ValueError):
         split([], 0.5, seed=1)
+
+
+@pytest.mark.parametrize("n, frac, empty", [
+    (1, 0.5, "train"), (4, 0.2, "train"), (4, 1 - 1e-10, "eval"), (2, 5e-324, "train"),
+])
+def test_split_refuses_an_empty_part(n, frac, empty):
+    scenarios = generate(spec_for(Suite.MIXED, n=n, seed=2))
+    with pytest.raises(ValueError, match=f"leaves the {empty} part empty"):
+        split(scenarios, frac, seed=1)
+
+
+def test_split_takes_the_smallest_parts():
+    scenarios = generate(spec_for(Suite.MIXED, n=16, seed=2))
+    assert tuple(map(len, split(scenarios, 0.2, seed=1))) == (3, 13)
+    assert tuple(map(len, split(scenarios[:2], 0.5, seed=1))) == (1, 1)

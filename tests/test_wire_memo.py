@@ -23,7 +23,7 @@ import vecdrive.cli  # imports every module the tracer wraps
 from vecdrive import external, oracle_server, simgen
 from vecdrive.external import ExecOracle, _LineOracle, _encode_request, _reply
 from vecdrive.oracle import Format, RuleOracle
-from vecdrive.scene import A_MAX, AgentKind, AgentTrack, EgoState, MapPolyline, ValidationError
+from vecdrive.scene import A_MAX, AgentKind, AgentTrack, MapPolyline, ValidationError
 
 from conftest import make_agent, make_scenario
 
@@ -81,6 +81,8 @@ def variants(s):
         "two_values": head + scene + b"," + scene + b"}\n",
         "not_utf8": short.replace(b'"id":"', b'"id":"\xff', 1),
         "spaced": short.replace(b'{"v":1,', b'{"v": 1, ', 1),
+        "v2": short.replace(b'{"v":1,', b'{"v":2,', 1),
+        "no_v": short.replace(b'{"v":1,', b'{', 1),
         "unknown_format": short.replace(b'"short"', b'"medium"', 1),
     }
 
@@ -269,9 +271,7 @@ def signed_zero_scenes(draw):
         agents.append(make_agent(agent_id=max((a.id for a in agents), default=0) + 1,
                                  kind=draw(st.sampled_from(AgentKind)),
                                  position=(zero(0.0), zero(0.0)), speed=0.0))
-    moved = replace(s, ego=EgoState(point(s.ego.position), zero(s.ego.heading), s.ego.speed,
-                                    s.ego.accel),
-                    agents=tuple(agents),
+    moved = replace(s, agents=tuple(agents),
                     map=tuple(MapPolyline(m.id, m.kind, points(m.points)) for m in s.map),
                     gt_future=tuple(map(point, s.gt_future)))
     try:
@@ -290,6 +290,15 @@ def test_the_wire_answers_as_the_rule_oracle(packaged_server, s):
         want = RuleOracle().decide(s, format)
         assert (got.action, got.rationale(format), got.hazard_ids) == (
             want.action, want.rationale(format), want.hazard_ids)
+
+
+def test_a_negative_zero_ego_is_answered_as_the_origin():
+    # No Scenario holds an ego at -0.0; a request line still can.
+    request = _encode_request(SCENES[0], Format.LONG)
+    signed = request.replace(b'"ego":{"x":0,', b'"ego":{"x":-0.0,', 1)
+    assert signed != request
+    assert _reply(signed, RuleOracle()) == _reply(request, RuleOracle())
+    assert served([signed, request, signed]) == served([request]) * 3
 
 
 @pytest.mark.parametrize("position", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
