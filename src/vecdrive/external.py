@@ -18,9 +18,10 @@ that are not UTF-8 included, leaves it usable; its error quotes the first
 2 KB of the line. Errors that close an ``exec:`` channel end with the last
 2 KB the subprocess wrote to stderr.
 
-Each end remembers the one scene it handled last. The client sends a
-``Scenario`` object it sent last without encoding it again, if it holds no
-list (it hashes), so it cannot have changed. The server end
+Each end remembers the one scene it handled last. The client sends the
+``Scenario`` object it sent last without encoding it again: ``scenario_json``
+writes only a scene of frozen records and tuples, which cannot have changed,
+and refuses any other before a byte is sent. The server end
 (``_ServerEnd``) decodes the scenario of a request once and reuses it for a
 later request of the same shape with the same scenario bytes; the oracle
 is still asked every time. A SHORT then a LONG question about one scene
@@ -85,7 +86,8 @@ _REQUEST_HEAD = {f: ('{"v":1,"format":' + jsonio.encode_str(f.value) + ',"scenar
 
 def _encode_request(scenario: Scenario, format: Format) -> bytes:
     """``jsonio.dumps({"v": 1, "format": ..., "scenario": scenario_to_dict(scenario)})``
-    and a newline, with the scenario written by ``scenario_json``."""
+    and a newline, with the scenario written by ``scenario_json``, which raises
+    ``ValidationError`` for a scene that ``validate()`` refuses."""
     return _REQUEST_HEAD[format] + scenario_json(scenario).encode("utf-8") + b"}\n"
 
 
@@ -252,15 +254,10 @@ class _LineOracle:
         raise error
 
     def _request(self, scenario: Scenario, format: Format) -> bytes:
-        """``_encode_request(scenario, format)``; the scene sent last is not encoded
-        again if it holds no list, the one container in a scene that can change."""
+        """``_encode_request(scenario, format)``; the scene sent last, which cannot
+        have changed, is not encoded again."""
         if self._sent is not None and scenario is self._sent[0]:
-            try:
-                hash(scenario)      # raises for a list anywhere inside
-            except TypeError:
-                pass
-            else:
-                return _REQUEST_HEAD[format] + self._sent[1] + b"}\n"
+            return _REQUEST_HEAD[format] + self._sent[1] + b"}\n"
         request = _encode_request(scenario, format)
         self._sent = scenario, request[len(_REQUEST_HEAD[format]):-2]
         return request

@@ -6,8 +6,8 @@ writes (checkpoints, reports, QA files) goes through ``dumps`` here so two
 runs produce byte-identical output, and reaches disk through
 ``write_atomic``. Scenario lines, in files and in oracle wire requests,
 come from ``scene.scenario_json``: it writes the bytes ``dumps`` writes
-for ``scene.scenario_to_dict``, straight from the dataclasses, and falls
-back to ``dumps`` for any value outside its fast path. Dict key order is the
+for ``scene.scenario_to_dict``, straight from the dataclasses, and
+refuses any scene that ``Scenario.validate()`` refuses. Dict key order is the
 insertion order of the dict being serialized; builders construct dicts
 in the documented schema order.
 

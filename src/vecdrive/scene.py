@@ -17,20 +17,24 @@ threads. ``Scenario.validate()`` checks every structural invariant;
 loaders and generators call it so that any scenario in circulation is
 known-good.
 
-``validate()`` and the JSONL decoder's checked path call the same check
-for each kind of field (``_as_float``, ``_as_int``, ``_as_member``,
-``_check_id_and_seed``), so
-``validate()`` refuses exactly the types the loader refuses and
-``save_scenarios`` never writes a file that ``load_scenarios`` rejects.
+``validate()`` accepts exactly what round-trips, type for type: every
+number an exact, finite ``float``; every agent and polyline id and the seed
+an exact ``int``; the id an exact ``str``; the kinds and the route intent
+members; the ego, agents and polylines of their own classes; and the agent
+and polyline lists, every point list, point, position and extent an exact
+``tuple``. Each refusal names its field. The JSONL decoder's checked path
+calls the same checks (``_check_finite``, ``_as_int``, ``_as_member``,
+``_check_id_and_seed``) after it turns a file's ``5`` into ``5.0`` and its
+lists into tuples (``_as_float``, ``_as_points``), so ``save_scenarios``
+never writes a file that ``load_scenarios`` rejects.
 
 ``scenario_from_dict`` decodes a line in one pass and keeps the checked,
 per-field path for the lines that pass defers, so every error names its field.
 
 ``scenario_json`` writes a scenario's canonical line, the bytes of
 ``jsonio.dumps(scenario_to_dict(s))``, straight from the dataclasses.
-Scenario files and oracle wire requests are written with it. A value of a
-type its fast path does not take goes to the generic emitter, which
-writes or refuses it as it does any value.
+Scenario files and oracle wire requests are written with it. A scene that
+``validate()`` refuses gets the same ``ValidationError`` and no line.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import operator
 import os
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from . import jsonio
 
@@ -160,7 +164,7 @@ def normalize_heading(theta: float) -> float:
 
 
 def _as_float(value: Any, path: str) -> float:
-    """``value`` as a float: an int or a float, not a bool, within the float range."""
+    """A file's number as a float: an int or a float, not a bool, within the float range."""
     if type(value) is float:    # the common case, ahead of the isinstance tests
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -172,53 +176,51 @@ def _as_float(value: Any, path: str) -> float:
 
 
 def _as_int(value: Any, path: str, expected: str) -> int:
-    """``value`` if it is an int and not a bool; ``expected`` names it in the error."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` if it is an exact int, not a bool; ``expected`` names it in the error."""
+    if type(value) is not int:
         raise ValidationError(path, f"expected {expected}")
     return value
 
 
+def _check_type(path: str, value: Any, cls: type) -> Any:
+    if type(value) is not cls:
+        raise ValidationError(path, f"expected {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_finite(path: str, value: Any) -> float:
-    v = _as_float(value, path)
-    if not math.isfinite(v):
+    if not math.isfinite(_check_type(path, value, float)):
         raise ValidationError(path, f"non-finite value {value!r}")
-    return v
+    return value
 
 
 def _pair(path: str, value: Any, expected: str) -> tuple[Any, Any]:
-    """The two items of ``value``, which must be a sequence of two."""
-    try:
-        n = len(value)
-        if n == 2:
-            return value[0], value[1]
-    except (TypeError, LookupError):    # not a sequence: 5, None, a set
-        raise ValidationError(path, f"expected {expected}, got {type(value).__name__}") from None
-    raise ValidationError(path, f"expected {expected}, got {n}")
+    """``value``, which must be a tuple of two."""
+    if type(value) is not tuple or len(value) != 2:
+        got = len(value) if type(value) is tuple else type(value).__name__
+        raise ValidationError(path, f"expected {expected}, got {got}")
+    return value
 
 
-def _check_point(path: str, p: Sequence[float]) -> Point:
+def _check_point(path: str, p: Any) -> None:
     x, y = _pair(path, p, "2 coordinates")
-    return (_check_finite(path + "[0]", x), _check_finite(path + "[1]", y))
+    _check_finite(path + "[0]", x)
+    _check_finite(path + "[1]", y)
 
 
-_NUMBER_TYPES = (float, int)
+def _check_points(path: str, points: Any, count: int, noun: str) -> None:
+    """Check that ``points`` is a tuple of ``count`` pairs of finite floats.
 
-
-def _check_points(path: str, points: Sequence[Sequence[float]]) -> None:
-    """Check that every point holds 2 finite coordinates.
-
-    One cheap pass covers the whole list. Only when it finds a fault, or a
-    number of a subclass type, does the per-point loop run; that loop
-    builds each point's path and raises the error.
+    One cheap pass covers the whole tuple. Only when it finds a fault, or a
+    sum of two coordinates past the float range, does the per-point loop
+    run; that loop builds each point's path and raises the error.
     """
-    try:
-        if all(len(p) == 2 and type(p[0]) in _NUMBER_TYPES and type(p[1]) in _NUMBER_TYPES
-               and math.isfinite(p[0]) and math.isfinite(p[1]) for p in points):
-            return
-    except (TypeError, LookupError, OverflowError):  # a point that is not a pair, a huge int
-        pass
-    for k, p in enumerate(points):
-        _check_point(f"{path}[{k}]", p)
+    if len(_check_type(path, points, tuple)) != count:
+        raise ValidationError(path, f"expected {count} {noun}, got {len(points)}")
+    if not all(type(p) is tuple and len(p) == 2 and type(p[0]) is float
+               and type(p[1]) is float and math.isfinite(p[0] + p[1]) for p in points):
+        for k, p in enumerate(points):
+            _check_point(f"{path}[{k}]", p)
 
 
 def _check_origin(path: str, value: float) -> None:
@@ -229,7 +231,7 @@ def _check_origin(path: str, value: float) -> None:
 
 
 def _check_id_and_seed(scenario_id: Any, seed: Any) -> None:
-    if not isinstance(scenario_id, str):
+    if type(scenario_id) is not str:
         raise ValidationError("id", "expected string")
     if not scenario_id:
         raise ValidationError("id", "scenario id must be nonempty")
@@ -274,11 +276,7 @@ class AgentTrack:
             raise ValidationError(path + ".length", f"non-positive length {length}")
         if not (_check_finite(path + ".width", width) > 0):
             raise ValidationError(path + ".width", f"non-positive width {width}")
-        if len(self.future) != T_F:
-            raise ValidationError(
-                path + ".future", f"expected {T_F} future points, got {len(self.future)}"
-            )
-        _check_points(path + ".future", self.future)
+        _check_points(path + ".future", self.future, T_F, "future points")
 
 
 @dataclass(frozen=True)
@@ -290,12 +288,7 @@ class MapPolyline:
     def validate(self, path: str) -> None:
         _as_int(self.id, path + ".id", "integer id")
         _check_member(self.kind, path + ".kind", MapKind, "map kind")
-        if len(self.points) != POLYLINE_POINTS:
-            raise ValidationError(
-                path + ".points",
-                f"expected {POLYLINE_POINTS} points, got {len(self.points)}",
-            )
-        _check_points(path + ".points", self.points)
+        _check_points(path + ".points", self.points, POLYLINE_POINTS, "points")
         for k in range(len(self.points) - 1):
             if self.points[k] == self.points[k + 1]:
                 raise ValidationError(
@@ -315,24 +308,21 @@ class Scenario:
 
     def validate(self) -> None:
         _check_id_and_seed(self.id, self.seed)
-        self.ego.validate()
-        if len(self.agents) > A_MAX:
+        _check_type("ego", self.ego, EgoState).validate()
+        if len(_check_type("agents", self.agents, tuple)) > A_MAX:
             raise ValidationError("agents", f"{len(self.agents)} agents exceed A_MAX={A_MAX}")
         seen: set[int] = set()
         for i, agent in enumerate(self.agents):
-            agent.validate(f"agents[{i}]")
+            _check_type(f"agents[{i}]", agent, AgentTrack).validate(f"agents[{i}]")
             if agent.id in seen:
                 raise ValidationError(f"agents[{i}].id", f"duplicate agent id {agent.id}")
             seen.add(agent.id)
-        if len(self.map) > M_MAX:
+        if len(_check_type("map", self.map, tuple)) > M_MAX:
             raise ValidationError("map", f"{len(self.map)} polylines exceed M_MAX={M_MAX}")
         for i, line in enumerate(self.map):
-            line.validate(f"map[{i}]")
+            _check_type(f"map[{i}]", line, MapPolyline).validate(f"map[{i}]")
         _check_member(self.route_intent, "route_intent", MetaAction, "label")
-        if len(self.gt_future) != T_F:
-            raise ValidationError(
-                "gt_future", f"expected {T_F} waypoints, got {len(self.gt_future)}")
-        _check_points("gt_future", self.gt_future)
+        _check_points("gt_future", self.gt_future, T_F, "waypoints")
 
 
 # --- JSONL schema -----------------------------------------------------------
@@ -384,8 +374,6 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 
 #: What scenario_to_dict reads of a point, a position or an extent.
 _XY = operator.itemgetter(0, 1)
-_SEQUENCES = (tuple, list)
-_FLOATS = {float}
 _HEAD = ('{"id":%s,"seed":%d,"ego":{"x":0,"y":0,"heading":0,"speed":%.17g,"accel":%.17g},'
          '"agents":[')
 _AGENT = ('{"id":%d,"kind":"%s","x":%.17g,"y":%.17g,"heading":%.17g,"speed":%.17g,'
@@ -395,61 +383,83 @@ _TAIL = '],"route_intent":"%s","gt_future":%s}'
 
 
 def scenario_json(s: Scenario) -> str:
-    """``jsonio.dumps(scenario_to_dict(s))``, written without building the dict.
+    """The line of a valid scenario: ``jsonio.dumps(scenario_to_dict(s))``, written
+    without building the dict.
 
-    The fast path takes a scenario whose numbers are all exact, finite
-    floats, whose agent and polyline ids and seed are exact ints, whose id
-    is a str, and whose kinds and route intent are enum members: every
-    scenario ``simgen`` makes or a file loads. It formats each record with
-    one ``%`` and each point list with one more, where ``%.17g`` writes an
-    exact float as ``jsonio.format_float`` does. For anything else it
-    returns what the generic emitter writes, or raises what it raises.
+    It formats each record with one ``%`` and each point list with one more,
+    where ``%.17g`` writes an exact float as ``jsonio.format_float`` does. A
+    scene that ``validate()`` refuses gets no line but the ``ValidationError``
+    that ``validate()`` raises. So a scene it writes holds only frozen records,
+    tuples, members and exact strs, ints and floats, and cannot change.
     """
     try:
         line = _scenario_line(s)
     except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
-        line = None     # a value the formats refuse: the generic emitter decides
-    return jsonio.dumps(scenario_to_dict(s)) if line is None else line
+        line = None     # a value the formats refuse
+    if line is None:
+        s.validate()    # raises the error that names the field
+        raise AssertionError(f"validate() accepts scenario {s.id!r}, which is not written")
+    return line
 
 
-def _points_line(points: Sequence[Point], numbers: list) -> str:
-    """``[[x,y],...]``, with each coordinate added to ``numbers``."""
-    template = ",".join(["[%.17g,%.17g]"] * len(points))   # before a generator is read
+def _points_line(points: tuple[Point, ...], numbers: list, pairs: list) -> str:
+    """``[[x,y],...]``, with each coordinate added to ``numbers`` and each point to ``pairs``."""
+    pairs += points
     xy = tuple(chain.from_iterable(map(_XY, points)))
     numbers += xy
-    return "[" + template % xy + "]"
+    return "[" + ",".join(["[%.17g,%.17g]"] * len(points)) % xy + "]"
 
 
 def _scenario_line(s: Scenario) -> str | None:
-    """The fast path of ``scenario_json``; None for a value it does not take.
+    """``scenario_json``'s line, or None for a scene ``validate()`` refuses.
 
-    Each number is formatted before its type is known; one check of every
-    number at the end refuses the line if any is not a finite float.
-    ``jsonio.encode_str`` refuses an id that is not a str.
+    Each record and point list has its type checked before it is read. Each
+    number, point, position and extent is formatted before its type is known;
+    one check of them all at the end, then ``_in_bounds``, refuse the line.
     """
-    agents, polylines = s.agents, s.map
-    if (type(s.seed) is not int or type(s.route_intent) is not MetaAction
-            or type(agents) not in _SEQUENCES or type(polylines) not in _SEQUENCES):
-        return None     # a generator is not read here: the generic emitter reads it
-    numbers = [s.ego.speed, s.ego.accel]
+    ego, agents, polylines, gt_future = s.ego, s.agents, s.map, s.gt_future
+    if (type(ego) is not EgoState or type(agents) is not tuple or type(polylines) is not tuple
+            or type(gt_future) is not tuple or type(s.route_intent) is not MetaAction):
+        return None
+    numbers, pairs, records, lines = [ego.speed, ego.accel], [], [], []
     head = _HEAD % (jsonio.encode_str(s.id), s.seed, *numbers)
-    records = []
     for a in agents:
-        if type(a.id) is not int or type(a.kind) is not AgentKind:
+        if type(a) is not AgentTrack or type(a.kind) is not AgentKind or type(a.future) is not tuple:
             return None
         fields = (*_XY(a.position), a.heading, a.speed, *_XY(a.extent))
         numbers += fields
-        records.append(_AGENT % (a.id, a.kind.value, *fields, _points_line(a.future, numbers)))
-    lines = []
+        pairs += (a.position, a.extent)
+        records.append(_AGENT % (a.id, a.kind.value, *fields,
+                                 _points_line(a.future, numbers, pairs)))
     for m in polylines:
-        if type(m.id) is not int or type(m.kind) is not MapKind:
+        if type(m) is not MapPolyline or type(m.kind) is not MapKind or type(m.points) is not tuple:
             return None
-        lines.append(_POLYLINE % (m.id, m.kind.value, _points_line(m.points, numbers)))
-    gt_future = _points_line(s.gt_future, numbers)
-    if set(map(type, numbers)) != _FLOATS or not math.isfinite(sum(numbers)):
-        return None     # a sum that overflows also falls back, to the same bytes
+        lines.append(_POLYLINE % (m.id, m.kind.value, _points_line(m.points, numbers, pairs)))
+    gt_line = _points_line(gt_future, numbers, pairs)
+    # A sum past the float range is no fault: each number is then checked alone.
+    if (set(map(type, numbers)) != {float} or set(map(type, pairs)) != {tuple}
+            or set(map(len, pairs)) != {2}
+            or not (math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers)))
+            or not _in_bounds(s)):
+        return None
     return (head + ",".join(records) + '],"map":[' + ",".join(lines)
-            + _TAIL % (s.route_intent.value, gt_future))
+            + _TAIL % (s.route_intent.value, gt_line))
+
+
+def _in_bounds(s: Scenario) -> bool:
+    """``validate()``'s checks of the ids, the seed, every count and every bound,
+    in one expression, for a scene whose numbers are finite floats and whose
+    positions, extents and points are pairs: what both fast paths check last."""
+    agents, polylines = s.agents, s.map
+    return not (
+        s.ego.speed < 0 or len(agents) > A_MAX or len(polylines) > M_MAX
+        or any(type(t.id) is not int or not -math.pi < t.heading <= math.pi or t.speed < 0
+               or min(t.extent) <= 0 or len(t.future) != T_F for t in agents)
+        or len({t.id for t in agents}) != len(agents)
+        or any(type(m.id) is not int or len(m.points) != POLYLINE_POINTS
+               or any(map(operator.eq, m.points, m.points[1:])) for m in polylines)
+        or type(s.id) is not str or not s.id or type(s.seed) is not int
+        or not 0 <= s.seed < 1 << 64 or len(s.gt_future) != T_F)
 
 
 def _get(obj: dict, key: str, path: str) -> Any:
@@ -460,7 +470,8 @@ def _get(obj: dict, key: str, path: str) -> Any:
 
 def _number(obj: dict, key: str, path: str) -> float:
     """A finite number, checked where it is read, so errors name the file's key."""
-    return _check_finite(f"{path}.{key}", _get(obj, key, path))
+    field = f"{path}.{key}"
+    return _check_finite(field, _as_float(_get(obj, key, path), field))
 
 
 def _as_points(value: Any, path: str) -> tuple[Point, ...]:
@@ -522,18 +533,9 @@ def _scenario_fast(obj: Any) -> Scenario | None:
                        in zip(agents, fields, point_tuples))
         lines = tuple(MapPolyline(m["id"], _MAP_KINDS[m["kind"]], pts)
                       for m, pts in zip(polylines, point_tuples[len(agents):]))
-        scenario_id, seed, gt_future = obj["id"], obj["seed"], point_tuples[-1]
-        if (x != 0 or y != 0 or heading != 0 or speed < 0
-                or any(type(t.id) is not int or not -math.pi < t.heading <= math.pi or t.speed < 0
-                       or min(t.extent) <= 0 or len(t.future) != T_F for t in tracks)
-                or len({t.id for t in tracks}) != len(tracks)
-                or any(type(m.id) is not int or len(m.points) != POLYLINE_POINTS
-                       or any(map(operator.eq, m.points, m.points[1:])) for m in lines)
-                or type(scenario_id) is not str or not scenario_id or type(seed) is not int
-                or not 0 <= seed < 1 << 64 or len(gt_future) != T_F):
-            return None
-        return Scenario(scenario_id, EgoState(speed, accel), tracks, lines,
-                        _INTENTS[obj["route_intent"]], gt_future, seed)
+        scenario = Scenario(obj["id"], EgoState(speed, accel), tracks, lines,
+                            _INTENTS[obj["route_intent"]], point_tuples[-1], obj["seed"])
+        return None if x != 0 or y != 0 or heading != 0 or not _in_bounds(scenario) else scenario
     except (ArithmeticError, LookupError, TypeError, ValueError):
         return None     # a sum that overflows, a missing key, an unknown or unhashable label
 
@@ -631,11 +633,10 @@ def save_scenarios(scenarios: Iterable[Scenario], path: str | os.PathLike) -> No
     before any byte is written, and the file is replaced atomically, so a
     failed save leaves no partial file.
     """
-    scenarios = list(scenarios)
-    seen_ids: set[str] = set()
+    lines, seen_ids = [], set()
     for s in scenarios:
-        s.validate()
+        lines.append(scenario_json(s) + "\n")  # raises what s.validate() raises
         if s.id in seen_ids:
             raise ValidationError("id", f"duplicate scenario id {s.id!r}")
         seen_ids.add(s.id)
-    jsonio.write_atomic(path, "".join(scenario_json(s) + "\n" for s in scenarios))
+    jsonio.write_atomic(path, "".join(lines))

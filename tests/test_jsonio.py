@@ -14,16 +14,19 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecdrive import jsonio
 from vecdrive.cli import main
+from vecdrive.oracle import RuleOracle
 from vecdrive.planner import PlannerConfig, init_model, save_checkpoint
-from vecdrive.scene import ValidationError, scenario_from_dict
+from vecdrive.scene import ValidationError, load_scenarios, scenario_from_dict
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.dirname(os.path.dirname(jsonio.__file__))
 
 
 def reference_dumps(value):
@@ -276,3 +279,85 @@ def test_written_files_match_golden_digests(tmp_path, capsys):
         with open(os.path.join(out, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == GOLDEN_DIGESTS
+
+
+#: sha256 of every result file of a small README pipeline run through
+#: ``cli.main`` (``PIPELINE_RUN``), and of ``report``'s stdout. The mixed
+#: scenes cover the four builders, scenes without agents and scenes where
+#: the safety override fires, in both parts of the split; ``fork/`` holds
+#: the SYMMETRIC_FORK suite, mirrors included. Training runs on numpy's
+#: BLAS kernels: where other kernels give other bits, the assertion names
+#: the files that moved. A change that moves a result byte updates these
+#: digests in the same diff and says why.
+PIPELINE_DIGESTS = {
+    "scenarios.jsonl": "bde982a513ff72fd590038124cbe9e5812c6916dfb0747717e3e8d24d2bc1731",
+    "scenarios_train.jsonl": "f2482a6ba6b20e946273d17eb483fd7d7b115abab25d0d8c7394388eb1f3bb6b",
+    "scenarios_eval.jsonl": "239daf0ab1e2bd0e2376503fd966e5ebc1875bb9e0ed23c02285ba584d7f31ed",
+    "fork/scenarios.jsonl": "f7275922635d8573069c7546f3e70d4612dff0323cc30e35d91837ae667082ab",
+    "qa.jsonl": "76845a2ccb4a970fde90649d92b11e7e65991b53ee0b010a17aa40883d7e9cc4",
+    "checkpoint.json": "81cb3107fe08d4800d636a4f5b2f4918ebecdabca6e17c52a76cfe50602f9b63",
+    "loss_curve.csv": "6d3f4a8dbe1d3fd503e98159122ce7571f97244d0b502646ed6b8ee5ca537654",
+    "eval_plan.json": "0a0583fc3a2032b3581a2d9d341f2b3ae18c69456526ecfc7fff9e3a2bac40fa",
+    "eval_plan.txt": "5b54fd737feb8992a7111d0645cbf9a09649d8bfa04c9c03572a3942de19b5f5",
+    "gt/eval_plan.json": "ca80832b6b1ab951dce2550630836a804e6f9144dbf9dd0f87a0130a54f34f24",
+    "gt/eval_plan.txt": "a20f04e2dba17f65ac3af44ebe9cf2bed7fa0bb29faf00d254fb867aba188ca9",
+    "eval_text.json": "f453d77fc9cdae6dbb439222dd0330e4ebed0f0f025fdee15eb2734ad90cca52",
+    "eval_text.txt": "38983bec115511aca7a7dd908cbe046ea88351b89f586cddcc0c1607334d17b4",
+    "long/eval_text.json": "66abd0a903f7a4a69666559eea3d47a3da7c2ddaa6619e66cfb73008a7eaaa00",
+    "long/eval_text.txt": "3f456f5977a78441a1b96c2d51ac4cb1e2891c573b4cad26966979be6c362ebb",
+    "eval_actions.json": "64094ac8f435c086a171b0ea8b04833972a8daef73673ee7866de031bf251a9c",
+    "eval_actions.txt": "2b9287099260a574fc517ec13fa1f2d3a18a44933c94154b85bca13704b968ac",
+    "report.stdout": "e8bdbe8a377050a68f9c2c1f4b9af72007f711536908babc3e169c2a0309d06b",
+}
+
+#: An exec oracle that answers as the rule oracle but appends text to every
+#: second rationale, so eval-text scores candidates that are not their
+#: references. The endpoint names a result row, so it holds no path.
+NEAR_MISS_ORACLE = "exec:python -m perfbench.faulty_oracle --every 2"
+
+#: The stages of ``PIPELINE_DIGESTS``; ``{out}`` is the run's directory.
+PIPELINE_RUN = [
+    ["simgen", "--out", "{out}", "--n", "24", "--seed", "5", "--density", "0.3",
+     "--train-frac", "0.5"],
+    ["simgen", "--out", "{out}/fork", "--n", "4", "--seed", "5", "--suite", "SYMMETRIC_FORK"],
+    ["qagen", "--scenarios", "{out}/scenarios.jsonl", "--out", "{out}/qa.jsonl"],
+    ["train", "--scenarios", "{out}/scenarios_train.jsonl", "--out", "{out}", "--epochs", "3"],
+    ["eval-plan", "--scenarios", "{out}/scenarios_eval.jsonl", "--checkpoint",
+     "{out}/checkpoint.json", "--out", "{out}"],
+    ["eval-plan", "--scenarios", "{out}/scenarios_eval.jsonl", "--predict", "gt",
+     "--out", "{out}/gt"],
+    ["eval-text", "--scenarios", "{out}/scenarios_eval.jsonl", "--oracle", NEAR_MISS_ORACLE,
+     "--format", "short", "--out", "{out}"],
+    ["eval-text", "--scenarios", "{out}/scenarios_eval.jsonl", "--oracle", NEAR_MISS_ORACLE,
+     "--format", "long", "--out", "{out}/long"],
+    ["eval-actions", "--scenarios", "{out}/scenarios_eval.jsonl", "--qa", "{out}/qa.jsonl",
+     "--out", "{out}"],
+    ["bench-oracle", "--scenarios", "{out}/scenarios_eval.jsonl", "--out", "{out}/bench"],
+]
+
+
+def test_a_pipeline_run_matches_golden_digests(tmp_path, capsys, monkeypatch):
+    # The near-miss oracle runs this interpreter, with this checkout importable.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.setenv("PATH", os.pathsep.join([os.path.dirname(sys.executable),
+                                                os.environ.get("PATH", "")]))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, root]))
+    out = str(tmp_path)
+    for argv in PIPELINE_RUN:
+        assert main([arg.format(out=out) for arg in argv]) == 0, argv
+    capsys.readouterr()
+    assert main(["report", "--dir", out]) == 0
+    (tmp_path / "report.stdout").write_text(capsys.readouterr().out, encoding="utf-8")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PIPELINE_DIGESTS}
+    assert {name: d for name, d in digests.items() if d != PIPELINE_DIGESTS[name]} == {}
+    # Latencies are measurements: bench-oracle's file is pinned by its keys.
+    bench = json.loads((tmp_path / "bench" / "bench.json").read_text())
+    assert [(label, list(row)) for label, row in bench["rows"].items()] == [
+        (label, ["mean", "p50", "p95"]) for label in ("Long", "Short")]
+    # What the digests cover: scenes without agents and a fired override, in both parts.
+    oracle = RuleOracle()
+    for part in ("train", "eval"):
+        scenes = load_scenarios(tmp_path / f"scenarios_{part}.jsonl")
+        assert any(not s.agents for s in scenes)
+        assert any(oracle.decide(s).action is not s.route_intent for s in scenes)

@@ -237,9 +237,9 @@ def test_pack_is_bit_identical_to_per_field_reference():
     spec = simgen.GenSpec(n_scenarios=30, seed=9, agent_density=1.0)
     hand_made = make_scenario(
         ego=make_ego(speed=2.5, accel=-0.3),
-        agents=(make_agent(1, position=(12, -3), heading=-2.0, speed=4, extent=(4, 2)),
+        agents=(make_agent(1, position=(12.0, -3.0), heading=-2.0, speed=4.0, extent=(4.0, 2.0)),
                 make_agent(2, position=(-6.5, 8.25), heading=3.0)),
-        polylines=(make_polyline(1, y=-0.5, x0=-3.3, step=2.7), make_polyline(2, y=4)))
+        polylines=(make_polyline(1, y=-0.5, x0=-3.3, step=2.7), make_polyline(2, y=4.0)))
     for scenario in [*simgen.generate(spec), hand_made, make_scenario(polylines=())]:
         for command in MetaAction:
             packed = planner._pack(scenario, command, scenario.gt_future)

@@ -122,31 +122,27 @@ def test_heading_out_of_range_rejected():
 
 
 @pytest.mark.parametrize("coordinate, error", [
-    (7, None), (math.nan, ValidationError), (math.inf, ValidationError),
+    (7, ValidationError), (math.nan, ValidationError), (math.inf, ValidationError),
     ("1.5", ValidationError), (None, ValidationError), ("x", ValidationError),
     (True, ValidationError), (10 ** 400, ValidationError),
 ])
 def test_point_check_takes_what_float_takes(coordinate, error):
-    # A coordinate is what a float field of a scenario file holds: an int
-    # or a finite float. The decoder's number check refuses the rest, and
-    # so must validate(), or save_scenarios writes a file the loader
-    # refuses. float() alone would take "1.5" and True. The whole-list
-    # check falls back to the per-point loop, which must say the same.
+    # A coordinate is an exact, finite float: what a float field of a loaded
+    # scenario holds. The decoder turns a file's int into a float; a scene
+    # built in code with an int would load back with another type, so
+    # validate() refuses it, and save_scenarios with it. float() alone would
+    # take "1.5" and True. The whole-list check falls back to the per-point
+    # loop, which must say the same.
     future = [(10.0 + k, 3.5) for k in range(6)]
     future[4] = (10.0, coordinate)
     agent = make_agent(future=future)
-    if error is None:
-        agent.validate("agents[0]")
-        return
     with pytest.raises(error) as err:
         agent.validate("agents[0]")
     assert err.value.field == "agents[0].future[4][1]"
-    if coordinate == 10 ** 400:
-        assert err.value.message == "number too large for a float"
-    elif isinstance(coordinate, float):
+    if type(coordinate) is float:
         assert err.value.message == f"non-finite value {coordinate!r}"
     else:
-        assert err.value.message == f"expected number, got {type(coordinate).__name__}"
+        assert err.value.message == f"expected float, got {type(coordinate).__name__}"
 
 
 def test_polyline_repeated_point_rejected():
@@ -425,10 +421,9 @@ def test_validate_accepts_exactly_what_round_trips(simgen_scenario, tmp_path_fac
     except ValidationError:
         accepted = False
     back = read_back(scenario, out)
-    if back is not None and type(old) is float and type(new) is int:
-        new = float(new)    # a float field reads an int back as the nearest float
     # Round-tripping keeps the leaf's type: the emitter writes 5.0 as ``5``,
-    # so a float id or seed would load back as an int.
+    # so a float id or seed would load back as an int, and an int in a float
+    # field loads back as a float.
     round_trips = (back is not None and back == replace_leaf(simgen_scenario, path, new)
                    and type(dict(leaves(back))[path]) is type(new))
     assert accepted == round_trips
@@ -501,16 +496,23 @@ EMITTER_VALUES = st.one_of(
 )
 
 
-def emitted(emit, scenario):
-    """The line ``emit`` writes, or the type of what it raises."""
-    try:
-        return emit(scenario)
-    except Exception as e:      # any type: the two emitters must raise the same one
-        return type(e)
-
-
 def generic_line(scenario):
     return jsonio.dumps(scenario_to_dict(scenario))
+
+
+def assert_written_iff_valid(build):
+    """Either ``validate()`` passes and ``scenario_json`` writes what the generic
+    emitter writes, or both raise ``ValidationError`` with the same field and
+    message. ``build()`` makes the scene afresh for each call, so a generator
+    in it is read by one call only."""
+    try:
+        build().validate()
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as err:
+            scenario_json(build())
+        assert (err.value.field, err.value.message) == (e.field, e.message)
+    else:
+        assert scenario_json(build()) == generic_line(build())
 
 
 @st.composite
@@ -521,12 +523,17 @@ def simgen_scenarios(draw):
     return draw(st.sampled_from(simgen.generate(spec)))
 
 
+def with_generator(scenario, field):
+    """``scenario`` with a generator over its ``field`` (agents or map) in its place."""
+    return replace(scenario, **{field: (x for x in getattr(scenario, field))})
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_scenario_json_writes_what_the_generic_emitter_writes(data):
     scenario = data.draw(simgen_scenarios())
-    # Every generated scenario takes the fast path.
-    assert scene._scenario_line(scenario) == generic_line(scenario)
+    # Every generated scenario is valid and written.
+    assert scenario_json(scenario) == generic_line(scenario)
     if data.draw(st.booleans()):
         scenario = replace(scenario, id=data.draw(AWKWARD_TEXT))
     for _ in range(data.draw(st.integers(0, 3))):
@@ -537,12 +544,15 @@ def test_scenario_json_writes_what_the_generic_emitter_writes(data):
             path, old = data.draw(st.sampled_from(list(nodes(scenario))))
             new = list(old)
         scenario = replace_leaf(scenario, path, new)
-    assert emitted(scenario_json, scenario) == emitted(generic_line, scenario)
+    field = data.draw(st.sampled_from([None, "agents", "map"]))
+    assert_written_iff_valid(lambda: scenario if field is None
+                             else with_generator(scenario, field))
 
 
 def test_scenario_json_writes_what_the_generic_emitter_writes_for_each_field(simgen_scenario):
     # Every field of the schema (the first agent, polyline and point stand
-    # for the rest) against every awkward value, and every tuple as a list.
+    # for the rest) against every awkward value, every tuple as a list, and
+    # a generator in place of the agents or the map, alone or after an int.
     fields = {}
     for path, _ in leaves(simgen_scenario):
         fields.setdefault(tuple(0 if isinstance(k, int) else k for k in path), path)
@@ -550,15 +560,21 @@ def test_scenario_json_writes_what_the_generic_emitter_writes_for_each_field(sim
     cases += [(path, list(old)) for path, old in nodes(simgen_scenario)]
     for path, new in cases:
         scenario = replace_leaf(simgen_scenario, path, new)
-        assert emitted(scenario_json, scenario) == emitted(generic_line, scenario), (path, new)
+        assert_written_iff_valid(lambda: scenario)
+    int_speed = replace_leaf(simgen_scenario, ("ego", "speed"), 5)
+    for field in ("agents", "map"):
+        for scenario in (simgen_scenario, int_speed):
+            assert_written_iff_valid(lambda: with_generator(scenario, field))
 
 
-@pytest.mark.parametrize("field", ["agents", "map"])
-def test_scenario_json_reads_a_generator_once(simgen_scenario, field):
-    def build():    # a generator in place of a tuple, and an int the fast path leaves
-        s = replace(simgen_scenario, **{field: (x for x in getattr(simgen_scenario, field))})
-        return replace_leaf(s, ("ego", "speed"), 5)
-    assert emitted(scenario_json, build()) == emitted(generic_line, build())
+def test_a_valid_scene_whose_numbers_sum_past_the_float_range_is_written(tmp_path):
+    spec = simgen.GenSpec(n_scenarios=8, seed=4, agent_density=1.0)
+    s = next(s for s in simgen.generate(spec) if s.agents)
+    far = replace(s, agents=(replace(s.agents[0], position=(1e308, 1e308)), *s.agents[1:]))
+    far.validate()
+    assert scenario_json(far) == generic_line(far)
+    save_scenarios([far], tmp_path / "far.jsonl")
+    assert load_scenarios(tmp_path / "far.jsonl") == [far]
 
 
 # --- scenario_from_dict: the one pass against the checked path -------------------

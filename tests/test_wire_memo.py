@@ -189,20 +189,34 @@ def test_the_same_object_sent_twice_writes_encode_requests_bytes(monkeypatch):
     assert encoded == [a.id, b.id, a.id]
 
 
-def test_a_scene_holding_a_list_is_encoded_again_after_a_change():
+#: An exec oracle that appends each request line it reads to the file it is
+#: given, then answers ``REPLY``.
+RECORDING_SERVER = f"""
+import sys
+with open(sys.argv[1], "ab", buffering=0) as log:
+    for line in sys.stdin.buffer:
+        log.write(line)
+        sys.stdout.buffer.write({REPLY!r})
+        sys.stdout.flush()
+"""
+
+
+def test_a_scene_holding_a_list_is_refused_before_a_byte_is_written(tmp_path):
+    # A list could change after the scene was sent; scenario_json refuses it,
+    # so the client's memo never meets one.
     s = replace(SCENES[0], gt_future=[list(p) for p in SCENES[0].gt_future])
-    with pytest.raises(TypeError):
-        hash(s)
-    before = _encode_request(s, Format.SHORT)
-
-    def move_the_first_waypoint():
-        s.gt_future[0][0] += 1.0
-
-    sent = sent_over_pipes([(s, Format.SHORT, move_the_first_waypoint),
-                            (s, Format.LONG, nothing)])
-    after = _encode_request(s, Format.LONG)
-    assert sent == before + after
-    assert scene_bytes(s) not in before
+    with pytest.raises(ValidationError) as invalid:
+        s.validate()
+    assert invalid.value.field == "gt_future"
+    script, log = tmp_path / "record.py", tmp_path / "requests"
+    script.write_text(RECORDING_SERVER)
+    with ExecOracle([sys.executable, str(script), str(log)], timeout=5.0) as oracle:
+        with pytest.raises(ValidationError) as refused:
+            oracle.decide(s, Format.SHORT)
+        assert (refused.value.field, refused.value.message) == (
+            invalid.value.field, invalid.value.message)
+        assert oracle.decide(SCENES[1], Format.LONG).rationale_short == "ok"
+    assert log.read_bytes() == _encode_request(SCENES[1], Format.LONG)
 
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
