@@ -229,14 +229,16 @@ def _non_finite_key(row: dict[str, float]) -> str | None:
 
 def cmd_simgen(args: argparse.Namespace) -> int:
     spec = _gen_spec(args)
-    scenarios = generate(spec)     # validated, with distinct ids
+    scenarios = generate(spec)     # with distinct ids
+    # Encoding validates each scene. It and the split come before --out is
+    # made, so a refusal leaves --out as it was.
+    lines = {s.id: scenario_json(s) + "\n" for s in scenarios}
     if args.train_frac is not None:
-        try:    # before any write, so a refused split leaves --out as it was
+        try:
             train_set, eval_set = split(scenarios, args.train_frac, spec.seed)
         except ValueError as e:
             raise ConfigError(f"--train-frac: {e}") from None
     out = _out_dir(args)
-    lines = {s.id: scenario_json(s) + "\n" for s in scenarios}
     jsonio.write_atomic(os.path.join(out, "scenarios.jsonl"), "".join(lines.values()))
     print(f"wrote {len(scenarios)} scenarios to {out}/scenarios.jsonl")
     if args.train_frac is not None:

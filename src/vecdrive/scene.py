@@ -14,8 +14,8 @@ of T_F points 0.5 s apart, as an agent's future is.
 
 All types are immutable after construction and safe to share across
 threads. ``Scenario.validate()`` checks every structural invariant;
-loaders and generators call it so that any scenario in circulation is
-known-good.
+the decoder and the encoder call it so that any scenario in circulation
+is known-good.
 
 ``validate()`` accepts exactly what round-trips, type for type: every
 number an exact, finite ``float``; every agent and polyline id and the seed
@@ -31,10 +31,11 @@ never writes a file that ``load_scenarios`` rejects.
 ``scenario_from_dict`` decodes a line in one pass and keeps the checked,
 per-field path for the lines that pass defers, so every error names its field.
 
-``scenario_json`` writes a scenario's canonical line, the bytes of
-``jsonio.dumps(scenario_to_dict(s))``, straight from the dataclasses.
-Scenario files and oracle wire requests are written with it. A scene that
-``validate()`` refuses gets the same ``ValidationError`` and no line.
+``scenario_json`` runs ``validate()`` and then formats the scenario's
+canonical line, the bytes of ``jsonio.dumps(scenario_to_dict(s))``, straight
+from the dataclasses. Scenario files and oracle wire requests are written
+with it, so a scene is checked once on its way out. A scene that
+``validate()`` refuses gets its ``ValidationError`` and no line.
 """
 
 from __future__ import annotations
@@ -372,84 +373,43 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     }
 
 
-#: What scenario_to_dict reads of a point, a position or an extent.
-_XY = operator.itemgetter(0, 1)
+def _points_format(count: int) -> str:
+    """The format of a list of ``count`` points: ``[[x,y],...]``."""
+    return "[" + ",".join(["[%.17g,%.17g]"] * count) + "]"
+
+
 _HEAD = ('{"id":%s,"seed":%d,"ego":{"x":0,"y":0,"heading":0,"speed":%.17g,"accel":%.17g},'
          '"agents":[')
 _AGENT = ('{"id":%d,"kind":"%s","x":%.17g,"y":%.17g,"heading":%.17g,"speed":%.17g,'
-          '"length":%.17g,"width":%.17g,"future":%s}')
-_POLYLINE = '{"id":%d,"kind":"%s","points":%s}'
-_TAIL = '],"route_intent":"%s","gt_future":%s}'
+          '"length":%.17g,"width":%.17g,"future":' + _points_format(T_F) + '}')
+_POLYLINE = '{"id":%d,"kind":"%s","points":' + _points_format(POLYLINE_POINTS) + '}'
+_TAIL = '],"route_intent":"%s","gt_future":' + _points_format(T_F) + '}'
 
 
 def scenario_json(s: Scenario) -> str:
     """The line of a valid scenario: ``jsonio.dumps(scenario_to_dict(s))``, written
     without building the dict.
 
-    It formats each record with one ``%`` and each point list with one more,
-    where ``%.17g`` writes an exact float as ``jsonio.format_float`` does. A
-    scene that ``validate()`` refuses gets no line but the ``ValidationError``
-    that ``validate()`` raises. So a scene it writes holds only frozen records,
-    tuples, members and exact strs, ints and floats, and cannot change.
+    ``s.validate()`` runs first, so a scene it refuses gets its ``ValidationError``
+    and no line. A scene it passes holds only frozen records, tuples, members and
+    exact strs, ints and floats, which cannot change, and has ``T_F`` points in each
+    future and ``POLYLINE_POINTS`` in each polyline; each record is then formatted
+    with one ``%``, where ``%.17g`` writes an exact float as ``jsonio.format_float``
+    does.
     """
-    try:
-        line = _scenario_line(s)
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
-        line = None     # a value the formats refuse
-    if line is None:
-        s.validate()    # raises the error that names the field
-        raise AssertionError(f"validate() accepts scenario {s.id!r}, which is not written")
-    return line
-
-
-def _points_line(points: tuple[Point, ...], numbers: list, pairs: list) -> str:
-    """``[[x,y],...]``, with each coordinate added to ``numbers`` and each point to ``pairs``."""
-    pairs += points
-    xy = tuple(chain.from_iterable(map(_XY, points)))
-    numbers += xy
-    return "[" + ",".join(["[%.17g,%.17g]"] * len(points)) % xy + "]"
-
-
-def _scenario_line(s: Scenario) -> str | None:
-    """``scenario_json``'s line, or None for a scene ``validate()`` refuses.
-
-    Each record and point list has its type checked before it is read. Each
-    number, point, position and extent is formatted before its type is known;
-    one check of them all at the end, then ``_in_bounds``, refuse the line.
-    """
-    ego, agents, polylines, gt_future = s.ego, s.agents, s.map, s.gt_future
-    if (type(ego) is not EgoState or type(agents) is not tuple or type(polylines) is not tuple
-            or type(gt_future) is not tuple or type(s.route_intent) is not MetaAction):
-        return None
-    numbers, pairs, records, lines = [ego.speed, ego.accel], [], [], []
-    head = _HEAD % (jsonio.encode_str(s.id), s.seed, *numbers)
-    for a in agents:
-        if type(a) is not AgentTrack or type(a.kind) is not AgentKind or type(a.future) is not tuple:
-            return None
-        fields = (*_XY(a.position), a.heading, a.speed, *_XY(a.extent))
-        numbers += fields
-        pairs += (a.position, a.extent)
-        records.append(_AGENT % (a.id, a.kind.value, *fields,
-                                 _points_line(a.future, numbers, pairs)))
-    for m in polylines:
-        if type(m) is not MapPolyline or type(m.kind) is not MapKind or type(m.points) is not tuple:
-            return None
-        lines.append(_POLYLINE % (m.id, m.kind.value, _points_line(m.points, numbers, pairs)))
-    gt_line = _points_line(gt_future, numbers, pairs)
-    # A sum past the float range is no fault: each number is then checked alone.
-    if (set(map(type, numbers)) != {float} or set(map(type, pairs)) != {tuple}
-            or set(map(len, pairs)) != {2}
-            or not (math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers)))
-            or not _in_bounds(s)):
-        return None
-    return (head + ",".join(records) + '],"map":[' + ",".join(lines)
-            + _TAIL % (s.route_intent.value, gt_line))
+    s.validate()
+    records = [_AGENT % (a.id, a.kind.value, *a.position, a.heading, a.speed, *a.extent,
+                         *chain.from_iterable(a.future)) for a in s.agents]
+    lines = [_POLYLINE % (m.id, m.kind.value, *chain.from_iterable(m.points)) for m in s.map]
+    return (_HEAD % (jsonio.encode_str(s.id), s.seed, s.ego.speed, s.ego.accel)
+            + ",".join(records) + '],"map":[' + ",".join(lines)
+            + _TAIL % (s.route_intent.value, *chain.from_iterable(s.gt_future)))
 
 
 def _in_bounds(s: Scenario) -> bool:
     """``validate()``'s checks of the ids, the seed, every count and every bound,
     in one expression, for a scene whose numbers are finite floats and whose
-    positions, extents and points are pairs: what both fast paths check last."""
+    positions, extents and points are pairs: what the decoder's fast path checks last."""
     agents, polylines = s.agents, s.map
     return not (
         s.ego.speed < 0 or len(agents) > A_MAX or len(polylines) > M_MAX

@@ -311,7 +311,8 @@ _MIXED_CHOICES = (Suite.CRUISE, Suite.TURNS, Suite.HAZARD_VRU, Suite.SYMMETRIC_F
 
 
 def generate(spec: GenSpec) -> list[Scenario]:
-    """Generate spec.n_scenarios validated scenarios, bit-deterministically."""
+    """Generate spec.n_scenarios scenarios with distinct ids, bit-deterministically;
+    ``scene.scenario_json`` validates each one as it writes it."""
     spec.validate()
     master = SplitMix64(spec.seed)
     scenarios: list[Scenario] = []
@@ -340,8 +341,6 @@ def generate(spec: GenSpec) -> list[Scenario]:
                 index += 1
                 scenarios.append(mirror_scenario(base, f"{tag}-{spec.seed}-{index:05d}"))
         index += 1
-    for s in scenarios:
-        s.validate()
     return scenarios
 
 

@@ -116,6 +116,18 @@ def test_simgen_non_finite_speed_exit_2_names_speed_range(workdir, capsys, flag,
     assert not (workdir / "x" / "scenarios.jsonl").exists()
 
 
+def test_simgen_refuses_a_non_finite_scene_before_making_out(workdir, capsys):
+    # Finite speeds whose futures overflow: the writer's validate() refuses a
+    # scene, and that happens before --out is made.
+    out = workdir / "D"
+    code = run(["simgen", "--out", str(out), "--n", "5", "--seed", "1",
+                "--speed-min", "1e308", "--speed-max", "1e308"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "agents[0].future[3][0]: non-finite value inf" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_simgen_hazard_all_flagged(workdir):
     out = gen(workdir, "hz", n=15, suite="HAZARD_VRU")
     from vecdrive.oracle import rule_oracle_decide

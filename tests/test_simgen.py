@@ -12,6 +12,7 @@ from vecdrive.scene import (
     VRU_KINDS,
     load_scenarios,
     save_scenarios,
+    scenario_json,
     scenario_to_dict,
 )
 from vecdrive.simgen import GenSpec, Suite, generate, mirror_scenario, split
@@ -33,13 +34,18 @@ def test_generate_deterministic_byte_identical():
 
 
 def test_generate_all_valid_and_unique_ids():
-    for suite in Suite:
-        scenarios = generate(spec_for(suite, n=15, seed=3))
-        assert len(scenarios) == 15
-        ids = [s.id for s in scenarios]
-        assert len(set(ids)) == len(ids)
-        for s in scenarios:
-            s.validate()
+    # generate() checks nothing itself: every scene must pass validate() and be written.
+    for density in (0.0, 0.5, 1.0):
+        for speeds in ((0.0, 0.0), (2.0, 6.0), (0.0, 12.0)):
+            for suite in Suite:
+                spec = spec_for(suite, n=15, seed=3, density=density, speeds=speeds)
+                scenarios = generate(spec)
+                assert len(scenarios) == 15
+                ids = [s.id for s in scenarios]
+                assert len(set(ids)) == len(ids)
+                for s in scenarios:
+                    s.validate()
+                    assert scenario_json(s) == jsonio.dumps(scenario_to_dict(s))
 
 
 def test_different_seeds_differ():
