@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from . import textmetrics
@@ -108,8 +109,12 @@ def evaluate_explanations(candidates: Sequence[str], references: Sequence[str],
         raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
         raise ValueError("empty corpus")
-    cand_tokens = [textmetrics.tokenize(c) for c in candidates]
-    ref_tokens = [textmetrics.tokenize(r) for r in references]
+    # Each distinct text is tokenised once, so an identical pair holds one
+    # token list as both its candidate and its reference.
+    tokens = {text: textmetrics.tokenize(text)
+              for text in dict.fromkeys(chain(candidates, references))}
+    cand_tokens = list(map(tokens.__getitem__, candidates))
+    ref_tokens = list(map(tokens.__getitem__, references))
     n = len(candidates)
     gpt_score = None
     if judge is not None:

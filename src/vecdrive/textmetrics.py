@@ -21,6 +21,18 @@ hermetic variants:
 BLEU and CIDEr score one ``ngram_corpus`` count, so each sentence's
 n-grams are counted once for both. All scores except CIDEr are on a
 0..100 scale.
+
+An identical pair is worked once. ``planmetrics.evaluate_explanations``
+tokenises each distinct string once and ``ngram_corpus`` counts each
+distinct sentence once, so the corpus shares count objects and callers
+treat it as read-only. For an identical pair BLEU adds the candidate's
+own totals (each clip is the count itself), CIDEr takes each order's
+squared weight sum S once and adds S / (sqrt(S) * sqrt(S)), METEOR's
+search returns (n, 1, exact) for n <= METEOR_BUDGET tokens, as its first
+descent would, and the LCS is the length. These are the sums and
+products the general path makes, in its order, so every score is the
+same bit for bit. An identical pair longer than METEOR_BUDGET is still
+searched and can still be inexact.
 """
 
 from __future__ import annotations
@@ -65,6 +77,12 @@ class NgramCorpus:
     so two grams of one order are equal exactly when their tokens are.
     Per sentence, ``*_grams`` holds one Counter per order 1..4, each in
     first-occurrence order like a Counter over the token tuples.
+
+    Equal sentences are counted once and hold one list of Counters, so an
+    identical pair's candidate and reference are the same object, which
+    ``bleu`` and ``cider`` test with ``is``. The counts are shared: treat
+    a corpus as read-only. Its scores are those of counting every
+    sentence apart, bit for bit.
     """
 
     cand_lens: list[int]
@@ -79,17 +97,20 @@ def ngram_corpus(candidates: list[Tokens], references: list[Tokens]) -> NgramCor
         raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
         raise ValueError("empty corpus")
-    sentences = list(chain.from_iterable(zip(candidates, references)))
-    vocab = dict(zip(dict.fromkeys(chain.from_iterable(sentences)), count(1)))
+    sentences = list(map(tuple, chain.from_iterable(zip(candidates, references))))
+    # One count per distinct sentence; a repeat adds no word, so every
+    # word keeps the id it has in the whole stream.
+    counted: dict[tuple, list[Counter]] = dict.fromkeys(sentences)
+    vocab = dict(zip(dict.fromkeys(chain.from_iterable(counted)), count(1)))
     base = repeat(len(vocab) + 1)
     lookup = vocab.__getitem__
-    grams = []
-    for tokens in sentences:
+    for tokens in counted:
         ids = list(map(lookup, tokens))
         g2 = list(map(add, map(mul, ids, base), ids[1:]))
         g3 = list(map(add, map(mul, g2, base), ids[2:]))
         g4 = list(map(add, map(mul, g3, base), ids[3:]))
-        grams.append([Counter(ids), Counter(g2), Counter(g3), Counter(g4)])
+        counted[tokens] = [Counter(ids), Counter(g2), Counter(g3), Counter(g4)]
+    grams = list(map(counted.__getitem__, sentences))
     return NgramCorpus(cand_lens=[len(c) for c in candidates],
                        ref_lens=[len(r) for r in references],
                        cand_grams=grams[0::2], ref_grams=grams[1::2])
@@ -105,7 +126,11 @@ def bleu(corpus: NgramCorpus) -> float:
     total = [0] * 4
     for length, cand, ref in zip(corpus.cand_lens, corpus.cand_grams, corpus.ref_grams):
         for k in range(4):
-            total[k] += max(length - k, 0)
+            grams_k = max(length - k, 0)
+            total[k] += grams_k
+            if cand is ref:     # an identical pair: each count clips to itself
+                matched[k] += grams_k
+                continue
             # Clipped counts: min(candidate count, reference count or 0).
             cand_k = cand[k]
             matched[k] += sum(map(min, cand_k.values(), map(ref[k].get, cand_k, _ZEROS)))
@@ -147,6 +172,9 @@ def _min_chunks(candidate: Tokens, reference: Tokens) -> tuple[int, int, bool]:
     would return exactly this. Otherwise the search runs from the root
     as if the walk had not happened.
     """
+    if len(candidate) <= METEOR_BUDGET and candidate == reference:
+        # What the first descent returns: one run through every token.
+        return len(candidate), 1 if candidate else 0, True
     cand_counts: dict[str, int] = {}
     for w in candidate:
         cand_counts[w] = cand_counts.get(w, 0) + 1
@@ -273,6 +301,8 @@ def lcs_length(a: Tokens, b: Tokens) -> int:
     bit per position of ``b``, and each token of ``a`` updates it with a
     handful of big-int operations. The zero bits count the LCS length.
     """
+    if a == b:
+        return len(a)
     masks: dict = {}
     for j, y in enumerate(b):
         masks[y] = masks.get(y, 0) | 1 << j
@@ -317,16 +347,26 @@ def cider(corpus: NgramCorpus) -> float:
     total = 0.0
     for cand_grams, ref_grams in zip(corpus.cand_grams, corpus.ref_grams):
         per_n = 0.0
-        for idf_n, cand_n, ref_n in zip(idf, cand_grams, ref_grams):
-            cand_idf = list(map(idf_n.get, cand_n, unseen))
-            cand_w = list(map(mul, cand_n.values(), cand_idf))
-            ref_w = list(map(mul, ref_n.values(), map(idf_n.__getitem__, ref_n)))
-            # Summed in candidate order. A gram the reference lacks adds an
-            # exact 0.0, which leaves every partial sum as it was.
-            dot = sum(map(mul, cand_w, map(mul, map(ref_n.get, cand_n, _ZEROS), cand_idf)))
-            norm_c = math.sqrt(sum(map(mul, cand_w, cand_w)))
-            norm_r = math.sqrt(sum(map(mul, ref_w, ref_w)))
-            if norm_c > 0 and norm_r > 0:
-                per_n += dot / (norm_c * norm_r)
+        if cand_grams is ref_grams:
+            # An identical pair: the dot product and both norms are the
+            # same squared sum of one weight vector, taken once.
+            for idf_n, counts in zip(idf, cand_grams):
+                weights = list(map(mul, counts.values(), map(idf_n.__getitem__, counts)))
+                squares = sum(map(mul, weights, weights))
+                norm = math.sqrt(squares)
+                if norm > 0:
+                    per_n += squares / (norm * norm)
+        else:
+            for idf_n, cand_n, ref_n in zip(idf, cand_grams, ref_grams):
+                cand_idf = list(map(idf_n.get, cand_n, unseen))
+                cand_w = list(map(mul, cand_n.values(), cand_idf))
+                ref_w = list(map(mul, ref_n.values(), map(idf_n.__getitem__, ref_n)))
+                # Summed in candidate order. A gram the reference lacks adds an
+                # exact 0.0, which leaves every partial sum as it was.
+                dot = sum(map(mul, cand_w, map(mul, map(ref_n.get, cand_n, _ZEROS), cand_idf)))
+                norm_c = math.sqrt(sum(map(mul, cand_w, cand_w)))
+                norm_r = math.sqrt(sum(map(mul, ref_w, ref_w)))
+                if norm_c > 0 and norm_r > 0:
+                    per_n += dot / (norm_c * norm_r)
         total += 10.0 * per_n / 4.0
     return total / len(corpus.cand_grams)

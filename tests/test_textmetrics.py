@@ -691,12 +691,38 @@ def tuple_cider(candidates, references):
 
 
 # Few words, so sentences repeat grams and share them across pairs; the
-# candidate-only words give grams no reference holds.
+# candidate-only words give grams no reference holds. A reference may
+# repeat an earlier one, and a candidate may be its pair's reference (the
+# same list or an equal copy) or repeat another pair's sentence, so
+# identical pairs and sentences counted once for several pairs are drawn.
 _REF_WORDS = ["car", "left", "turn", "the", "stop", "a"]
 _sentence = st.lists(st.sampled_from(_REF_WORDS + ["cyclist", "now"]), max_size=12)
-_corpus = st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(_sentence, min_size=n, max_size=n),
-    st.lists(st.lists(st.sampled_from(_REF_WORDS), max_size=12), min_size=n, max_size=n)))
+_ref_sentence = st.lists(st.sampled_from(_REF_WORDS), max_size=12)
+
+
+@st.composite
+def _pairs(draw):
+    references = []
+    for _ in range(draw(st.integers(1, 6))):
+        if references and draw(st.booleans()):
+            references.append(list(draw(st.sampled_from(references))))
+        else:
+            references.append(draw(_ref_sentence))
+    candidates = []
+    for ref in references:
+        source = draw(st.sampled_from(["drawn", "same", "copy", "repeat"]))
+        if source == "same":
+            candidates.append(ref)
+        elif source == "copy":
+            candidates.append(list(ref))
+        elif source == "repeat":
+            candidates.append(list(draw(st.sampled_from(references + candidates))))
+        else:
+            candidates.append(draw(_sentence))
+    return candidates, references
+
+
+_corpus = _pairs()
 
 
 def assert_scores_as_tuples(candidates, references):
@@ -709,6 +735,16 @@ def assert_scores_as_tuples(candidates, references):
 @given(_corpus)
 def test_counted_corpus_scores_as_string_tuples(pair):
     assert_scores_as_tuples(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpus)
+def test_an_identical_pair_shares_one_count(pair):
+    """BLEU and CIDEr take their identical-pair paths on a shared count."""
+    candidates, references = pair
+    corpus = ngram_corpus(candidates, references)
+    assert ([c is r for c, r in zip(corpus.cand_grams, corpus.ref_grams)]
+            == [c == r for c, r in zip(candidates, references)])
 
 
 #: Distinct words of the wide pair: past 2**(63/4), so a 4-gram of words
@@ -743,3 +779,51 @@ def test_counted_corpus_scores_benchmark_like_pairs_as_string_tuples():
         candidates.append(tokenize(rule_oracle_decide(mirror, Format.LONG).rationale_long))
         references.append(tokenize(rule_oracle_decide(scenario, Format.LONG).rationale_long))
     assert_scores_as_tuples(candidates, references)
+
+
+def reference_meteor(candidate, reference):
+    matches, chunks, _ = reference_min_chunks(candidate, reference)
+    if matches == 0:
+        return 0.0
+    precision = matches / len(candidate)
+    recall = matches / len(reference)
+    f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    return 100.0 * f_mean * (1.0 - 0.5 * (chunks / matches) ** 3)
+
+
+def reference_rouge_l(candidate, reference):
+    lcs = brute_force_lcs(candidate, reference)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(candidate)
+    recall = lcs / len(reference)
+    return 100.0 * 2.0 * precision * recall / (precision + recall)
+
+
+@pytest.mark.parametrize("budget", [textmetrics.METEOR_BUDGET, 4])
+def test_evaluate_explanations_on_identical_near_and_repeated_pairs(budget):
+    """Identical pairs (one string, or two strings of one token list), a
+    pair one token off and sentences repeated across pairs score as the
+    references score them. Under a budget of 4 the 5-token identical
+    pairs are past it: still searched, and counted inexact."""
+    left = "The car turns left now."
+    right = "the car turns right now"
+    stop = "Stop for the cyclist ahead."
+    stop_too = "stop for the cyclist, ahead"
+    candidates = [left, left, right, stop, stop_too, "", left]
+    references = [left, right, left, stop_too, stop, left, "wait"]
+    cand_tokens = [tokenize(c) for c in candidates]
+    ref_tokens = [tokenize(r) for r in references]
+    pairs = list(zip(cand_tokens, ref_tokens))
+    with mock.patch.object(textmetrics, "METEOR_BUDGET", budget):
+        row = evaluate_explanations(candidates, references)
+        meteor_score = sum(reference_meteor(c, r) for c, r in pairs) / len(pairs)
+        inexact = sum(not reference_min_chunks(c, r)[2] for c, r in pairs)
+    expected = TextEvalRow(
+        bleu=tuple_bleu(cand_tokens, ref_tokens),
+        meteor=meteor_score,
+        rouge_l=sum(reference_rouge_l(c, r) for c, r in pairs) / len(pairs),
+        cider=tuple_cider(cand_tokens, ref_tokens),
+        meteor_inexact_pairs=inexact)
+    assert repr(row) == repr(expected)
+    assert inexact == (0 if budget == textmetrics.METEOR_BUDGET else 3)
